@@ -98,8 +98,9 @@ def cmd_synthesize(args) -> int:
     t0 = time.perf_counter()
     failed = False
     for seg, prob in zip(table.segments, problems):
+        t_seg = time.perf_counter()
         try:
-            sol = explore(prob, theta_box=box, seed=seed)
+            sol = explore(prob, theta_box=box)
         except Exception as exc:
             print(f"segment {seg.index}: exploration failed: {exc}",
                   file=sys.stderr)
@@ -118,6 +119,8 @@ def cmd_synthesize(args) -> int:
             "n_regions": sol.n_regions,
             "stored_reals": sol.stored_reals,
             "coverage": cov,
+            **sol.stats,
+            "wall_s": time.perf_counter() - t_seg,
         })
     report["wall_time_s"] = time.perf_counter() - t0
     report["total_stored_reals"] = sum(s["stored_reals"]
@@ -190,6 +193,8 @@ def cmd_bench(args) -> int:
     doc = _load_versioned(args.config, _BENCH_KEYS, "bench config")
     repeats = args.repeats or int(doc.get("repeats", 20))
     base_dir = os.path.dirname(os.path.abspath(args.config))
+    if "scenarios" not in doc:
+        raise ConfigError("bench config: missing 'scenarios'")
     entries = []
     for ref in doc["scenarios"]:
         path = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
@@ -248,8 +253,15 @@ def cmd_verify(args) -> int:
     for seg, prob in zip(table.segments, problems):
         sol = import_table(os.path.join(args.tables,
                                         f"table_seg{seg.index}.json"))
-        n_done = 0
+        n_done = draws = 0
         while n_done < args.samples:
+            # a theta box that is (almost) all infeasible must not hang
+            if draws == 100 * args.samples:
+                print(f"segment {seg.index}: only {n_done} of "
+                      f"{args.samples} theta feasible in {draws} draws",
+                      file=sys.stderr)
+                return EXIT_VERIFY
+            draws += 1
             theta = rng.uniform(box[:, 0], box[:, 1])
             qp = DenseQp(prob.Sigma, prob.F @ theta, prob.G,
                          prob.S @ theta + prob.W)

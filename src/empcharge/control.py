@@ -17,7 +17,7 @@ the conservatism of the upper-end R0 choice across switches.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,9 +46,6 @@ __all__ = [
 @dataclass
 class ControllerState:
     u_prev: float = 0.0
-    I_applied: float = 0.0
-    step_index: int = 0
-    last_region: tuple[int, int] | None = None
     fallback_count: int = 0
 
 
@@ -101,12 +98,8 @@ def _finish(move_of_segment, model: DiscreteModel, table: SegmentTable,
             I_next, region, fallback, seg_used = I_b, region_b, fb_b, sj
     du_applied = I_next - x.I
     ctrl.u_prev = du_applied
-    ctrl.I_applied = I_next
-    ctrl.step_index += 1
     if fallback:
         ctrl.fallback_count += 1
-    if region is not None:
-        ctrl.last_region = (seg_used, region)
     return StepResult(I_next=I_next, du_applied=du_applied, segment=seg_used,
                       region=region, fallback=fallback)
 
@@ -175,8 +168,6 @@ def nmpc_step(params: NdcParams, model: DiscreteModel, table: SegmentTable,
     I_next = float(np.clip(ctrl.u_prev + du0 + x.I, I_min, I_max))
     du_applied = I_next - x.I
     ctrl.u_prev = du_applied
-    ctrl.I_applied = I_next
-    ctrl.step_index += 1
     if fallback:
         ctrl.fallback_count += 1
     return StepResult(I_next=I_next, du_applied=du_applied,

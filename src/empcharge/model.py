@@ -9,9 +9,8 @@ polynomial and Vs-dependent series resistance) is nonlinear.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,11 +81,6 @@ class NdcParams:
             kwargs["alpha"] = tuple(float(d.get(f"alpha{i}", 0.0))
                                     for i in range(6))
         return cls(**kwargs)
-
-    @classmethod
-    def from_json(cls, path) -> "NdcParams":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
 
 
 @dataclass(frozen=True)

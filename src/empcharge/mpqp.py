@@ -15,7 +15,7 @@ condensed cost can be checked against direct simulation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -12,6 +12,7 @@ go through scipy's HiGHS linprog.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,8 @@ __all__ = [
 
 FEAS_TOL = 1e-8
 MULT_TOL = 1e-9
+# a ray-certified facet overshoots its bound by more than this
+_RAY_MARGIN = 1e-6
 
 
 class QpError(Exception):
@@ -191,44 +194,68 @@ def lp_feasible(G: np.ndarray, w: np.ndarray, tol: float = 1e-9,
     return True, center
 
 
+def _ray_facets(G: np.ndarray, w: np.ndarray, center: np.ndarray,
+                ) -> np.ndarray:
+    """Rows of {Gz <= w} that a ray proves to be facets: from the feasible
+    point ``center`` along row i's normal, the ray crosses row i first and
+    stays inside every other row until G_i z exceeds w_i by _RAY_MARGIN
+    (or by 1, the cap row of the redundancy LP).  That point is feasible
+    for row i's LP, whose optimum thus clears its tolerance by far."""
+    norms = np.linalg.norm(G, axis=1)
+    slack = w - G @ center
+    # rate[i, j]: growth of G_j z per unit step along row i's unit normal
+    rate = (G / norms[:, None]) @ G.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = np.where(rate > 0, slack / rate, np.inf)
+    np.fill_diagonal(reach, np.inf)
+    excess = np.minimum(norms * reach.min(axis=1) - slack, 1.0)
+    return (excess > _RAY_MARGIN) & np.all(slack >= 0)
+
+
 def remove_redundant(G: np.ndarray, w: np.ndarray, tol: float = 1e-9,
+                     *, counts: Counter | None = None,
                      ) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Minimal representation of a nonempty polyhedron {Gz <= w}.
 
     Row i is redundant when max G_i z over the remaining rows stays at or
     below w_i.  The max LP adds the row G_i z <= w_i + 1 so it is bounded
-    even for unbounded polyhedra.
+    even for unbounded polyhedra.  Rows that a ray from the Chebyshev
+    center proves to be facets skip that LP; the kept rows are the same.
+    ``counts``, when given, tallies chebyshev_lps, redundancy_lps and
+    certified_rows.
     """
     G = np.atleast_2d(np.asarray(G, float))
     w = np.asarray(w, float)
     m, n = G.shape
     norms = np.linalg.norm(G, axis=1)
+    counts = Counter() if counts is None else counts
 
     kept = [i for i in range(m) if norms[i] > 1e-12]
     # drop exact duplicates (same normalized row, same or looser bound)
     uniq: list[int] = []
     for i in kept:
         gi, wi_ = G[i] / norms[i], w[i] / norms[i]
-        dup = False
-        for j in uniq:
-            if (np.linalg.norm(G[j] / norms[j] - gi) < 1e-12
-                    and w[j] / norms[j] <= wi_ + 1e-12):
-                dup = True
-                break
-        if not dup:
+        if not any(np.linalg.norm(G[j] / norms[j] - gi) < 1e-12
+                   and w[j] / norms[j] <= wi_ + 1e-12 for j in uniq):
             uniq.append(i)
     kept = uniq
 
-    i_pos = 0
-    while i_pos < len(kept):
-        i = kept[i_pos]
+    facet = set()
+    if kept:
+        inner = chebyshev_center(G[kept], w[kept])
+        counts["chebyshev_lps"] += 1
+        if inner is not None:
+            ray = _ray_facets(G[kept], w[kept], inner[0])
+            facet = {kept[k] for k in np.flatnonzero(ray)}
+    counts["certified_rows"] += len(facet)
+
+    for i in [i for i in kept if i not in facet]:
         others = [j for j in kept if j != i]
         A = np.vstack([G[others], G[i:i + 1]])
         b = np.concatenate([w[others], [w[i] + 1.0]])
         res = linprog(-G[i], A_ub=A, b_ub=b,
                       bounds=[(None, None)] * n, method="highs")
+        counts["redundancy_lps"] += 1
         if res.success and -res.fun <= w[i] + tol:
-            kept.pop(i_pos)
-        else:
-            i_pos += 1
+            kept.remove(i)
     return G[kept], w[kept], kept

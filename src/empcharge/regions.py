@@ -3,8 +3,9 @@
 For a fixed optimal active set A the KKT conditions are linear in theta, so
 the optimizer is affine, z*(theta) = K theta + g, valid on the polyhedral
 critical region where the multipliers stay nonnegative and the inactive
-constraints stay satisfied.  Exploration walks region to region by stepping
-a small distance past each facet and solving the QP there.
+constraints stay satisfied.  Exploration enumerates the candidate active
+sets combinatorially and keeps those whose critical region has a nonempty
+interior.
 """
 
 from __future__ import annotations
@@ -13,13 +14,16 @@ import json
 import os
 import struct
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 from scipy.optimize import linprog
 
 from .mpqp import MpqpProblem, THETA_DIM
-from .qp import DenseQp, chebyshev_center, remove_redundant, solve_qp
+from .qp import (DenseQp, chebyshev_center, lp_feasible, remove_redundant,
+                 solve_qp)
 
 __all__ = [
     "CriticalRegion",
@@ -27,7 +31,6 @@ __all__ = [
     "DEFAULT_THETA_BOX",
     "DegenerateActiveSet",
     "InfeasibleAtTheta0",
-    "ExplorationStalled",
     "region_for",
     "explore",
     "locate",
@@ -46,7 +49,6 @@ DEFAULT_THETA_BOX = np.array([
     [-3.0, 3.0],
 ])
 
-_EPS_STEP = 1e-6
 _MIN_RADIUS = 1e-9
 
 
@@ -56,12 +58,6 @@ class DegenerateActiveSet(Exception):
 
 class InfeasibleAtTheta0(Exception):
     pass
-
-
-class ExplorationStalled(Exception):
-    def __init__(self, theta: np.ndarray, msg: str):
-        super().__init__(f"{msg} at theta={theta}")
-        self.theta = theta
 
 
 @dataclass(frozen=True)
@@ -81,7 +77,7 @@ class CriticalRegion:
 
 @dataclass
 class ExplicitSolution:
-    regions: list[CriticalRegion]
+    regions: tuple[CriticalRegion, ...]
     segment_index: int
     theta_box: np.ndarray
     Nu: int
@@ -89,6 +85,17 @@ class ExplicitSolution:
     # entries carry a matching coarser tolerance so that points on a
     # (shifted) facet still land in an adjacent region
     locate_tol: float = 1e-9
+    stats: dict = field(default_factory=dict)  # explore's counters
+
+    def __post_init__(self) -> None:
+        # locate() reads the regions' rows stacked, short regions padded
+        # with rows 0 <= inf; a tuple keeps the stack from going stale
+        self.regions = tuple(self.regions)
+        n_rows = max([1] + [len(r.e) for r in self.regions])
+        self._E = np.zeros((len(self.regions), n_rows, THETA_DIM))
+        self._e = np.full((len(self.regions), n_rows), np.inf)
+        for k, r in enumerate(self.regions):
+            self._E[k, :len(r.e)], self._e[k, :len(r.e)] = r.E, r.e
 
     @property
     def n_regions(self) -> int:
@@ -137,6 +144,30 @@ def law_for_active_set(problem: MpqpProblem, active_set,
     return K, g, Lam, lam_c
 
 
+def _critical_region(problem: MpqpProblem, active_set: tuple[int, ...],
+                     theta_box: np.ndarray, counts: Counter,
+                     ) -> CriticalRegion | None:
+    """Critical region of an active set, None when it has no interior;
+    DegenerateActiveSet when the active rows are linearly dependent."""
+    K, g, Lam, lam_c = law_for_active_set(problem, active_set)
+    # multipliers stay nonnegative, -(Lam theta) <= lam_c, and inactive
+    # rows stay satisfied, (G K - S) theta <= W - G g; zero rows of G
+    # depend on theta only and carve the feasible parameter set itself
+    inactive = [i for i in range(problem.G.shape[0]) if i not in active_set]
+    Gb, wb = box_halfspaces(theta_box)
+    E = np.vstack([-Lam, problem.G[inactive] @ K - problem.S[inactive], Gb])
+    e = np.concatenate([lam_c, problem.W[inactive] - problem.G[inactive] @ g,
+                        wb])
+    inner = chebyshev_center(E, e)
+    counts["chebyshev_lps"] += 1
+    if inner is None or inner[1] <= _MIN_RADIUS:
+        return None
+    E, e, _ = remove_redundant(E, e, counts=counts)
+    return CriticalRegion(E=E, e=e, K=K, g=g, active_set=active_set,
+                          segment_index=problem.segment_index,
+                          interior=inner[0], radius=inner[1])
+
+
 def region_for(problem: MpqpProblem, theta0: np.ndarray,
                theta_box: np.ndarray | None = None) -> CriticalRegion:
     """Build the critical region around theta0 from the QP's active set."""
@@ -146,34 +177,10 @@ def region_for(problem: MpqpProblem, theta0: np.ndarray,
     sol = solve_qp(qp)
     if sol.status != "optimal":
         raise InfeasibleAtTheta0(str(theta0))
-    K, g, Lam, lam_c = law_for_active_set(problem, sol.active_set)
-
-    rows_E, rows_e = [], []
-    # multipliers stay nonnegative: -(Lam theta) <= lam_c
-    for i in range(Lam.shape[0]):
-        rows_E.append(-Lam[i])
-        rows_e.append(lam_c[i])
-    # inactive constraints stay satisfied: (G K - S) theta <= W - G g.
-    # Rows of G that are zero depend on theta only and carve the feasible
-    # parameter set itself.
-    inactive = [i for i in range(problem.G.shape[0])
-                if i not in sol.active_set]
-    GK = problem.G[inactive] @ K - problem.S[inactive]
-    Ge = problem.W[inactive] - problem.G[inactive] @ g
-    rows_E.extend(GK)
-    rows_e.extend(Ge)
-    Gb, wb = box_halfspaces(theta_box)
-    rows_E.extend(Gb)
-    rows_e.extend(wb)
-
-    E, e, _ = remove_redundant(np.array(rows_E), np.array(rows_e))
-    inner = chebyshev_center(E, e)
-    if inner is None or inner[1] <= _MIN_RADIUS:
-        raise DegenerateActiveSet(
-            f"region around {theta0} has empty interior")
-    return CriticalRegion(E=E, e=e, K=K, g=g, active_set=sol.active_set,
-                          segment_index=problem.segment_index,
-                          interior=inner[0], radius=inner[1])
+    region = _critical_region(problem, sol.active_set, theta_box, Counter())
+    if region is None:
+        raise DegenerateActiveSet(f"region around {theta0} has no interior")
+    return region
 
 
 def _facet_center(E: np.ndarray, e: np.ndarray, i: int,
@@ -193,83 +200,56 @@ def _facet_center(E: np.ndarray, e: np.ndarray, i: int,
     return res.x[:n]
 
 
-def _seed_theta(problem: MpqpProblem, theta_box: np.ndarray,
-                ) -> np.ndarray | None:
-    """Interior point of the joint feasible set, projected onto theta."""
-    Nu = problem.Sigma.shape[0]
-    Gj = np.hstack([-problem.S, problem.G])
-    Gb, wb = box_halfspaces(theta_box)
-    Gj = np.vstack([Gj, np.hstack([Gb, np.zeros((Gb.shape[0], Nu))])])
-    wj = np.concatenate([problem.W, wb])
-    out = chebyshev_center(Gj, wj)
-    if out is None or out[1] <= _MIN_RADIUS:
-        return None
-    return out[0][:THETA_DIM]
-
-
 def explore(problem: MpqpProblem, theta_box: np.ndarray | None = None,
-            seed: int = 0, max_regions: int = 500) -> ExplicitSolution:
-    """Facet-stepping enumeration of all critical regions in theta_box."""
+            seed: int = 0) -> ExplicitSolution:
+    """Every critical region with a nonempty interior in theta_box.
+
+    Each set of at most Nu nonzero rows of G is a candidate active set.
+    Linearly dependent rows (rank deficient or ill-conditioned) prune it
+    without an LP, one Chebyshev LP finds it empty or keeps its region.
+    ``stats`` counts the candidates, split into pruned_rank, empty_interior
+    and the regions, and the chebyshev_lps, redundancy_lps and
+    certified_rows.  ``seed`` is unused and kept for existing callers.
+    """
     theta_box = DEFAULT_THETA_BOX if theta_box is None else theta_box
-    rng = np.random.default_rng(seed)
     Nu = problem.Sigma.shape[0]
-    solution = ExplicitSolution(regions=[], segment_index=
-                                problem.segment_index,
-                                theta_box=theta_box, Nu=Nu)
-    theta0 = _seed_theta(problem, theta_box)
-    if theta0 is None:
-        return solution
-
-    seen: set[tuple[int, ...]] = set()
-    frontier: list[np.ndarray] = [theta0]
-    while frontier:
-        theta = frontier.pop()
-        if not _in_box(theta, theta_box, 1e-12):
-            continue
-        if locate(solution, theta) is not None:
-            continue
-        region = None
-        probe = theta
-        for attempt in range(6):
+    rows = np.flatnonzero(np.linalg.norm(problem.G, axis=1) > 1e-12).tolist()
+    counts = Counter(candidates=0, pruned_rank=0, empty_interior=0,
+                     chebyshev_lps=0, redundancy_lps=0, certified_rows=0)
+    regions = []
+    for size in range(min(Nu, len(rows)) + 1):
+        for A in combinations(rows, size):
+            counts["candidates"] += 1
             try:
-                region = region_for(problem, probe, theta_box)
-                break
-            except InfeasibleAtTheta0:
-                region = None
-                break
+                if size and np.linalg.matrix_rank(problem.G[list(A)]) < size:
+                    raise DegenerateActiveSet(str(A))
+                region = _critical_region(problem, A, theta_box, counts)
             except DegenerateActiveSet:
-                probe = theta + 1e-7 * rng.standard_normal(THETA_DIM)
-        if region is None:
-            continue
-        if region.active_set in seen:
-            continue
-        seen.add(region.active_set)
-        solution.regions.append(region)
-        if len(solution.regions) > max_regions:
-            raise ExplorationStalled(theta, "region budget exhausted")
-        for i in range(region.E.shape[0]):
-            center = _facet_center(region.E, region.e, i)
-            if center is None:
+                counts["pruned_rank"] += 1
                 continue
-            step = region.E[i] / np.linalg.norm(region.E[i])
-            frontier.append(center + _EPS_STEP * step)
-    return solution
-
-
-def _in_box(theta: np.ndarray, theta_box: np.ndarray, tol: float) -> bool:
-    return bool(np.all(theta >= theta_box[:, 0] - tol)
-                and np.all(theta <= theta_box[:, 1] + tol))
+            if region is None:
+                counts["empty_interior"] += 1
+            else:
+                regions.append(region)
+    return ExplicitSolution(regions, problem.segment_index, theta_box, Nu,
+                            stats=dict(counts))
 
 
 def locate(solution: ExplicitSolution, theta: np.ndarray,
            tol: float | None = None) -> int | None:
-    """Sequential search; first region containing theta wins."""
+    """Index of the region whose largest violation at theta is smallest,
+    None when it exceeds tol.  The answer does not depend on region order:
+    a tie goes to the smaller first move, as in the segment-switch guard.
+    """
     if tol is None:
         tol = solution.locate_tol
-    for idx, r in enumerate(solution.regions):
-        if np.all(r.E @ theta <= r.e + tol):
-            return idx
-    return None
+    worst = (solution._E @ theta - solution._e).max(axis=1)
+    best = worst.min(initial=np.inf)
+    if not best <= tol:
+        return None
+    regs = solution.regions
+    return int(min(np.flatnonzero(worst == best),
+                   key=lambda k: regs[k].K[0] @ theta + regs[k].g[0]))
 
 
 def coverage_check(solution: ExplicitSolution, problem: MpqpProblem,
@@ -277,25 +257,21 @@ def coverage_check(solution: ExplicitSolution, problem: MpqpProblem,
                    tol: float = 1e-9) -> float:
     """Fraction of random feasible theta in the box covered by some region.
 
-    Sampling is vectorized over the stacked region halfspaces; only points
-    that miss every region get an LP feasibility test (a miss may simply be
-    an infeasible parameter).
+    Sampling is vectorized over the stacked region halfspaces.  A miss may
+    simply be an infeasible parameter: misses that break a theta-only row
+    (a zero row of G) are dropped at once, the rest get an LP test.
     """
     rng = np.random.default_rng(seed)
     box = solution.theta_box
     thetas = rng.uniform(box[:, 0], box[:, 1], size=(n_samples, THETA_DIM))
     covered = np.zeros(n_samples, dtype=bool)
     for r in solution.regions:
-        hit = np.all(thetas @ r.E.T <= r.e + tol, axis=1)
-        covered |= hit
+        covered |= np.all(thetas @ r.E.T <= r.e + tol, axis=1)
     n_covered = int(covered.sum())
-    n_feas_missed = 0
-    from .qp import lp_feasible
-    for theta in thetas[~covered]:
-        ok, _ = lp_feasible(problem.G,
-                            problem.S @ theta + problem.W, tol=1e-12)
-        if ok:
-            n_feas_missed += 1
+    rhs = thetas[~covered] @ problem.S.T + problem.W
+    zero = np.linalg.norm(problem.G, axis=1) <= 1e-12
+    rhs = rhs[np.all(rhs[:, zero] >= 0, axis=1)]
+    n_feas_missed = sum(lp_feasible(problem.G, w, tol=1e-12)[0] for w in rhs)
     total = n_covered + n_feas_missed
     return 1.0 if total == 0 else n_covered / total
 

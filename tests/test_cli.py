@@ -41,6 +41,12 @@ def test_synthesize_outputs(tables_dir):
     for seg in report["segments"]:
         assert seg["coverage"] == pytest.approx(1.0, abs=1e-6)
         assert seg["n_regions"] >= 1
+        assert seg["candidates"] == (seg["pruned_rank"]
+                                     + seg["empty_interior"]
+                                     + seg["n_regions"])
+        assert seg["chebyshev_lps"] >= seg["candidates"] - seg["pruned_rank"]
+        assert seg["redundancy_lps"] >= 0 and seg["certified_rows"] > 0
+        assert seg["wall_s"] > 0
     assert report["total_stored_reals"] > 0
 
 
@@ -88,6 +94,18 @@ def test_verify_tables(tmp_path, synth_config, tables_dir):
     rc = main(["verify", "--config", synth_config,
                "--tables", str(tables_dir), "--samples", "50"])
     assert rc == 0
+
+
+def test_verify_gives_up_on_infeasible_box(tmp_path, tables_dir, capsys):
+    cfg = _write(tmp_path / "synth.json", {
+        "version": 1,
+        "breakpoints": TWO_SEGMENTS,
+        "theta_box": [[0.99, 1], [0.99, 1], [2.9, 3], [0.2, 1], [2.9, 3]],
+    })
+    rc = main(["verify", "--config", cfg, "--tables", str(tables_dir),
+               "--samples", "3"])
+    assert rc == 4
+    assert "only 0 of 3 theta feasible in 300 draws" in capsys.readouterr().err
 
 
 def test_export_table_round_trip(tmp_path, tables_dir):
@@ -145,3 +163,9 @@ def test_bench(tmp_path):
     report = json.loads((out / "bench_report.json").read_text())
     assert report["entries"][0]["repeats"] == 2
     assert report["entries"][0]["mean_step_ns"] > 0
+
+
+def test_bench_without_scenarios(tmp_path):
+    cfg = _write(tmp_path / "bench.json", {"version": 1, "repeats": 2})
+    rc = main(["bench", "--config", cfg, "--out-dir", str(tmp_path / "out")])
+    assert rc == 3

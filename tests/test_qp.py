@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from empcharge.qp import (DenseQp, QpError, chebyshev_center, lp_feasible,
                           remove_redundant, solve_qp)
@@ -168,3 +171,44 @@ def test_remove_redundant_preserves_set():
         in_full = np.all(pts @ G.T <= w + 1e-9, axis=1)
         in_red = np.all(pts @ Gr.T <= wr + 1e-9, axis=1)
         assert np.array_equal(in_full, in_red)
+
+
+def _remove_redundant_reference(G, w, tol=1e-9):
+    """One LP per row, in row order, over the rows kept so far."""
+    norms = np.linalg.norm(G, axis=1)
+    kept = []
+    for i in np.flatnonzero(norms > 1e-12):
+        gi, wi = G[i] / norms[i], w[i] / norms[i]
+        if not any(np.linalg.norm(G[j] / norms[j] - gi) < 1e-12
+                   and w[j] / norms[j] <= wi + 1e-12 for j in kept):
+            kept.append(int(i))
+    for i in list(kept):
+        others = [j for j in kept if j != i]
+        res = linprog(-G[i], A_ub=np.vstack([G[others], G[i:i + 1]]),
+                      b_ub=np.concatenate([w[others], [w[i] + 1.0]]),
+                      bounds=[(None, None)] * G.shape[1], method="highs")
+        if res.success and -res.fun <= w[i] + tol:
+            kept.remove(i)
+    return kept
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3),
+       m=st.integers(1, 8))
+def test_remove_redundant_matches_per_row_lps(seed, n, m):
+    """Random bounded polytopes (a box plus random cuts) with duplicated,
+    scaled and weakly redundant rows: a row through a box vertex whose
+    normal lies in that vertex's normal cone touches the polytope at the
+    vertex only."""
+    rng = np.random.default_rng(seed)
+    G = np.vstack([np.eye(n), -np.eye(n), rng.standard_normal((m, n))])
+    w = np.concatenate([np.ones(2 * n), rng.uniform(0.2, 1.5, m)])
+    vertex = rng.choice([-1.0, 1.0], n)
+    weak = rng.uniform(0.1, 1.0, n) * vertex
+    dup = rng.integers(0, len(w), 3)
+    G = np.vstack([G, weak, G[dup], 2.0 * G[dup[:1]]])
+    w = np.concatenate([w, [weak @ vertex], w[dup], 2.0 * w[dup[:1]]])
+    order = rng.permutation(len(w))
+    G, w = G[order], w[order]
+    _, _, kept = remove_redundant(G, w)
+    assert kept == _remove_redundant_reference(G, w)

@@ -89,6 +89,26 @@ def test_explored_law_matches_qp_samples(problems, solutions):
             assert np.allclose(r.K @ theta + r.g, ref.z_star, atol=1e-7)
 
 
+# active sets of the default MPC per segment; rows 1-3 and 5 are
+# I<=, I>=, V<= at k=1 and eta<= at k=2
+DEFAULT_ACTIVE_SETS = [[(), (1,), (2,), (5,)]] + 8 * [
+    [(), (1,), (2,), (3,), (5,)]]
+
+
+def test_default_active_sets(problems, solutions):
+    assert [s.n_regions for s in solutions] == [4, 5, 5, 5, 5, 5, 5, 5, 5]
+    for p, sol, expect in zip(problems, solutions, DEFAULT_ACTIVE_SETS):
+        assert sorted(r.active_set for r in sol.regions) == expect
+        st = sol.stats
+        assert st["candidates"] == (st["pruned_rank"] + st["empty_interior"]
+                                    + sol.n_regions)
+        for r in sol.regions:
+            ref = region_for(p, r.interior, sol.theta_box)
+            assert ref.active_set == r.active_set
+            for key in ("E", "e", "K", "g"):
+                assert np.array_equal(getattr(ref, key), getattr(r, key))
+
+
 def test_region_count_small(solutions):
     # every constraint row here depends on the first move only, so at most
     # one constraint can be active and the region count stays tiny
@@ -173,20 +193,47 @@ def test_rounded_tolerance(solutions):
 
 def test_rounded_law_still_close(problems, solutions):
     rng = np.random.default_rng(17)
-    p, sol = problems[0], solutions[0]
-    r3 = rounded(sol, 3)
-    done = 0
-    while done < 25:
-        theta = rng.uniform(sol.theta_box[:, 0], sol.theta_box[:, 1])
-        ref = solve_qp(DenseQp(p.Sigma, p.F @ theta, p.G,
-                               p.S @ theta + p.W))
-        if ref.status != "optimal":
-            continue
-        done += 1
-        idx = locate(r3, theta)
-        assert idx is not None
-        r = r3.regions[idx]
-        assert np.allclose(r.K @ theta + r.g, ref.z_star, atol=0.02)
+    for si in (0, 4, 8):
+        p, sol = problems[si], solutions[si]
+        r3 = rounded(sol, 3)
+        done = 0
+        while done < 1000:
+            theta = rng.uniform(sol.theta_box[:, 0], sol.theta_box[:, 1])
+            ref = solve_qp(DenseQp(p.Sigma, p.F @ theta, p.G,
+                                   p.S @ theta + p.W))
+            if ref.status != "optimal":
+                continue
+            done += 1
+            idx = locate(r3, theta)
+            assert idx is not None
+            r = r3.regions[idx]
+            assert np.allclose(r.K @ theta + r.g, ref.z_star, atol=0.02), \
+                (si, theta)
+
+
+def test_locate_ignores_region_order(solutions):
+    rng = np.random.default_rng(23)
+    for sol in (solutions[0], solutions[4]):
+        r3 = rounded(sol, 3)
+        thetas = rng.uniform(sol.theta_box[:, 0], sol.theta_box[:, 1],
+                             size=(400, 5))
+
+        def laws(table):
+            out = []
+            for theta in thetas:
+                idx = locate(table, theta)
+                r = None if idx is None else table.regions[idx]
+                out.append(None if r is None else tuple(r.K @ theta + r.g))
+            return out
+
+        expect = laws(r3)
+        for _ in range(4):
+            order = rng.permutation(r3.n_regions)
+            shuffled = ExplicitSolution(
+                regions=[r3.regions[k] for k in order],
+                segment_index=r3.segment_index, theta_box=r3.theta_box,
+                Nu=r3.Nu, locate_tol=r3.locate_tol)
+            assert laws(shuffled) == expect
 
 
 def test_stored_reals_accounting():
