@@ -200,21 +200,25 @@ def cmd_bench(args) -> int:
         path = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
         sdoc = _load_versioned(path, _SCENARIO_KEYS, "scenario config")
         setup = _scenario_setup(sdoc, args)
-        per_step_means, per_step_maxes, steps = [], [], None
+        per_step_means, pooled, steps = [], [], None
         wall0 = time.perf_counter()
         for _ in range(repeats):
             trace = run_closed_loop(setup)
             ns = [r.solver_time_ns for r in trace.rows]
             per_step_means.append(float(np.mean(ns)))
-            per_step_maxes.append(float(np.max(ns)))
+            pooled.extend(ns)
             steps = trace.charging_steps
+        p50, p95, p99 = np.percentile(pooled, [50, 95, 99])
         entries.append({
             "name": sdoc.get("name", os.path.basename(path)),
             "controller": setup.controller,
             "repeats": repeats,
             "steps": steps,
             "mean_step_ns": float(np.mean(per_step_means)),
-            "max_step_ns": float(np.max(per_step_maxes)),
+            "max_step_ns": float(np.max(pooled)),
+            "step_ns_p50": float(p50),
+            "step_ns_p95": float(p95),
+            "step_ns_p99": float(p99),
             "total_wall_s": time.perf_counter() - wall0,
         })
     report = {"entries": entries}

@@ -143,21 +143,22 @@ def nmpc_step(params: NdcParams, model: DiscreteModel, table: SegmentTable,
               ) -> StepResult:
     """Iteratively relinearized MPC: linearize h and R0 at the current
     (then predicted) Vs instead of at fixed table operating points, and
-    re-solve until the first move settles."""
+    re-solve, warm-started from the last iterate, until du0 settles."""
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     theta = assemble_theta(x, r, ctrl.u_prev)
     vs_lin = float(np.clip(x.Vs, 0.0, 1.0))
-    du0, du_last, fallback, iters = 0.0, None, False, 0
+    du0, du_last, fallback, iters, z_last = 0.0, None, False, 0, None
     for it in range(max_iters):
         iters = it + 1
         seg = _segment(params, 0, 0.0, 1.0, vs_lin, table.gamma1)
         prob = build(model, seg, cfg)
         sol = solve_qp(DenseQp(prob.Sigma, prob.F @ theta, prob.G,
-                               prob.S @ theta + prob.W))
+                               prob.S @ theta + prob.W), z0=z_last)
         if sol.status != "optimal":
             du0, fallback = 0.0, True
             break
+        z_last = sol.z_star
         du0 = float(sol.z_star[0])
         if du_last is not None and abs(du0 - du_last) < 1e-6:
             break

@@ -28,7 +28,8 @@ __all__ = ["MpcConfig", "MpqpProblem", "build", "assemble_theta",
 THETA_DIM = 5
 
 # output row order: SoC, Vs, I, V, eta
-_ROW_SOC, _ROW_VS, _ROW_I, _ROW_V, _ROW_ETA = range(5)
+_ROW_SOC, _ROW_ETA = 0, 4
+_ROW_NAMES = ("soc", "Vs", "I", "V", "eta")
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,9 @@ class MpcConfig:
             raise ValueError("constraint horizon exceeds N")
         if self.Q < 0 or self.R <= 0:
             raise ValueError("need Q >= 0 and R > 0")
+        lo, hi = np.asarray(self.y_min, float), np.asarray(self.y_max, float)
+        if lo.shape != (5,) or hi.shape != (5,) or not np.all(lo <= hi):
+            raise ValueError("need 5 entries each in y_min <= y_max")
 
     def bounds_with_gamma2(self) -> tuple[np.ndarray, np.ndarray]:
         lo = np.array(self.y_min, dtype=float)
@@ -76,7 +80,6 @@ class MpqpProblem:
     W: np.ndarray           # m
     segment_index: int
     labels: tuple[str, ...]  # one per constraint row, for diagnostics
-    theta_dim: int = THETA_DIM
 
 
 def assemble_theta(x: NdcState, r: float, u_prev: float) -> np.ndarray:
@@ -84,30 +87,27 @@ def assemble_theta(x: NdcState, r: float, u_prev: float) -> np.ndarray:
 
 
 def _prediction_maps(model: DiscreteModel, N: int, Nu: int):
-    """x_k as an affine map of theta and z.
+    """x_k as an affine map of theta and z, stacked over k = 0..N.
 
     The plant input at step i is u_i = u_prev + sum_{j<=i} du_j with
     du_j = 0 for j >= Nu, so each move du_j feeds every step from j on:
 
         x_k = Xx[k] x0 + Xu[k] u_prev + Xz[k] z,
-        Xz[k][:, j] = sum_{i=j}^{k-1} A^(k-1-i) B.
+        Xx[k] = A^k,  Xu[k] = sum_{m<k} A^m B,
+        Xz[k][:, j] = Xu[k-j] for j < k, else 0,
+
+    with shapes Xx (N+1, 3, 3), Xu (N+1, 3) and Xz (N+1, 3, Nu).
     """
     A, B = model.A_aug, model.B_aug
-    powers = [np.eye(3)]
-    for _ in range(N):
-        powers.append(A @ powers[-1])
-    Xx, Xu, Xz = [], [], []
-    for k in range(N + 1):
-        Xx.append(powers[k])
-        acc = np.zeros((3, 1))
-        M = np.zeros((3, Nu))
-        for i in range(k):
-            col = powers[k - 1 - i] @ B
-            acc += col
-            for j in range(min(i + 1, Nu)):
-                M[:, j:j + 1] += col
-        Xu.append(acc)
-        Xz.append(M)
+    Xx = np.empty((N + 1, 3, 3))
+    Xx[0] = np.eye(3)
+    for k in range(N):
+        Xx[k + 1] = A @ Xx[k]
+    Xu = np.zeros((N + 1, 3))
+    np.cumsum((Xx[:N] @ B)[:, :, 0], axis=0, out=Xu[1:])
+    # Xu[0] = 0, so clipping k-j at 0 zeroes the moves not yet taken
+    lag = np.arange(N + 1)[:, None] - np.arange(Nu)[None, :]
+    Xz = Xu[np.maximum(lag, 0)].transpose(0, 2, 1)
     return Xx, Xu, Xz
 
 
@@ -120,54 +120,48 @@ def build(model: DiscreteModel, segment: LinearSegment,
     first shows up in the step-1 outputs).
     """
     N, Nu = cfg.N, cfg.Nu
-    Xx, Xu, Xz = _prediction_maps(model, max(N, cfg.Nc_eta, cfg.Nc_other), Nu)
+    Xx, Xu, Xz = _prediction_maps(model, N, Nu)
     C, D = segment.C_mat, segment.D_vec
     c_soc = C[_ROW_SOC]
 
-    Sigma = np.zeros((Nu, Nu))
-    F = np.zeros((Nu, THETA_DIM))
-    Y = np.zeros((THETA_DIM, THETA_DIM))
-    for k in range(N):
-        a = c_soc @ Xz[k]                       # SoC_k dependence on z
-        lin = np.zeros(THETA_DIM)               # ... and on theta
-        lin[:3] = c_soc @ Xx[k]
-        lin[4] = float((c_soc @ Xu[k])[0])
-        lin[3] = -1.0                           # minus the reference
-        Sigma += cfg.Q * np.outer(a, a)
-        F += cfg.Q * np.outer(a, lin)
-        Y += cfg.Q * np.outer(lin, lin)
-    Sigma += cfg.R * np.eye(Nu)
+    # SoC_k - r = a[k] z + lin[k] theta for k = 0..N-1
+    a = c_soc @ Xz[:N]
+    lin = np.zeros((N, THETA_DIM))
+    lin[:, :3] = c_soc @ Xx[:N]
+    lin[:, 3] = -1.0
+    lin[:, 4] = Xu[:N] @ c_soc
+    Sigma = cfg.Q * (a.T @ a) + cfg.R * np.eye(Nu)
+    F = cfg.Q * (a.T @ lin)
+    Y = cfg.Q * (lin.T @ lin)
 
     lo, hi = cfg.bounds_with_gamma2()
-    G_rows, S_rows, W_rows, labels = [], [], [], []
-    names = ("soc", "Vs", "I", "V", "eta")
+    spec = []                           # (k, row, sign, bound, label)
     for k in range(1, max(cfg.Nc_eta, cfg.Nc_other) + 1):
         for row in range(5):
             if k > cfg.nc_for_row(row):
                 continue
-            if not (math.isfinite(hi[row]) or math.isfinite(lo[row])):
-                continue
-            gz = C[row] @ Xz[k]
-            sx = C[row] @ Xx[k]
-            su = float((C[row] @ Xu[k])[0])
             if math.isfinite(hi[row]):
-                G_rows.append(gz)
-                S_rows.append(np.array([-sx[0], -sx[1], -sx[2], 0.0, -su]))
-                W_rows.append(hi[row] - D[row])
-                labels.append(f"{names[row]}<= @k={k}")
+                spec.append((k, row, 1.0, hi[row] - D[row],
+                             f"{_ROW_NAMES[row]}<= @k={k}"))
             if math.isfinite(lo[row]):
-                G_rows.append(-gz)
-                S_rows.append(np.array([sx[0], sx[1], sx[2], 0.0, su]))
-                W_rows.append(D[row] - lo[row])
-                labels.append(f"{names[row]}>= @k={k}")
-    if not G_rows:
+                spec.append((k, row, -1.0, D[row] - lo[row],
+                             f"{_ROW_NAMES[row]}>= @k={k}"))
+    if not spec:
         raise ValueError("configuration produces no constraint rows")
-    for g, s, lab in zip(G_rows, S_rows, labels):
-        if np.linalg.norm(g) < 1e-12 and np.linalg.norm(s) < 1e-12:
-            raise ValueError(f"vacuous constraint row: {lab}")
+    ks, rows, sign, W, labels = zip(*spec)
+    ks = np.array(ks)
+    Cs = np.array(sign)[:, None] * C[list(rows)]    # output rows, signed
+    G = np.einsum("ri,rij->rj", Cs, Xz[ks])
+    S = np.zeros((len(spec), THETA_DIM))
+    S[:, :3] = -np.einsum("ri,rij->rj", Cs, Xx[ks])
+    S[:, 4] = -np.einsum("ri,ri->r", Cs, Xu[ks])
+    vacuous = ((np.linalg.norm(G, axis=1) < 1e-12)
+               & (np.linalg.norm(S, axis=1) < 1e-12))
+    if vacuous.any():
+        bad = labels[vacuous.argmax()]
+        raise ValueError(f"vacuous constraint row: {bad}")
 
     return MpqpProblem(
-        Sigma=Sigma, F=F, Y=Y,
-        G=np.array(G_rows), S=np.array(S_rows), W=np.array(W_rows),
-        segment_index=segment.index, labels=tuple(labels),
+        Sigma=Sigma, F=F, Y=Y, G=G, S=S, W=np.array(W),
+        segment_index=segment.index, labels=labels,
     )

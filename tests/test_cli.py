@@ -161,8 +161,11 @@ def test_bench(tmp_path):
                "--repeats", "2"])
     assert rc == 0
     report = json.loads((out / "bench_report.json").read_text())
-    assert report["entries"][0]["repeats"] == 2
-    assert report["entries"][0]["mean_step_ns"] > 0
+    entry = report["entries"][0]
+    assert entry["repeats"] == 2
+    assert entry["mean_step_ns"] > 0
+    assert (entry["step_ns_p50"] <= entry["step_ns_p95"]
+            <= entry["step_ns_p99"] <= entry["max_step_ns"])
 
 
 def test_bench_without_scenarios(tmp_path):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from empcharge import control
 from empcharge import model as mdl
 from empcharge.control import (ControllerState, RunSetup, default_ekf,
                                ekf_step, empc_step, nmpc_step,
                                online_mpc_step, run_closed_loop)
 from empcharge.model import NdcState
+from empcharge.qp import solve_qp
 
 
 def _setup(params, dmodel, table, cfg, problems, solutions, **kw):
@@ -68,6 +70,28 @@ def test_nmpc_step_converges(params, dmodel, table, cfg):
     with pytest.raises(ValueError):
         nmpc_step(params, dmodel, table, cfg, ctrl,
                   NdcState(0.2, 0.2, 0.0), 0.9, max_iters=0)
+
+
+def test_nmpc_warm_start_keeps_minimizer(params, dmodel, table, cfg,
+                                         monkeypatch):
+    # every warm-started re-solve must land on the cold-start minimizer
+    warm = []
+
+    def checked(qp, z0=None):
+        sol = solve_qp(qp, z0=z0)
+        cold = solve_qp(qp)
+        assert sol.status == cold.status
+        if sol.status == "optimal":
+            assert np.allclose(sol.z_star, cold.z_star, rtol=0.0, atol=1e-10)
+        warm.append(z0 is not None)
+        return sol
+
+    monkeypatch.setattr(control, "solve_qp", checked)
+    trace = run_closed_loop(RunSetup(params=params, model=dmodel,
+                                     table=table, cfg=cfg,
+                                     controller="nmpc"))
+    assert trace.completed
+    assert any(warm)
 
 
 def test_ekf_exact_init_tracks(params, dmodel):

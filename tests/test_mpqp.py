@@ -1,9 +1,21 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from empcharge.model import NdcState
-from empcharge.mpqp import MpcConfig, assemble_theta, build
+from empcharge.mpqp import MpcConfig, _prediction_maps, assemble_theta, build
 from empcharge.qp import DenseQp, solve_qp
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# the configs that stretch N, Nu and Nc_eta beyond the default horizon
+HORIZONS = ["horizon_N90", "horizon_Nu9", "horizon_Nc_eta9"]
+
+
+def _mpc_block(name):
+    doc = json.loads((CONFIGS / f"{name}.json").read_text())
+    return MpcConfig(**doc["synthesis"]["mpc"])
 
 
 def _increment(cfg, theta, z, k):
@@ -68,12 +80,10 @@ def test_trivial_horizon():
     assert np.allclose(p.F, 0.0, atol=1e-14)
 
 
-def test_cost_oracle(dmodel, table, cfg, problems):
+def _check_cost_oracle(dmodel, seg, cfg, p):
     # 0.5 z'Sigma z + theta'F'z + 0.5 theta'Y theta must equal the rolled-out
     # tracking cost for arbitrary (theta, z)
     rng = np.random.default_rng(5)
-    seg = table.segments[1]
-    p = problems[1]
     for _ in range(20):
         theta = rng.uniform([0, 0, 0, 0.2, -3], [1, 1, 3, 1, 3])
         z = rng.uniform(-1, 1, cfg.Nu)
@@ -83,12 +93,20 @@ def test_cost_oracle(dmodel, table, cfg, problems):
         assert condensed == pytest.approx(direct, abs=1e-8)
 
 
-def test_constraint_oracle(dmodel, table, cfg, problems):
+def test_cost_oracle(dmodel, table, cfg, problems):
+    _check_cost_oracle(dmodel, table.segments[1], cfg, problems[1])
+
+
+@pytest.mark.parametrize("name", HORIZONS)
+def test_cost_oracle_horizons(dmodel, table, name):
+    cfg, seg = _mpc_block(name), table.segments[1]
+    _check_cost_oracle(dmodel, seg, cfg, build(dmodel, seg, cfg))
+
+
+def _check_constraint_oracle(dmodel, seg, cfg, p):
     # G z <= S theta + W holds exactly when the simulated outputs satisfy
     # the bounds at their constraint steps
     rng = np.random.default_rng(6)
-    seg = table.segments[4]
-    p = problems[4]
     lo, hi = cfg.bounds_with_gamma2()
     for _ in range(20):
         theta = rng.uniform([0, 0, 0, 0.2, -3], [1, 1, 3, 1, 3])
@@ -107,6 +125,48 @@ def test_constraint_oracle(dmodel, table, cfg, problems):
                 assert margin == pytest.approx(hi[row] - y, abs=1e-8)
             else:
                 assert margin == pytest.approx(y - lo[row], abs=1e-8)
+
+
+def test_constraint_oracle(dmodel, table, cfg, problems):
+    _check_constraint_oracle(dmodel, table.segments[4], cfg, problems[4])
+
+
+@pytest.mark.parametrize("name", HORIZONS)
+def test_constraint_oracle_horizons(dmodel, table, name):
+    cfg, seg = _mpc_block(name), table.segments[4]
+    _check_constraint_oracle(dmodel, seg, cfg, build(dmodel, seg, cfg))
+
+
+def _loop_prediction_maps(model, N, Nu):
+    """The condensing maps summed term by term:
+    Xz[k][:, j] = sum_{i=j}^{k-1} A^(k-1-i) B."""
+    A, B = model.A_aug, model.B_aug
+    powers = [np.eye(3)]
+    for _ in range(N):
+        powers.append(A @ powers[-1])
+    Xx, Xu, Xz = [], [], []
+    for k in range(N + 1):
+        Xx.append(powers[k])
+        acc = np.zeros(3)
+        M = np.zeros((3, Nu))
+        for i in range(k):
+            col = (powers[k - 1 - i] @ B).ravel()
+            acc += col
+            for j in range(min(i + 1, Nu)):
+                M[:, j] += col
+        Xu.append(acc)
+        Xz.append(M)
+    return np.array(Xx), np.array(Xu), np.array(Xz)
+
+
+def test_prediction_maps_closed_form(dmodel):
+    N, Nu = 90, 9
+    got = _prediction_maps(dmodel, N, Nu)
+    want = _loop_prediction_maps(dmodel, N, Nu)
+    for g, w, shape in zip(got, want, [(N + 1, 3, 3), (N + 1, 3),
+                                       (N + 1, 3, Nu)]):
+        assert g.shape == shape
+        assert np.allclose(g, w, rtol=0.0, atol=1e-12)
 
 
 def test_eta_horizon_deeper_than_others(problems, cfg):
@@ -130,6 +190,12 @@ def test_config_validation():
         MpcConfig(N=5, Nc_eta=6)
     with pytest.raises(ValueError):
         MpcConfig(R=0.0)
+    with pytest.raises(ValueError):
+        MpcConfig(y_min=(0.0, 0.0, 0.0, 0.0))
+    with pytest.raises(ValueError):
+        MpcConfig(y_max=(1.0, 0.95, 3.0, 4.2, 0.08, 1.0))
+    with pytest.raises(ValueError):
+        MpcConfig(y_min=(-np.inf, -np.inf, 3.5, -np.inf, -np.inf))
 
 
 def test_build_deterministic(dmodel, table, cfg, problems):
