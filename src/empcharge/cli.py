@@ -107,7 +107,7 @@ def cmd_synthesize(args) -> int:
             failed = True
             continue
         cov = coverage_check(sol, prob, n_samples=n_cov, seed=seed + 1)
-        out = rounded(sol, decimals) if decimals is not None else sol
+        out = rounded(sol, decimals)
         base = os.path.join(args.out_dir, f"table_seg{seg.index}")
         export_table(out, base + ".json", fmt="json")
         export_table(out, base + ".bin", fmt="bin")

@@ -5,7 +5,7 @@ Controller semantics per step, given state x = [Vb, Vs, I], target r and the
 previous move u_prev: pick the segment for x.Vs, evaluate the law at
 theta = [Vb, Vs, I, r, u_prev] to get du0, and apply
 
-    I_next = clip(u_prev + du0 + I, I_min, I_max).
+    I_next = clip(u_prev + du0 + I, I_MIN, I_MAX).
 
 Because the segment law is linearized at a fixed operating point, a step
 whose predicted surface voltage crosses into the next segment can slightly
@@ -42,6 +42,14 @@ __all__ = [
     "run_closed_loop",
 ]
 
+I_MIN, I_MAX = 0.0, 3.0  # charging current limits [A]
+COMPLETION_SLACK = 0.005  # done once the estimated SoC is this near target
+# noisy runs: plant process variance per state, voltage measurement variance
+PROCESS_VAR, MEAS_VAR = 1e-6, 9e-6
+# EKF tuning: the controller drives the current, so the filter's current
+# channel is far below the plant's PROCESS_VAR on purpose
+EKF_Q, EKF_R = np.diag([1e-6, 1e-6, 1e-12]), 9e-6
+
 
 @dataclass
 class ControllerState:
@@ -63,16 +71,10 @@ class StepResult:
 class EkfState:
     x_hat: np.ndarray
     P: np.ndarray
-    Q_proc: np.ndarray
-    R_meas: float
 
 
 def default_ekf(x0: np.ndarray) -> EkfState:
-    # current is driven by the controller, so its process channel is tiny
-    return EkfState(x_hat=np.array(x0, float),
-                    P=np.eye(3) * 1e-4,
-                    Q_proc=np.diag([1e-6, 1e-6, 1e-12]),
-                    R_meas=9e-6)
+    return EkfState(x_hat=np.array(x0, float), P=np.eye(3) * 1e-4)
 
 
 def _predicted_vs(model: DiscreteModel, x: NdcState, du: float) -> float:
@@ -80,34 +82,42 @@ def _predicted_vs(model: DiscreteModel, x: NdcState, du: float) -> float:
     return float(x1[1])
 
 
+def _current(ctrl: ControllerState, x: NdcState, du0: float) -> float:
+    """Saturated next current for the move du0."""
+    return float(np.clip(ctrl.u_prev + du0 + x.I, I_MIN, I_MAX))
+
+
+def _apply(ctrl: ControllerState, x: NdcState, I_next: float, segment: int,
+           region: int | None, fallback: bool, iterations: int = 1,
+           ) -> StepResult:
+    """Tail of every controller step: record the move in ctrl, report."""
+    du_applied = I_next - x.I
+    ctrl.u_prev = du_applied
+    ctrl.fallback_count += int(fallback)
+    return StepResult(I_next=I_next, du_applied=du_applied, segment=segment,
+                      region=region, fallback=fallback, iterations=iterations)
+
+
 def _finish(move_of_segment, model: DiscreteModel, table: SegmentTable,
             ctrl: ControllerState, x: NdcState, theta: np.ndarray,
-            I_min: float, I_max: float) -> StepResult:
-    """Shared tail of the eMPC/online-QP steps: evaluate the governing
+            ) -> StepResult:
+    """Shared part of the eMPC/online-QP steps: evaluate the governing
     segment's law, apply the switch guard, saturate, update ctrl."""
     si = select_segment(table, x.Vs)
     du0, region, fallback = move_of_segment(si, theta)
-    I_next = float(np.clip(ctrl.u_prev + du0 + x.I, I_min, I_max))
-    seg_used = si
-    vs1 = _predicted_vs(model, x, I_next - x.I)
-    sj = select_segment(table, vs1)
+    I_next, seg_used = _current(ctrl, x, du0), si
+    sj = select_segment(table, _predicted_vs(model, x, I_next - x.I))
     if sj != si:
         du_b, region_b, fb_b = move_of_segment(sj, theta)
-        I_b = float(np.clip(ctrl.u_prev + du_b + x.I, I_min, I_max))
+        I_b = _current(ctrl, x, du_b)
         if I_b < I_next:
             I_next, region, fallback, seg_used = I_b, region_b, fb_b, sj
-    du_applied = I_next - x.I
-    ctrl.u_prev = du_applied
-    if fallback:
-        ctrl.fallback_count += 1
-    return StepResult(I_next=I_next, du_applied=du_applied, segment=seg_used,
-                      region=region, fallback=fallback)
+    return _apply(ctrl, x, I_next, seg_used, region, fallback)
 
 
 def empc_step(solutions: list[ExplicitSolution], table: SegmentTable,
               model: DiscreteModel, ctrl: ControllerState, x: NdcState,
-              r: float, I_min: float = 0.0, I_max: float = 3.0,
-              ) -> StepResult:
+              r: float) -> StepResult:
     theta = assemble_theta(x, r, ctrl.u_prev)
 
     def move(si: int, th: np.ndarray):
@@ -117,13 +127,12 @@ def empc_step(solutions: list[ExplicitSolution], table: SegmentTable,
         reg = solutions[si].regions[idx]
         return float(reg.K[0] @ th + reg.g[0]), idx, False
 
-    return _finish(move, model, table, ctrl, x, theta, I_min, I_max)
+    return _finish(move, model, table, ctrl, x, theta)
 
 
 def online_mpc_step(problems: list[MpqpProblem], table: SegmentTable,
                     model: DiscreteModel, ctrl: ControllerState, x: NdcState,
-                    r: float, I_min: float = 0.0, I_max: float = 3.0,
-                    ) -> StepResult:
+                    r: float) -> StepResult:
     theta = assemble_theta(x, r, ctrl.u_prev)
 
     def move(si: int, th: np.ndarray):
@@ -134,13 +143,12 @@ def online_mpc_step(problems: list[MpqpProblem], table: SegmentTable,
             return 0.0, None, True
         return float(sol.z_star[0]), None, False
 
-    return _finish(move, model, table, ctrl, x, theta, I_min, I_max)
+    return _finish(move, model, table, ctrl, x, theta)
 
 
 def nmpc_step(params: NdcParams, model: DiscreteModel, table: SegmentTable,
               cfg: MpcConfig, ctrl: ControllerState, x: NdcState, r: float,
-              max_iters: int = 10, I_min: float = 0.0, I_max: float = 3.0,
-              ) -> StepResult:
+              max_iters: int = 10) -> StepResult:
     """Iteratively relinearized MPC: linearize h and R0 at the current
     (then predicted) Vs instead of at fixed table operating points, and
     re-solve, warm-started from the last iterate, until du0 settles."""
@@ -163,17 +171,10 @@ def nmpc_step(params: NdcParams, model: DiscreteModel, table: SegmentTable,
         if du_last is not None and abs(du0 - du_last) < 1e-6:
             break
         du_last = du0
-        I_next_est = float(np.clip(ctrl.u_prev + du0 + x.I, I_min, I_max))
-        vs_lin = float(np.clip(_predicted_vs(model, x, I_next_est - x.I),
-                               0.0, 1.0))
-    I_next = float(np.clip(ctrl.u_prev + du0 + x.I, I_min, I_max))
-    du_applied = I_next - x.I
-    ctrl.u_prev = du_applied
-    if fallback:
-        ctrl.fallback_count += 1
-    return StepResult(I_next=I_next, du_applied=du_applied,
-                      segment=select_segment(table, x.Vs), region=None,
-                      fallback=fallback, iterations=iters)
+        du_est = _current(ctrl, x, du0) - x.I
+        vs_lin = float(np.clip(_predicted_vs(model, x, du_est), 0.0, 1.0))
+    return _apply(ctrl, x, _current(ctrl, x, du0),
+                  select_segment(table, x.Vs), None, fallback, iters)
 
 
 def ekf_step(params: NdcParams, model: DiscreteModel, ekf: EkfState,
@@ -181,20 +182,19 @@ def ekf_step(params: NdcParams, model: DiscreteModel, ekf: EkfState,
     """One predict-update cycle with terminal voltage as the measurement."""
     A, B = model.A_aug, model.B_aug.ravel()
     x_pred = A @ ekf.x_hat + B * du_applied
-    P_pred = A @ ekf.P @ A.T + ekf.Q_proc
+    P_pred = A @ ekf.P @ A.T + EKF_Q
     vb, vs, i = x_pred
     H = np.array([0.0,
                   float(mdl.ocv_slope(params, vs))
                   + float(mdl.r0_slope(params, vs)) * i,
                   float(mdl.r0(params, vs))])
     V_pred = float(mdl.ocv(params, vs)) + float(mdl.r0(params, vs)) * i
-    S = float(H @ P_pred @ H) + ekf.R_meas
+    S = float(H @ P_pred @ H) + EKF_R
     K = P_pred @ H / S
     x_new = x_pred + K * (V_measured - V_pred)
     P_new = (np.eye(3) - np.outer(K, H)) @ P_pred
     P_new = 0.5 * (P_new + P_new.T)
-    return EkfState(x_hat=x_new, P=P_new, Q_proc=ekf.Q_proc,
-                    R_meas=ekf.R_meas)
+    return EkfState(x_hat=x_new, P=P_new)
 
 
 @dataclass(frozen=True)
@@ -257,11 +257,8 @@ class RunSetup:
     soc_target: float = 0.9
     step_budget: int = 150
     stop_at_target: bool = True
-    completion_slack: float = 0.005
     noise: bool = False
     seed: int = 0
-    process_cov: float = 1e-6
-    meas_var: float = 9e-6
     nmpc_max_iters: int = 10
 
 
@@ -286,7 +283,7 @@ def run_closed_loop(setup: RunSetup) -> SimTrace:
         if setup.feedback == "ekf":
             V_meas = V_true
             if setup.noise:
-                V_meas += rng.normal(0.0, np.sqrt(setup.meas_var))
+                V_meas += rng.normal(0.0, np.sqrt(MEAS_VAR))
             ekf = ekf_step(p, model, ekf, du_prev, V_meas)
             x_ctrl = NdcState(*ekf.x_hat)
         else:
@@ -318,7 +315,7 @@ def run_closed_loop(setup: RunSetup) -> SimTrace:
             fallback_flag=int(res.fallback)))
 
         soc_ctrl = mdl.soc(p, x_ctrl.Vb, x_ctrl.Vs)
-        if soc_ctrl >= setup.soc_target - setup.completion_slack:
+        if soc_ctrl >= setup.soc_target - COMPLETION_SLACK:
             completed = True
             if setup.stop_at_target:
                 break
@@ -328,7 +325,7 @@ def run_closed_loop(setup: RunSetup) -> SimTrace:
         du_plant = res.I_next - x.I
         xv = model.A_aug @ x.as_array() + model.B_aug.ravel() * du_plant
         if setup.noise:
-            xv = xv + rng.normal(0.0, np.sqrt(setup.process_cov), 3)
+            xv = xv + rng.normal(0.0, np.sqrt(PROCESS_VAR), 3)
         x = NdcState(*xv)
         du_prev = res.du_applied
     return SimTrace(rows=rows, completed=completed,

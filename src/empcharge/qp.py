@@ -32,6 +32,10 @@ FEAS_TOL = 1e-8
 MULT_TOL = 1e-9
 # a ray-certified facet overshoots its bound by more than this
 _RAY_MARGIN = 1e-6
+# a row is redundant when its LP optimum stays within this of its bound
+_REDUNDANT_TOL = 1e-9
+# Chebyshev LPs box z and cap the radius so unbounded polyhedra stay bounded
+_CHEBYSHEV_BOX = 1e6
 
 
 class QpError(Exception):
@@ -151,12 +155,12 @@ def solve_qp(qp: DenseQp, tol: float = FEAS_TOL,
     raise QpError("active-set iteration limit exceeded")
 
 
-def chebyshev_center(G: np.ndarray, w: np.ndarray, box: float = 1e6,
+def chebyshev_center(G: np.ndarray, w: np.ndarray,
                      ) -> tuple[np.ndarray, float] | None:
     """Largest inscribed ball of {z: Gz <= w}; None when empty.
 
-    The ball radius is capped and z is boxed so the LP stays bounded for
-    unbounded polyhedra.
+    The ball radius is capped and z is boxed (_CHEBYSHEV_BOX) so the LP
+    stays bounded for unbounded polyhedra.
     """
     G = np.atleast_2d(np.asarray(G, float))
     w = np.asarray(w, float)
@@ -167,11 +171,11 @@ def chebyshev_center(G: np.ndarray, w: np.ndarray, box: float = 1e6,
         return None
     G, w, norms = G[keep], w[keep], norms[keep]
     if G.shape[0] == 0:
-        return np.zeros(n), box
+        return np.zeros(n), _CHEBYSHEV_BOX
     c = np.zeros(n + 1)
     c[-1] = -1.0
     A = np.hstack([G, norms[:, None]])
-    bounds = [(-box, box)] * n + [(0.0, box)]
+    bounds = [(-_CHEBYSHEV_BOX, _CHEBYSHEV_BOX)] * n + [(0.0, _CHEBYSHEV_BOX)]
     res = linprog(c, A_ub=A, b_ub=w, bounds=bounds, method="highs")
     if not res.success:
         return None
@@ -208,21 +212,23 @@ def _ray_facets(G: np.ndarray, w: np.ndarray, center: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         reach = np.where(rate > 0, slack / rate, np.inf)
     np.fill_diagonal(reach, np.inf)
-    excess = np.minimum(norms * reach.min(axis=1) - slack, 1.0)
+    excess = np.minimum(norms * reach.min(axis=1, initial=np.inf) - slack,
+                        1.0)
     return (excess > _RAY_MARGIN) & np.all(slack >= 0)
 
 
-def remove_redundant(G: np.ndarray, w: np.ndarray, tol: float = 1e-9,
+def remove_redundant(G: np.ndarray, w: np.ndarray, center: np.ndarray,
                      *, counts: Counter | None = None,
                      ) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Minimal representation of a nonempty polyhedron {Gz <= w}.
 
     Row i is redundant when max G_i z over the remaining rows stays at or
     below w_i.  The max LP adds the row G_i z <= w_i + 1 so it is bounded
-    even for unbounded polyhedra.  Rows that a ray from the Chebyshev
-    center proves to be facets skip that LP; the kept rows are the same.
-    ``counts``, when given, tallies chebyshev_lps, redundancy_lps and
-    certified_rows.
+    even for unbounded polyhedra.  Rows that a ray from ``center``, a point
+    of the polyhedron such as its Chebyshev center, proves to be facets
+    skip that LP; the kept rows are the same.  A center outside the
+    polyhedron certifies nothing.  ``counts``, when given, tallies
+    redundancy_lps and certified_rows.
     """
     G = np.atleast_2d(np.asarray(G, float))
     w = np.asarray(w, float)
@@ -240,13 +246,8 @@ def remove_redundant(G: np.ndarray, w: np.ndarray, tol: float = 1e-9,
             uniq.append(i)
     kept = uniq
 
-    facet = set()
-    if kept:
-        inner = chebyshev_center(G[kept], w[kept])
-        counts["chebyshev_lps"] += 1
-        if inner is not None:
-            ray = _ray_facets(G[kept], w[kept], inner[0])
-            facet = {kept[k] for k in np.flatnonzero(ray)}
+    ray = _ray_facets(G[kept], w[kept], center)
+    facet = {kept[k] for k in np.flatnonzero(ray)}
     counts["certified_rows"] += len(facet)
 
     for i in [i for i in kept if i not in facet]:
@@ -256,6 +257,6 @@ def remove_redundant(G: np.ndarray, w: np.ndarray, tol: float = 1e-9,
         res = linprog(-G[i], A_ub=A, b_ub=b,
                       bounds=[(None, None)] * n, method="highs")
         counts["redundancy_lps"] += 1
-        if res.success and -res.fun <= w[i] + tol:
+        if res.success and -res.fun <= w[i] + _REDUNDANT_TOL:
             kept.remove(i)
     return G[kept], w[kept], kept

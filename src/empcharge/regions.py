@@ -67,7 +67,6 @@ class CriticalRegion:
     K: np.ndarray            # Nu x 5
     g: np.ndarray            # Nu
     active_set: tuple[int, ...]
-    segment_index: int
     interior: np.ndarray | None = None
     radius: float = 0.0
 
@@ -162,9 +161,8 @@ def _critical_region(problem: MpqpProblem, active_set: tuple[int, ...],
     counts["chebyshev_lps"] += 1
     if inner is None or inner[1] <= _MIN_RADIUS:
         return None
-    E, e, _ = remove_redundant(E, e, counts=counts)
+    E, e, _ = remove_redundant(E, e, inner[0], counts=counts)
     return CriticalRegion(E=E, e=e, K=K, g=g, active_set=active_set,
-                          segment_index=problem.segment_index,
                           interior=inner[0], radius=inner[1])
 
 
@@ -205,8 +203,9 @@ def explore(problem: MpqpProblem, theta_box: np.ndarray | None = None,
     """Every critical region with a nonempty interior in theta_box.
 
     Each set of at most Nu nonzero rows of G is a candidate active set.
-    Linearly dependent rows (rank deficient or ill-conditioned) prune it
-    without an LP, one Chebyshev LP finds it empty or keeps its region.
+    Linearly dependent rows (a singular or ill-conditioned law_for_active_set
+    system) prune it without an LP; one Chebyshev LP finds its region empty
+    or gives the interior point that redundancy removal starts from.
     ``stats`` counts the candidates, split into pruned_rank, empty_interior
     and the regions, and the chebyshev_lps, redundancy_lps and
     certified_rows.  ``seed`` is unused and kept for existing callers.
@@ -221,8 +220,6 @@ def explore(problem: MpqpProblem, theta_box: np.ndarray | None = None,
         for A in combinations(rows, size):
             counts["candidates"] += 1
             try:
-                if size and np.linalg.matrix_rank(problem.G[list(A)]) < size:
-                    raise DegenerateActiveSet(str(A))
                 region = _critical_region(problem, A, theta_box, counts)
             except DegenerateActiveSet:
                 counts["pruned_rank"] += 1
@@ -292,8 +289,7 @@ def rounded(solution: ExplicitSolution, decimals: int | None,
                            e=np.round(r.e, decimals),
                            K=np.round(r.K, decimals),
                            g=np.round(r.g, decimals),
-                           active_set=r.active_set,
-                           segment_index=r.segment_index)
+                           active_set=r.active_set)
             for r in solution.regions]
     # worst-case facet shift: |dE . theta| + |de| over the theta box
     span = np.abs(solution.theta_box).max(axis=1).sum()
@@ -380,8 +376,7 @@ def import_table(path) -> ExplicitSolution:
                            e=np.array(r["e"], float),
                            K=np.array(r["K"], float).reshape(Nu, THETA_DIM),
                            g=np.array(r["g"], float),
-                           active_set=tuple(r["active_set"]),
-                           segment_index=doc["segment_index"])
+                           active_set=tuple(r["active_set"]))
             for r in doc["regions"]]
     return ExplicitSolution(regions=regs,
                             segment_index=doc["segment_index"],
@@ -415,8 +410,7 @@ def _import_binary(raw: bytes) -> ExplicitSolution:
         regs.append(CriticalRegion(E=arrs[0].reshape(p, THETA_DIM),
                                    e=arrs[1],
                                    K=arrs[2].reshape(Nu, THETA_DIM),
-                                   g=arrs[3], active_set=act,
-                                   segment_index=seg))
+                                   g=arrs[3], active_set=act))
     return ExplicitSolution(regions=regs, segment_index=seg,
                             theta_box=theta_box, Nu=Nu,
                             locate_tol=locate_tol)

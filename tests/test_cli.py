@@ -44,7 +44,7 @@ def test_synthesize_outputs(tables_dir):
         assert seg["candidates"] == (seg["pruned_rank"]
                                      + seg["empty_interior"]
                                      + seg["n_regions"])
-        assert seg["chebyshev_lps"] >= seg["candidates"] - seg["pruned_rank"]
+        assert seg["chebyshev_lps"] == seg["candidates"] - seg["pruned_rank"]
         assert seg["redundancy_lps"] >= 0 and seg["certified_rows"] > 0
         assert seg["wall_s"] > 0
     assert report["total_stored_reals"] > 0

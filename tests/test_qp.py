@@ -156,7 +156,7 @@ def test_remove_redundant_unit_square():
     G = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
                   [1.0, 0.0], [1.0, 1.0]])
     w = np.array([1.0, 1.0, 1.0, 1.0, 3.0, 5.0])
-    Gr, wr, kept = remove_redundant(G, w)
+    Gr, wr, kept = remove_redundant(G, w, chebyshev_center(G, w)[0])
     assert sorted(kept) == [0, 1, 2, 3]
     assert Gr.shape == (4, 2)
 
@@ -166,7 +166,7 @@ def test_remove_redundant_preserves_set():
     for trial in range(5):
         G = rng.standard_normal((12, 2))
         w = rng.uniform(0.5, 2.0, 12)  # contains origin
-        Gr, wr, kept = remove_redundant(G, w)
+        Gr, wr, kept = remove_redundant(G, w, chebyshev_center(G, w)[0])
         pts = rng.uniform(-3.0, 3.0, size=(5000, 2))
         in_full = np.all(pts @ G.T <= w + 1e-9, axis=1)
         in_red = np.all(pts @ Gr.T <= wr + 1e-9, axis=1)
@@ -199,7 +199,8 @@ def test_remove_redundant_matches_per_row_lps(seed, n, m):
     """Random bounded polytopes (a box plus random cuts) with duplicated,
     scaled and weakly redundant rows: a row through a box vertex whose
     normal lies in that vertex's normal cone touches the polytope at the
-    vertex only."""
+    vertex only.  The rays start from the Chebyshev center and from
+    another point strictly inside."""
     rng = np.random.default_rng(seed)
     G = np.vstack([np.eye(n), -np.eye(n), rng.standard_normal((m, n))])
     w = np.concatenate([np.ones(2 * n), rng.uniform(0.2, 1.5, m)])
@@ -210,5 +211,10 @@ def test_remove_redundant_matches_per_row_lps(seed, n, m):
     w = np.concatenate([w, [weak @ vertex], w[dup], 2.0 * w[dup[:1]]])
     order = rng.permutation(len(w))
     G, w = G[order], w[order]
-    _, _, kept = remove_redundant(G, w)
-    assert kept == _remove_redundant_reference(G, w)
+    center, radius = chebyshev_center(G, w)
+    u = rng.standard_normal(n)
+    off_center = center + 0.5 * radius * u / np.linalg.norm(u)
+    expect = _remove_redundant_reference(G, w)
+    for inner in (center, off_center):
+        _, _, kept = remove_redundant(G, w, inner)
+        assert kept == expect

@@ -239,7 +239,7 @@ def test_locate_ignores_region_order(solutions):
 def test_stored_reals_accounting():
     reg = CriticalRegion(E=np.zeros((4, 5)), e=np.zeros(4),
                          K=np.zeros((2, 5)), g=np.zeros(2),
-                         active_set=(), segment_index=1)
+                         active_set=())
     assert reg.stored_reals() == 20 + 4 + 10 + 2
 
 
