@@ -1,8 +1,8 @@
 """Command-line front end: offline synthesis, scenario runs, benchmarks,
 table export and verification.
 
-Exit codes: 0 success, 2 incomplete charge, 3 synthesis failure,
-4 verification failure.
+Exit codes: 0 success, 2 incomplete charge, 3 synthesis failure or a
+malformed config or table, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import struct
 import sys
 import time
 
@@ -18,9 +19,9 @@ import numpy as np
 from . import model as mdl
 from .control import RunSetup, run_closed_loop
 from .mpqp import MpcConfig, build
-from .qp import DenseQp, solve_qp
-from .regions import (DEFAULT_THETA_BOX, coverage_check, explore,
-                      export_table, import_table, locate, rounded,
+from .qp import solve_qp
+from .regions import (DEFAULT_THETA_BOX, ExplicitSolution, coverage_check,
+                      explore, export_table, import_table, locate, rounded,
                       _atomic_write)
 from .segments import build_table, default_breakpoints
 
@@ -53,9 +54,12 @@ def _load_versioned(path, allowed: set[str], ctx: str) -> dict:
 _SYNTH_KEYS = {"params", "breakpoints", "gamma1", "gamma2", "dt", "mpc",
                "theta_box", "round_decimals", "coverage_samples", "seed"}
 _MPC_KEYS = {"N", "Nu", "Nc_eta", "Nc_other", "Q", "R"}
-_SCENARIO_KEYS = {"name", "synthesis", "tables_dir", "controller",
-                  "feedback", "soc_start", "soc_target", "step_budget",
-                  "stop_at_target", "noise", "seed", "nmpc_max_iters"}
+# RunSetup fields a scenario may set, each with its cast (defaults: RunSetup)
+_RUN_FIELDS = {"controller": str, "feedback": str, "soc_start": float,
+               "soc_target": float, "step_budget": int,
+               "stop_at_target": bool, "noise": bool, "seed": int,
+               "nmpc_max_iters": int}
+_SCENARIO_KEYS = {"name", "synthesis", "tables_dir", *_RUN_FIELDS}
 _BENCH_KEYS = {"scenarios", "repeats"}
 
 
@@ -70,10 +74,18 @@ def _synthesis_objects(doc: dict):
     table = build_table(params, bp, gamma1, gamma2)
     mpc_doc = dict(doc.get("mpc", {}))
     _check_keys(mpc_doc, _MPC_KEYS, "mpc config")
-    cfg = MpcConfig(gamma1=gamma1, gamma2=gamma2, **mpc_doc)
+    cfg = MpcConfig(gamma2=gamma2, **mpc_doc)
     model = mdl.discretize(params, dt)
     problems = [build(model, seg, cfg) for seg in table.segments]
     return params, model, table, cfg, problems
+
+
+def _load_table(path) -> ExplicitSolution:
+    """A region table, or ConfigError for a missing or malformed file."""
+    try:
+        return import_table(path)
+    except (OSError, ValueError, KeyError, TypeError, struct.error) as exc:
+        raise ConfigError(f"cannot read region table {path}: {exc!r}") from exc
 
 
 def _theta_box(doc: dict) -> np.ndarray:
@@ -100,17 +112,16 @@ def cmd_synthesize(args) -> int:
     for seg, prob in zip(table.segments, problems):
         t_seg = time.perf_counter()
         try:
-            sol = explore(prob, theta_box=box)
+            sol = rounded(explore(prob, theta_box=box), decimals)
         except Exception as exc:
             print(f"segment {seg.index}: exploration failed: {exc}",
                   file=sys.stderr)
             failed = True
             continue
         cov = coverage_check(sol, prob, n_samples=n_cov, seed=seed + 1)
-        out = rounded(sol, decimals)
         base = os.path.join(args.out_dir, f"table_seg{seg.index}")
-        export_table(out, base + ".json", fmt="json")
-        export_table(out, base + ".bin", fmt="bin")
+        export_table(sol, base + ".json", fmt="json")
+        export_table(sol, base + ".bin", fmt="bin")
         report["segments"].append({
             "index": seg.index,
             "lambda1": seg.lambda1,
@@ -136,31 +147,22 @@ def _scenario_setup(doc: dict, args) -> RunSetup:
     _check_keys(doc, _SCENARIO_KEYS | {"version"}, "scenario config")
     syn = doc.get("synthesis", {"version": 1})
     params, model, table, cfg, problems = _synthesis_objects(syn)
-    controller = args.controller or doc.get("controller", "empc")
-    feedback = args.feedback or doc.get("feedback", "state")
-    solutions = None
-    if controller == "empc":
+    run = {k: cast(doc[k]) for k, cast in _RUN_FIELDS.items() if k in doc}
+    for k in ("controller", "feedback", "seed"):
+        if getattr(args, k) is not None:
+            run[k] = getattr(args, k)
+    setup = RunSetup(params=params, model=model, table=table, cfg=cfg,
+                     problems=problems, **run)
+    if setup.controller == "empc":
         tables_dir = doc.get("tables_dir")
         if tables_dir:
-            solutions = [import_table(os.path.join(
+            setup.solutions = [_load_table(os.path.join(
                 tables_dir, f"table_seg{s.index}.json"))
                 for s in table.segments]
         else:
             box = _theta_box(syn)
-            solutions = [explore(p, theta_box=box) for p in problems]
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
-    return RunSetup(
-        params=params, model=model, table=table, cfg=cfg,
-        controller=controller, feedback=feedback,
-        solutions=solutions, problems=problems,
-        soc_start=float(doc.get("soc_start", 0.2)),
-        soc_target=float(doc.get("soc_target", 0.9)),
-        step_budget=int(doc.get("step_budget", 150)),
-        stop_at_target=bool(doc.get("stop_at_target", True)),
-        noise=bool(doc.get("noise", False)),
-        seed=int(seed),
-        nmpc_max_iters=int(doc.get("nmpc_max_iters", 10)),
-    )
+            setup.solutions = [explore(p, theta_box=box) for p in problems]
+    return setup
 
 
 def cmd_run(args) -> int:
@@ -237,17 +239,18 @@ def cmd_bench(args) -> int:
 
 
 def cmd_export_table(args) -> int:
-    sol = import_table(args.table)
+    sol = rounded(_load_table(args.table), args.round_decimals)
     fmt = args.format
     if fmt is None:
         fmt = "bin" if args.out.endswith(".bin") else "json"
-    export_table(sol, args.out, fmt=fmt,
-                 round_decimals=args.round_decimals)
+    export_table(sol, args.out, fmt=fmt)
     print(f"wrote {args.out} ({fmt}, {sol.n_regions} regions)")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
     doc = _load_versioned(args.config, _SYNTH_KEYS, "synthesis config")
     _, _, table, _, problems = _synthesis_objects(doc)
     box = _theta_box(doc)
@@ -255,8 +258,8 @@ def cmd_verify(args) -> int:
     worst = 0.0
     checked = 0
     for seg, prob in zip(table.segments, problems):
-        sol = import_table(os.path.join(args.tables,
-                                        f"table_seg{seg.index}.json"))
+        sol = _load_table(os.path.join(args.tables,
+                                       f"table_seg{seg.index}.json"))
         n_done = draws = 0
         while n_done < args.samples:
             # a theta box that is (almost) all infeasible must not hang
@@ -267,9 +270,7 @@ def cmd_verify(args) -> int:
                 return EXIT_VERIFY
             draws += 1
             theta = rng.uniform(box[:, 0], box[:, 1])
-            qp = DenseQp(prob.Sigma, prob.F @ theta, prob.G,
-                         prob.S @ theta + prob.W)
-            ref = solve_qp(qp)
+            ref = solve_qp(prob.qp(theta))
             if ref.status != "optimal":
                 continue
             n_done += 1

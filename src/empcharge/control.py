@@ -17,14 +17,14 @@ the conservatism of the upper-end R0 choice across switches.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import model as mdl
 from .model import DiscreteModel, NdcParams, NdcState
-from .mpqp import MpcConfig, MpqpProblem, assemble_theta, build
-from .qp import DenseQp, solve_qp
+from .mpqp import I_MAX, I_MIN, MpcConfig, MpqpProblem, assemble_theta, build
+from .qp import solve_qp
 from .regions import ExplicitSolution, locate
 from .segments import SegmentTable, select_segment, _segment
 
@@ -42,7 +42,6 @@ __all__ = [
     "run_closed_loop",
 ]
 
-I_MIN, I_MAX = 0.0, 3.0  # charging current limits [A]
 COMPLETION_SLACK = 0.005  # done once the estimated SoC is this near target
 # noisy runs: plant process variance per state, voltage measurement variance
 PROCESS_VAR, MEAS_VAR = 1e-6, 9e-6
@@ -54,7 +53,6 @@ EKF_Q, EKF_R = np.diag([1e-6, 1e-6, 1e-12]), 9e-6
 @dataclass
 class ControllerState:
     u_prev: float = 0.0
-    fallback_count: int = 0
 
 
 @dataclass
@@ -78,8 +76,7 @@ def default_ekf(x0: np.ndarray) -> EkfState:
 
 
 def _predicted_vs(model: DiscreteModel, x: NdcState, du: float) -> float:
-    x1 = model.A_aug @ x.as_array() + model.B_aug.ravel() * du
-    return float(x1[1])
+    return float(model.step(x.as_array(), du)[1])
 
 
 def _current(ctrl: ControllerState, x: NdcState, du0: float) -> float:
@@ -91,9 +88,8 @@ def _apply(ctrl: ControllerState, x: NdcState, I_next: float, segment: int,
            region: int | None, fallback: bool, iterations: int = 1,
            ) -> StepResult:
     """Tail of every controller step: record the move in ctrl, report."""
-    du_applied = I_next - x.I
+    du_applied = float(I_next - x.I)
     ctrl.u_prev = du_applied
-    ctrl.fallback_count += int(fallback)
     return StepResult(I_next=I_next, du_applied=du_applied, segment=segment,
                       region=region, fallback=fallback, iterations=iterations)
 
@@ -136,9 +132,7 @@ def online_mpc_step(problems: list[MpqpProblem], table: SegmentTable,
     theta = assemble_theta(x, r, ctrl.u_prev)
 
     def move(si: int, th: np.ndarray):
-        prob = problems[si]
-        sol = solve_qp(DenseQp(prob.Sigma, prob.F @ th, prob.G,
-                               prob.S @ th + prob.W))
+        sol = solve_qp(problems[si].qp(th))
         if sol.status != "optimal":
             return 0.0, None, True
         return float(sol.z_star[0]), None, False
@@ -160,9 +154,7 @@ def nmpc_step(params: NdcParams, model: DiscreteModel, table: SegmentTable,
     for it in range(max_iters):
         iters = it + 1
         seg = _segment(params, 0, 0.0, 1.0, vs_lin, table.gamma1)
-        prob = build(model, seg, cfg)
-        sol = solve_qp(DenseQp(prob.Sigma, prob.F @ theta, prob.G,
-                               prob.S @ theta + prob.W), z0=z_last)
+        sol = solve_qp(build(model, seg, cfg).qp(theta), z0=z_last)
         if sol.status != "optimal":
             du0, fallback = 0.0, True
             break
@@ -180,8 +172,8 @@ def nmpc_step(params: NdcParams, model: DiscreteModel, table: SegmentTable,
 def ekf_step(params: NdcParams, model: DiscreteModel, ekf: EkfState,
              du_applied: float, V_measured: float) -> EkfState:
     """One predict-update cycle with terminal voltage as the measurement."""
-    A, B = model.A_aug, model.B_aug.ravel()
-    x_pred = A @ ekf.x_hat + B * du_applied
+    A = model.A_aug
+    x_pred = model.step(ekf.x_hat, du_applied)
     P_pred = A @ ekf.P @ A.T + EKF_Q
     vb, vs, i = x_pred
     H = np.array([0.0,
@@ -214,19 +206,22 @@ class TraceRow:
     fallback_flag: int
 
 
-CSV_HEADER = ("step,time_s,Vb,Vs,I,V,SoC,eta,segment,region,du,"
-              "solver_time_ns,fallback_flag")
+_CSV_FIELDS = tuple(f.name for f in fields(TraceRow))
+CSV_HEADER = ",".join(_CSV_FIELDS)
 
 
 @dataclass
 class SimTrace:
     rows: list[TraceRow]
     completed: bool
-    fallback_count: int = 0
 
     @property
     def charging_steps(self) -> int:
         return len(self.rows)
+
+    @property
+    def fallback_count(self) -> int:
+        return sum(r.fallback_flag for r in self.rows)
 
     def soc_series(self) -> np.ndarray:
         return np.array([r.SoC for r in self.rows])
@@ -234,10 +229,7 @@ class SimTrace:
     def to_csv(self, path) -> None:
         lines = [CSV_HEADER]
         for r in self.rows:
-            lines.append(
-                f"{r.step},{r.time_s!r},{r.Vb!r},{r.Vs!r},{r.I!r},{r.V!r},"
-                f"{r.SoC!r},{r.eta!r},{r.segment},{r.region},{r.du!r},"
-                f"{r.solver_time_ns},{r.fallback_flag}")
+            lines.append(",".join(str(getattr(r, f)) for f in _CSV_FIELDS))
         data = ("\n".join(lines) + "\n").encode()
         from .regions import _atomic_write
         _atomic_write(path, data)
@@ -322,11 +314,9 @@ def run_closed_loop(setup: RunSetup) -> SimTrace:
 
         # the controller commands I_{k+1}; the move applied to the plant is
         # relative to the plant's true current state
-        du_plant = res.I_next - x.I
-        xv = model.A_aug @ x.as_array() + model.B_aug.ravel() * du_plant
+        xv = model.step(x.as_array(), res.I_next - x.I)
         if setup.noise:
             xv = xv + rng.normal(0.0, np.sqrt(PROCESS_VAR), 3)
         x = NdcState(*xv)
         du_prev = res.du_applied
-    return SimTrace(rows=rows, completed=completed,
-                    fallback_count=ctrl.fallback_count)
+    return SimTrace(rows=rows, completed=completed)

@@ -121,6 +121,10 @@ class DiscreteModel:
     B_aug: np.ndarray
     dt: float
 
+    def step(self, x: np.ndarray, du: float) -> np.ndarray:
+        """Augmented state one step on: A_aug x + B_aug du."""
+        return self.A_aug @ x + self.B_aug.ravel() * du
+
 
 def default_params() -> NdcParams:
     return NdcParams()
@@ -219,6 +223,6 @@ def step_nonlinear(params: NdcParams, model: DiscreteModel, state: NdcState,
                    ) -> tuple[NdcState, OutputVector]:
     """One discrete step x+ = A_aug x + B_aug du; output is evaluated
     through the nonlinear map at the new state."""
-    x = model.A_aug @ state.as_array() + model.B_aug.ravel() * du
+    x = model.step(state.as_array(), du)
     new = NdcState(Vb=float(x[0]), Vs=float(x[1]), I=float(x[2]))
     return new, output_vector(params, new, gamma1)

@@ -20,16 +20,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DiscreteModel, NdcState
+from .qp import ZERO_ROW_TOL, DenseQp
 from .segments import LinearSegment
 
 __all__ = ["MpcConfig", "MpqpProblem", "build", "assemble_theta",
-           "THETA_DIM"]
+           "THETA_DIM", "I_MIN", "I_MAX"]
 
 THETA_DIM = 5
 
 # output row order: SoC, Vs, I, V, eta
 _ROW_SOC, _ROW_ETA = 0, 4
 _ROW_NAMES = ("soc", "Vs", "I", "V", "eta")
+
+I_MIN, I_MAX = 0.0, 3.0  # charging current limits [A]
+# bounds on [SoC, Vs, I, V]; +-inf disables a row.  eta's bounds are
+# (-inf, gamma2), added by MpcConfig.bounds_with_gamma2
+Y_MIN = (-math.inf, -math.inf, I_MIN, -math.inf)
+Y_MAX = (math.inf, 0.95, I_MAX, 4.2)
 
 
 @dataclass(frozen=True)
@@ -40,11 +47,6 @@ class MpcConfig:
     Nc_other: int = 1
     Q: float = 1.0
     R: float = 0.1
-    # bounds on [SoC, Vs, I, V, eta]; +-inf disables a row
-    y_min: tuple[float, ...] = (-math.inf, -math.inf, 0.0, -math.inf,
-                                -math.inf)
-    y_max: tuple[float, ...] = (math.inf, 0.95, 3.0, 4.2, 0.08)
-    gamma1: float = -0.04
     gamma2: float = 0.08
 
     def __post_init__(self) -> None:
@@ -56,15 +58,11 @@ class MpcConfig:
             raise ValueError("constraint horizon exceeds N")
         if self.Q < 0 or self.R <= 0:
             raise ValueError("need Q >= 0 and R > 0")
-        lo, hi = np.asarray(self.y_min, float), np.asarray(self.y_max, float)
-        if lo.shape != (5,) or hi.shape != (5,) or not np.all(lo <= hi):
-            raise ValueError("need 5 entries each in y_min <= y_max")
 
     def bounds_with_gamma2(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.array(self.y_min, dtype=float)
-        hi = np.array(self.y_max, dtype=float)
-        hi[_ROW_ETA] = self.gamma2
-        return lo, hi
+        """Lower and upper bounds on [SoC, Vs, I, V, eta]."""
+        return (np.array(Y_MIN + (-math.inf,)),
+                np.array(Y_MAX + (self.gamma2,)))
 
     def nc_for_row(self, row: int) -> int:
         return self.Nc_eta if row == _ROW_ETA else self.Nc_other
@@ -80,6 +78,11 @@ class MpqpProblem:
     W: np.ndarray           # m
     segment_index: int
     labels: tuple[str, ...]  # one per constraint row, for diagnostics
+
+    def qp(self, theta: np.ndarray) -> DenseQp:
+        """The QP at parameter theta, with f = F theta and w = S theta + W."""
+        return DenseQp(self.Sigma, self.F @ theta, self.G,
+                       self.S @ theta + self.W)
 
 
 def assemble_theta(x: NdcState, r: float, u_prev: float) -> np.ndarray:
@@ -155,8 +158,8 @@ def build(model: DiscreteModel, segment: LinearSegment,
     S = np.zeros((len(spec), THETA_DIM))
     S[:, :3] = -np.einsum("ri,rij->rj", Cs, Xx[ks])
     S[:, 4] = -np.einsum("ri,ri->r", Cs, Xu[ks])
-    vacuous = ((np.linalg.norm(G, axis=1) < 1e-12)
-               & (np.linalg.norm(S, axis=1) < 1e-12))
+    vacuous = ((np.linalg.norm(G, axis=1) <= ZERO_ROW_TOL)
+               & (np.linalg.norm(S, axis=1) <= ZERO_ROW_TOL))
     if vacuous.any():
         bad = labels[vacuous.argmax()]
         raise ValueError(f"vacuous constraint row: {bad}")

@@ -36,6 +36,8 @@ _RAY_MARGIN = 1e-6
 _REDUNDANT_TOL = 1e-9
 # Chebyshev LPs box z and cap the radius so unbounded polyhedra stay bounded
 _CHEBYSHEV_BOX = 1e6
+# rows of G with norms at or below this are zero rows: they never get active
+ZERO_ROW_TOL = 1e-12
 
 
 class QpError(Exception):
@@ -64,10 +66,10 @@ class QpSolution:
     status: str  # "optimal" or "infeasible"
 
 
-def _feasible_start(G: np.ndarray, w: np.ndarray, candidates,
-                    tol: float) -> np.ndarray | None:
+def _feasible_start(G: np.ndarray, w: np.ndarray,
+                    candidates) -> np.ndarray | None:
     for z in candidates:
-        if z is not None and np.all(G @ z <= w + tol):
+        if z is not None and np.all(G @ z <= w + FEAS_TOL):
             return np.asarray(z, dtype=float)
     n = G.shape[1]
     res = linprog(np.zeros(n), A_ub=G, b_ub=w, bounds=[(None, None)] * n,
@@ -77,8 +79,7 @@ def _feasible_start(G: np.ndarray, w: np.ndarray, candidates,
     return res.x
 
 
-def solve_qp(qp: DenseQp, tol: float = FEAS_TOL,
-             z0: np.ndarray | None = None) -> QpSolution:
+def solve_qp(qp: DenseQp, z0: np.ndarray | None = None) -> QpSolution:
     """Solve the QP; H must be positive definite.
 
     Rows of G that are (numerically) zero cannot become active: they are
@@ -98,8 +99,8 @@ def solve_qp(qp: DenseQp, tol: float = FEAS_TOL,
     G = np.asarray(G, float).reshape(m, n)
 
     row_norm = np.linalg.norm(G, axis=1)
-    nonzero = row_norm > 1e-12
-    if np.any(w[~nonzero] < -tol):
+    nonzero = row_norm > ZERO_ROW_TOL
+    if np.any(w[~nonzero] < -FEAS_TOL):
         return QpSolution(None, (), np.zeros(0), "infeasible")
     Gi, wi = G[nonzero], w[nonzero]
     idx_map = np.flatnonzero(nonzero)
@@ -107,7 +108,7 @@ def solve_qp(qp: DenseQp, tol: float = FEAS_TOL,
     if Gi.shape[0] == 0:
         return QpSolution(z_free, (), np.zeros(0), "optimal")
 
-    z = _feasible_start(Gi, wi, [z0, z_free, np.zeros(n)], tol)
+    z = _feasible_start(Gi, wi, [z0, z_free, np.zeros(n)])
     if z is None:
         return QpSolution(None, (), np.zeros(0), "infeasible")
 
@@ -166,7 +167,7 @@ def chebyshev_center(G: np.ndarray, w: np.ndarray,
     w = np.asarray(w, float)
     m, n = G.shape
     norms = np.linalg.norm(G, axis=1)
-    keep = norms > 1e-12
+    keep = norms > ZERO_ROW_TOL
     if np.any(w[~keep] < 0):
         return None
     G, w, norms = G[keep], w[keep], norms[keep]
@@ -236,7 +237,7 @@ def remove_redundant(G: np.ndarray, w: np.ndarray, center: np.ndarray,
     norms = np.linalg.norm(G, axis=1)
     counts = Counter() if counts is None else counts
 
-    kept = [i for i in range(m) if norms[i] > 1e-12]
+    kept = [i for i in range(m) if norms[i] > ZERO_ROW_TOL]
     # drop exact duplicates (same normalized row, same or looser bound)
     uniq: list[int] = []
     for i in kept:

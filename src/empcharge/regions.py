@@ -22,8 +22,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .mpqp import MpqpProblem, THETA_DIM
-from .qp import (DenseQp, chebyshev_center, lp_feasible, remove_redundant,
-                 solve_qp)
+from .qp import (ZERO_ROW_TOL, _CHEBYSHEV_BOX, chebyshev_center, lp_feasible,
+                 remove_redundant, solve_qp)
 
 __all__ = [
     "CriticalRegion",
@@ -170,9 +170,7 @@ def region_for(problem: MpqpProblem, theta0: np.ndarray,
                theta_box: np.ndarray | None = None) -> CriticalRegion:
     """Build the critical region around theta0 from the QP's active set."""
     theta_box = DEFAULT_THETA_BOX if theta_box is None else theta_box
-    qp = DenseQp(problem.Sigma, problem.F @ theta0, problem.G,
-                 problem.S @ theta0 + problem.W)
-    sol = solve_qp(qp)
+    sol = solve_qp(problem.qp(theta0))
     if sol.status != "optimal":
         raise InfeasibleAtTheta0(str(theta0))
     region = _critical_region(problem, sol.active_set, theta_box, Counter())
@@ -192,7 +190,8 @@ def _facet_center(E: np.ndarray, e: np.ndarray, i: int,
     c[-1] = -1.0
     res = linprog(c, A_ub=A_ub, b_ub=e[rows],
                   A_eq=np.hstack([E[i:i + 1], [[0.0]]]), b_eq=[e[i]],
-                  bounds=[(-1e6, 1e6)] * n + [(0.0, 1e6)], method="highs")
+                  bounds=[(-_CHEBYSHEV_BOX, _CHEBYSHEV_BOX)] * n
+                  + [(0.0, _CHEBYSHEV_BOX)], method="highs")
     if not res.success or res.x[n] <= 1e-10:
         return None
     return res.x[:n]
@@ -212,7 +211,8 @@ def explore(problem: MpqpProblem, theta_box: np.ndarray | None = None,
     """
     theta_box = DEFAULT_THETA_BOX if theta_box is None else theta_box
     Nu = problem.Sigma.shape[0]
-    rows = np.flatnonzero(np.linalg.norm(problem.G, axis=1) > 1e-12).tolist()
+    rows = np.flatnonzero(
+        np.linalg.norm(problem.G, axis=1) > ZERO_ROW_TOL).tolist()
     counts = Counter(candidates=0, pruned_rank=0, empty_interior=0,
                      chebyshev_lps=0, redundancy_lps=0, certified_rows=0)
     regions = []
@@ -232,17 +232,15 @@ def explore(problem: MpqpProblem, theta_box: np.ndarray | None = None,
                             stats=dict(counts))
 
 
-def locate(solution: ExplicitSolution, theta: np.ndarray,
-           tol: float | None = None) -> int | None:
+def locate(solution: ExplicitSolution, theta: np.ndarray) -> int | None:
     """Index of the region whose largest violation at theta is smallest,
-    None when it exceeds tol.  The answer does not depend on region order:
-    a tie goes to the smaller first move, as in the segment-switch guard.
+    None when it exceeds the table's locate_tol.  The answer does not
+    depend on region order: a tie goes to the smaller first move, as in the
+    segment-switch guard.
     """
-    if tol is None:
-        tol = solution.locate_tol
     worst = (solution._E @ theta - solution._e).max(axis=1)
     best = worst.min(initial=np.inf)
-    if not best <= tol:
+    if not best <= solution.locate_tol:
         return None
     regs = solution.regions
     return int(min(np.flatnonzero(worst == best),
@@ -250,9 +248,9 @@ def locate(solution: ExplicitSolution, theta: np.ndarray,
 
 
 def coverage_check(solution: ExplicitSolution, problem: MpqpProblem,
-                   n_samples: int = 100_000, seed: int = 1,
-                   tol: float = 1e-9) -> float:
-    """Fraction of random feasible theta in the box covered by some region.
+                   n_samples: int = 100_000, seed: int = 1) -> float:
+    """Fraction of random feasible theta in the box covered by some region,
+    within the table's locate_tol.
 
     Sampling is vectorized over the stacked region halfspaces.  A miss may
     simply be an infeasible parameter: misses that break a theta-only row
@@ -263,10 +261,11 @@ def coverage_check(solution: ExplicitSolution, problem: MpqpProblem,
     thetas = rng.uniform(box[:, 0], box[:, 1], size=(n_samples, THETA_DIM))
     covered = np.zeros(n_samples, dtype=bool)
     for r in solution.regions:
-        covered |= np.all(thetas @ r.E.T <= r.e + tol, axis=1)
+        covered |= np.all(thetas @ r.E.T <= r.e + solution.locate_tol,
+                          axis=1)
     n_covered = int(covered.sum())
     rhs = thetas[~covered] @ problem.S.T + problem.W
-    zero = np.linalg.norm(problem.G, axis=1) <= 1e-12
+    zero = np.linalg.norm(problem.G, axis=1) <= ZERO_ROW_TOL
     rhs = rhs[np.all(rhs[:, zero] >= 0, axis=1)]
     n_feas_missed = sum(lp_feasible(problem.G, w, tol=1e-12)[0] for w in rhs)
     total = n_covered + n_feas_missed
@@ -297,7 +296,8 @@ def rounded(solution: ExplicitSolution, decimals: int | None,
     return ExplicitSolution(regions=regs,
                             segment_index=solution.segment_index,
                             theta_box=solution.theta_box, Nu=solution.Nu,
-                            locate_tol=max(solution.locate_tol, tol))
+                            locate_tol=max(solution.locate_tol, tol),
+                            stats=solution.stats)
 
 
 def _atomic_write(path, data: bytes) -> None:
@@ -313,14 +313,12 @@ def _atomic_write(path, data: bytes) -> None:
         raise
 
 
-def export_table(solution: ExplicitSolution, path, fmt: str = "json",
-                 round_decimals: int | None = None) -> None:
+def export_table(sol: ExplicitSolution, path, fmt: str = "json") -> None:
     """Persist a region table; fmt is "json" or "bin".
 
     Round-tripping through either format reproduces the table bit-exactly
     (floats go through repr in JSON, raw IEEE754 in binary).
     """
-    sol = rounded(solution, round_decimals)
     if fmt == "json":
         doc = {
             "format": "empc-table",

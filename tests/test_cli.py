@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from empcharge.cli import main
+from empcharge.cli import _synthesis_objects, main
+from empcharge.regions import coverage_check, import_table
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 TWO_SEGMENTS = [[0.20, 0.50, 0.39], [0.50, 0.90, 0.90]]
 
 
@@ -106,6 +109,69 @@ def test_verify_gives_up_on_infeasible_box(tmp_path, tables_dir, capsys):
                "--samples", "3"])
     assert rc == 4
     assert "only 0 of 3 theta feasible in 300 draws" in capsys.readouterr().err
+
+
+def test_reported_coverage_is_of_exported_table(tmp_path):
+    # the rounded tables are what verify and run load, so the report's
+    # coverage must be theirs, within their coarser locate_tol
+    config = CONFIGS / "synthesis_rounded.json"
+    out = tmp_path / "out"
+    assert main(["synthesize", "--config", str(config),
+                 "--out-dir", str(out)]) == 0
+    doc = json.loads(config.read_text())
+    _, _, _, _, problems = _synthesis_objects(doc)
+    report = json.loads((out / "synthesis_report.json").read_text())
+    assert len(report["segments"]) == len(problems)
+    for seg, prob in zip(report["segments"], problems):
+        table = import_table(out / f"table_seg{seg['index']}.json")
+        assert table.locate_tol > 1e-9
+        cov = coverage_check(table, prob,
+                             n_samples=doc.get("coverage_samples", 20000),
+                             seed=1)
+        assert seg["coverage"] == cov == 1.0
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_verify_rejects_no_samples(synth_config, tables_dir, samples):
+    assert main(["verify", "--config", synth_config,
+                 "--tables", str(tables_dir), "--samples", samples]) == 3
+
+
+@pytest.mark.parametrize("keep", [20, 100, -8])
+def test_export_truncated_binary_table(tmp_path, tables_dir, keep, capsys):
+    raw = (tables_dir / "table_seg1.bin").read_bytes()
+    bad = tmp_path / "t.bin"
+    bad.write_bytes(raw[:keep])
+    rc = main(["export-table", str(bad), "--out", str(tmp_path / "t.json")])
+    assert rc == 3
+    assert "cannot read region table" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
+
+
+def test_export_missing_table(tmp_path):
+    rc = main(["export-table", str(tmp_path / "none.json"),
+               "--out", str(tmp_path / "t.json")])
+    assert rc == 3
+
+
+def test_malformed_tables_dir(tmp_path, synth_config, tables_dir):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    for i in (1, 2):
+        doc = json.loads((tables_dir / f"table_seg{i}.json").read_text())
+        if i == 2:
+            del doc["Nu"]
+        (bad / f"table_seg{i}.json").write_text(json.dumps(doc))
+    scenario = _write(tmp_path / "s.json", {
+        "version": 1, "name": "bad", "controller": "empc",
+        "synthesis": {"version": 1, "breakpoints": TWO_SEGMENTS},
+        "tables_dir": str(bad),
+    })
+    for tables in (bad, tmp_path / "missing"):
+        assert main(["verify", "--config", synth_config,
+                     "--tables", str(tables), "--samples", "5"]) == 3
+    assert main(["run", "--config", scenario,
+                 "--out-dir", str(tmp_path / "out")]) == 3
 
 
 def test_export_table_round_trip(tmp_path, tables_dir):

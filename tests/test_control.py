@@ -158,8 +158,13 @@ def test_trace_csv_format(params, dmodel, table, cfg, problems, solutions,
     first = lines[1].split(",")
     assert first[0] == "0"
     assert float(first[2]) == pytest.approx(0.2)
-    # round-trip without repr artifacts
-    assert "np.float64" not in lines[1]
+    # every cell of every row is a plain number that round-trips, without
+    # repr artifacts such as np.float64(...)
+    for line, row in zip(lines[1:], trace.rows):
+        values = [float(c) for c in line.split(",")]
+        assert len(values) == 13
+        assert values[2:5] == [row.Vb, row.Vs, row.I]
+        assert values[10] == row.du
 
 
 def test_run_setup_validation(params, dmodel, table, cfg, problems):

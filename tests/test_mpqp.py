@@ -190,12 +190,6 @@ def test_config_validation():
         MpcConfig(N=5, Nc_eta=6)
     with pytest.raises(ValueError):
         MpcConfig(R=0.0)
-    with pytest.raises(ValueError):
-        MpcConfig(y_min=(0.0, 0.0, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        MpcConfig(y_max=(1.0, 0.95, 3.0, 4.2, 0.08, 1.0))
-    with pytest.raises(ValueError):
-        MpcConfig(y_min=(-np.inf, -np.inf, 3.5, -np.inf, -np.inf))
 
 
 def test_build_deterministic(dmodel, table, cfg, problems):

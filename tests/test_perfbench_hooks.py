@@ -4,8 +4,10 @@
 
 import inspect
 import pathlib
+from collections import Counter
 
-from empcharge import regions
+from empcharge import control, regions
+from empcharge.model import NdcState
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -33,3 +35,33 @@ def test_layers_patch_targets_exist(monkeypatch):
 
 def test_explore_accepts_seed():
     inspect.signature(regions.explore).bind(None, theta_box=None, seed=0)
+
+
+def test_controller_steps_call_hooked_names(monkeypatch, params, dmodel,
+                                            table, cfg, problems, solutions):
+    """Each controller step reaches the QP, point location, condensing and
+    segment selection through the names ``layers.py`` wraps in
+    ``control``; a call routed around them would drop out of the traced
+    benchmark's spans."""
+    calls = Counter()
+    for attr in ("solve_qp", "locate", "build", "select_segment"):
+        def counting(*args, _real=getattr(control, attr), _attr=attr, **kw):
+            calls[_attr] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(control, attr, counting)
+
+    x, r = NdcState(0.3, 0.32, 2.0), 0.9
+    ctrl = control.ControllerState
+    steps = (
+        (lambda: control.empc_step(solutions, table, dmodel, ctrl(), x, r),
+         {"locate", "select_segment"}),
+        (lambda: control.online_mpc_step(problems, table, dmodel, ctrl(),
+                                         x, r),
+         {"solve_qp", "select_segment"}),
+        (lambda: control.nmpc_step(params, dmodel, table, cfg, ctrl(), x, r),
+         {"build", "solve_qp", "select_segment"}),
+    )
+    for step, names in steps:
+        calls.clear()
+        step()
+        assert set(calls) == names
