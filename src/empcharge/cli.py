@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import struct
 import sys
 import time
 
 import numpy as np
 
 from . import model as mdl
-from .control import RunSetup, run_closed_loop
+from .control import CONTROLLERS, FEEDBACKS, RunSetup, run_closed_loop
 from .mpqp import MpcConfig, build
 from .qp import solve_qp
 from .regions import (DEFAULT_THETA_BOX, ExplicitSolution, coverage_check,
@@ -41,19 +40,24 @@ def _check_keys(doc: dict, allowed: set[str], ctx: str) -> None:
         raise ConfigError(f"{ctx}: unknown keys {sorted(unknown)}")
 
 
-def _load_versioned(path, allowed: set[str], ctx: str) -> dict:
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("version") != 1:
-        raise ConfigError(f"{ctx}: expected version 1, got "
-                          f"{doc.get('version')!r}")
+def _load(path, ctx: str, allowed: set[str] | None = None):
+    """The region table at path (allowed=None), or the version-1 config
+    with only the allowed keys; ConfigError when it is missing or bad."""
+    try:
+        if allowed is None:
+            return import_table(path)
+        with open(path, "rb") as f:
+            doc = json.load(f)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {ctx} {path}: {exc!r}") from exc
+    if not isinstance(doc, dict) or doc.get("version") != 1:
+        raise ConfigError(f"{ctx} {path}: expected a version-1 object")
     _check_keys(doc, allowed | {"version"}, ctx)
     return doc
 
 
 _SYNTH_KEYS = {"params", "breakpoints", "gamma1", "gamma2", "dt", "mpc",
                "theta_box", "round_decimals", "coverage_samples", "seed"}
-_MPC_KEYS = {"N", "Nu", "Nc_eta", "Nc_other", "Q", "R"}
 # RunSetup fields a scenario may set, each with its cast (defaults: RunSetup)
 _RUN_FIELDS = {"controller": str, "feedback": str, "soc_start": float,
                "soc_target": float, "step_budget": int,
@@ -64,43 +68,50 @@ _BENCH_KEYS = {"scenarios", "repeats"}
 
 
 def _synthesis_objects(doc: dict):
-    """params, model, table, cfg, problems from a synthesis config dict."""
-    _check_keys(doc, _SYNTH_KEYS | {"version"}, "synthesis config")
-    params = mdl.NdcParams.from_dict(doc.get("params", {}))
-    gamma1 = float(doc.get("gamma1", -0.04))
-    gamma2 = float(doc.get("gamma2", 0.08))
-    dt = float(doc.get("dt", 60.0))
-    bp = [tuple(b) for b in doc.get("breakpoints", default_breakpoints())]
-    table = build_table(params, bp, gamma1, gamma2)
-    mpc_doc = dict(doc.get("mpc", {}))
-    _check_keys(mpc_doc, _MPC_KEYS, "mpc config")
-    cfg = MpcConfig(gamma2=gamma2, **mpc_doc)
-    model = mdl.discretize(params, dt)
-    problems = [build(model, seg, cfg) for seg in table.segments]
+    """params, model, table, cfg, problems from a synthesis config dict;
+    ConfigError for a value that any of them rejects."""
+    try:
+        _check_keys(doc, _SYNTH_KEYS | {"version"}, "synthesis config")
+        params = mdl.NdcParams.from_dict(doc.get("params", {}))
+        gamma2 = float(doc.get("gamma2", mdl.GAMMA2))
+        bp = [tuple(b) for b in doc.get("breakpoints", default_breakpoints())]
+        table = build_table(params, bp, float(doc.get("gamma1", mdl.GAMMA1)),
+                            gamma2)
+        # MpcConfig rejects an unknown mpc key with a TypeError
+        cfg = MpcConfig(gamma2=gamma2, **doc.get("mpc", {}))
+        model = mdl.discretize(params, float(doc.get("dt", 60.0)))
+        problems = [build(model, seg, cfg) for seg in table.segments]
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"synthesis config: {exc}") from exc
     return params, model, table, cfg, problems
 
 
-def _load_table(path) -> ExplicitSolution:
-    """A region table, or ConfigError for a missing or malformed file."""
-    try:
-        return import_table(path)
-    except (OSError, ValueError, KeyError, TypeError, struct.error) as exc:
-        raise ConfigError(f"cannot read region table {path}: {exc!r}") from exc
+def _table_path(tables_dir, seg, fmt: str = "json") -> str:
+    return os.path.join(tables_dir, f"table_seg{seg.index}.{fmt}")
+
+
+def _load_tables(tables_dir, table, cfg) -> list[ExplicitSolution]:
+    """Each segment's JSON table; ConfigError for one that is missing,
+    malformed or built for another segment or Nu."""
+    sols = []
+    for seg in table.segments:
+        path = _table_path(tables_dir, seg)
+        sol = _load(path, "region table")
+        if (sol.segment_index, sol.Nu) != (seg.index, cfg.Nu):
+            raise ConfigError(f"{path}: segment {sol.segment_index}, Nu="
+                              f"{sol.Nu}; expected segment {seg.index}, Nu="
+                              f"{cfg.Nu}")
+        sols.append(sol)
+    return sols
 
 
 def _theta_box(doc: dict) -> np.ndarray:
-    if "theta_box" in doc:
-        return np.array(doc["theta_box"], float)
-    return DEFAULT_THETA_BOX
+    return np.array(doc.get("theta_box", DEFAULT_THETA_BOX), float)
 
 
 def cmd_synthesize(args) -> int:
-    doc = _load_versioned(args.config, _SYNTH_KEYS, "synthesis config")
-    try:
-        params, model, table, cfg, problems = _synthesis_objects(doc)
-    except (ConfigError, ValueError) as exc:
-        print(f"synthesis failed: {exc}", file=sys.stderr)
-        return EXIT_SYNTHESIS
+    doc = _load(args.config, "synthesis config", _SYNTH_KEYS)
+    params, model, table, cfg, problems = _synthesis_objects(doc)
     os.makedirs(args.out_dir, exist_ok=True)
     box = _theta_box(doc)
     seed = args.seed if args.seed is not None else doc.get("seed", 0)
@@ -119,9 +130,8 @@ def cmd_synthesize(args) -> int:
             failed = True
             continue
         cov = coverage_check(sol, prob, n_samples=n_cov, seed=seed + 1)
-        base = os.path.join(args.out_dir, f"table_seg{seg.index}")
-        export_table(sol, base + ".json", fmt="json")
-        export_table(sol, base + ".bin", fmt="bin")
+        for fmt in ("json", "bin"):
+            export_table(sol, _table_path(args.out_dir, seg, fmt), fmt=fmt)
         report["segments"].append({
             "index": seg.index,
             "lambda1": seg.lambda1,
@@ -144,29 +154,27 @@ def cmd_synthesize(args) -> int:
 
 
 def _scenario_setup(doc: dict, args) -> RunSetup:
-    _check_keys(doc, _SCENARIO_KEYS | {"version"}, "scenario config")
     syn = doc.get("synthesis", {"version": 1})
     params, model, table, cfg, problems = _synthesis_objects(syn)
-    run = {k: cast(doc[k]) for k, cast in _RUN_FIELDS.items() if k in doc}
-    for k in ("controller", "feedback", "seed"):
-        if getattr(args, k) is not None:
-            run[k] = getattr(args, k)
-    setup = RunSetup(params=params, model=model, table=table, cfg=cfg,
-                     problems=problems, **run)
-    if setup.controller == "empc":
-        tables_dir = doc.get("tables_dir")
-        if tables_dir:
-            setup.solutions = [_load_table(os.path.join(
-                tables_dir, f"table_seg{s.index}.json"))
-                for s in table.segments]
-        else:
-            box = _theta_box(syn)
-            setup.solutions = [explore(p, theta_box=box) for p in problems]
+    try:
+        run = {k: cast(doc[k]) for k, cast in _RUN_FIELDS.items() if k in doc}
+        for k in ("controller", "feedback", "seed"):
+            if getattr(args, k) is not None:
+                run[k] = getattr(args, k)
+        setup = RunSetup(params=params, model=model, table=table, cfg=cfg,
+                         problems=problems, **run)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"scenario config: {exc}") from exc
+    if setup.controller == "empc" and doc.get("tables_dir"):
+        setup.solutions = _load_tables(doc["tables_dir"], table, cfg)
+    elif setup.controller == "empc":
+        box = _theta_box(syn)
+        setup.solutions = [explore(p, theta_box=box) for p in problems]
     return setup
 
 
 def cmd_run(args) -> int:
-    doc = _load_versioned(args.config, _SCENARIO_KEYS, "scenario config")
+    doc = _load(args.config, "scenario config", _SCENARIO_KEYS)
     setup = _scenario_setup(doc, args)
     trace = run_closed_loop(setup)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -192,15 +200,17 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    doc = _load_versioned(args.config, _BENCH_KEYS, "bench config")
-    repeats = args.repeats or int(doc.get("repeats", 20))
+    doc = _load(args.config, "bench config", _BENCH_KEYS)
+    repeats = doc.get("repeats", 20) if args.repeats is None else args.repeats
+    if not (isinstance(repeats, int) and repeats >= 1):
+        raise ConfigError(f"repeats must be an integer >= 1, got {repeats!r}")
     base_dir = os.path.dirname(os.path.abspath(args.config))
     if "scenarios" not in doc:
         raise ConfigError("bench config: missing 'scenarios'")
     entries = []
     for ref in doc["scenarios"]:
         path = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
-        sdoc = _load_versioned(path, _SCENARIO_KEYS, "scenario config")
+        sdoc = _load(path, "scenario config", _SCENARIO_KEYS)
         setup = _scenario_setup(sdoc, args)
         per_step_means, pooled, steps = [], [], None
         wall0 = time.perf_counter()
@@ -239,10 +249,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_export_table(args) -> int:
-    sol = rounded(_load_table(args.table), args.round_decimals)
-    fmt = args.format
-    if fmt is None:
-        fmt = "bin" if args.out.endswith(".bin") else "json"
+    sol = rounded(_load(args.table, "region table"), args.round_decimals)
+    fmt = args.format or ("bin" if args.out.endswith(".bin") else "json")
     export_table(sol, args.out, fmt=fmt)
     print(f"wrote {args.out} ({fmt}, {sol.n_regions} regions)")
     return EXIT_OK
@@ -251,15 +259,13 @@ def cmd_export_table(args) -> int:
 def cmd_verify(args) -> int:
     if args.samples < 1:
         raise ConfigError(f"--samples must be >= 1, got {args.samples}")
-    doc = _load_versioned(args.config, _SYNTH_KEYS, "synthesis config")
-    _, _, table, _, problems = _synthesis_objects(doc)
+    doc = _load(args.config, "synthesis config", _SYNTH_KEYS)
+    _, _, table, cfg, problems = _synthesis_objects(doc)
     box = _theta_box(doc)
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    worst = 0.0
-    checked = 0
-    for seg, prob in zip(table.segments, problems):
-        sol = _load_table(os.path.join(args.tables,
-                                       f"table_seg{seg.index}.json"))
+    worst, checked = 0.0, 0
+    for seg, prob, sol in zip(table.segments, problems,
+                              _load_tables(args.tables, table, cfg)):
         n_done = draws = 0
         while n_done < args.samples:
             # a theta box that is (almost) all infeasible must not hang
@@ -304,18 +310,15 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out-dir", default="out")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--controller", choices=["empc", "qp", "nmpc"],
-                       default=None)
-    p_run.add_argument("--feedback", choices=["state", "ekf"], default=None)
+    p_run.add_argument("--controller", choices=CONTROLLERS, default=None)
+    p_run.add_argument("--feedback", choices=FEEDBACKS, default=None)
 
     p_bench = sub.add_parser("bench", help="repeated timing runs")
     p_bench.add_argument("--config", required=True)
     p_bench.add_argument("--out-dir", default="out")
     p_bench.add_argument("--seed", type=int, default=None)
-    p_bench.add_argument("--controller", choices=["empc", "qp", "nmpc"],
-                         default=None)
-    p_bench.add_argument("--feedback", choices=["state", "ekf"],
-                         default=None)
+    p_bench.add_argument("--controller", choices=CONTROLLERS, default=None)
+    p_bench.add_argument("--feedback", choices=FEEDBACKS, default=None)
     p_bench.add_argument("--repeats", type=int, default=None)
 
     p_exp = sub.add_parser("export-table", help="re-export a region table")

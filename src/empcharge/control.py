@@ -25,7 +25,7 @@ from . import model as mdl
 from .model import DiscreteModel, NdcParams, NdcState
 from .mpqp import I_MAX, I_MIN, MpcConfig, MpqpProblem, assemble_theta, build
 from .qp import solve_qp
-from .regions import ExplicitSolution, locate
+from .regions import ExplicitSolution, _atomic_write, locate
 from .segments import SegmentTable, select_segment, _segment
 
 __all__ = [
@@ -42,6 +42,8 @@ __all__ = [
     "run_closed_loop",
 ]
 
+CONTROLLERS = ("empc", "qp", "nmpc")
+FEEDBACKS = ("state", "ekf")
 COMPLETION_SLACK = 0.005  # done once the estimated SoC is this near target
 # noisy runs: plant process variance per state, voltage measurement variance
 PROCESS_VAR, MEAS_VAR = 1e-6, 9e-6
@@ -230,9 +232,7 @@ class SimTrace:
         lines = [CSV_HEADER]
         for r in self.rows:
             lines.append(",".join(str(getattr(r, f)) for f in _CSV_FIELDS))
-        data = ("\n".join(lines) + "\n").encode()
-        from .regions import _atomic_write
-        _atomic_write(path, data)
+        _atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 @dataclass
@@ -241,8 +241,8 @@ class RunSetup:
     model: DiscreteModel
     table: SegmentTable
     cfg: MpcConfig
-    controller: str = "empc"            # empc | qp | nmpc
-    feedback: str = "state"             # state | ekf
+    controller: str = "empc"            # one of CONTROLLERS
+    feedback: str = "state"             # one of FEEDBACKS
     solutions: list[ExplicitSolution] | None = None
     problems: list[MpqpProblem] | None = None
     soc_start: float = 0.2
@@ -252,6 +252,12 @@ class RunSetup:
     noise: bool = False
     seed: int = 0
     nmpc_max_iters: int = 10
+
+    def __post_init__(self) -> None:
+        if (self.controller not in CONTROLLERS or self.nmpc_max_iters < 1
+                or self.feedback not in FEEDBACKS):
+            raise ValueError(f"need controller in {CONTROLLERS}, feedback in "
+                             f"{FEEDBACKS} and nmpc_max_iters >= 1")
 
 
 def run_closed_loop(setup: RunSetup) -> SimTrace:
@@ -288,12 +294,10 @@ def run_closed_loop(setup: RunSetup) -> SimTrace:
         elif setup.controller == "qp":
             res = online_mpc_step(setup.problems, table, model, ctrl,
                                   x_ctrl, setup.soc_target)
-        elif setup.controller == "nmpc":
+        else:  # "nmpc": RunSetup admits only CONTROLLERS
             res = nmpc_step(p, model, table, cfg, ctrl, x_ctrl,
                             setup.soc_target,
                             max_iters=setup.nmpc_max_iters)
-        else:
-            raise ValueError(f"unknown controller: {setup.controller}")
         solver_ns = time.perf_counter_ns() - t0
 
         soc_true = mdl.soc(p, x.Vb, x.Vs)

@@ -32,6 +32,9 @@ __all__ = [
     "output_vector",
 ]
 
+# default slope and offset of the constraint Vs - Vb <= GAMMA1*SoC + GAMMA2
+GAMMA1, GAMMA2 = -0.04, 0.08
+
 
 @dataclass(frozen=True)
 class NdcParams:
@@ -170,7 +173,7 @@ def terminal_voltage(params: NdcParams, state: NdcState) -> float:
 
 
 def output_vector(params: NdcParams, state: NdcState,
-                  gamma1: float = 0.0) -> OutputVector:
+                  gamma1: float = GAMMA1) -> OutputVector:
     return OutputVector(
         soc=float(soc(params, state.Vb, state.Vs)),
         Vs=float(state.Vs),
@@ -219,7 +222,7 @@ def discretize(params: NdcParams, dt: float) -> DiscreteModel:
 
 
 def step_nonlinear(params: NdcParams, model: DiscreteModel, state: NdcState,
-                   du: float, gamma1: float = 0.0,
+                   du: float, gamma1: float = GAMMA1,
                    ) -> tuple[NdcState, OutputVector]:
     """One discrete step x+ = A_aug x + B_aug du; output is evaluated
     through the nonlinear map at the new state."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DiscreteModel, NdcState
+from .model import GAMMA2, DiscreteModel, NdcState
 from .qp import ZERO_ROW_TOL, DenseQp
 from .segments import LinearSegment
 
@@ -47,7 +47,7 @@ class MpcConfig:
     Nc_other: int = 1
     Q: float = 1.0
     R: float = 0.1
-    gamma2: float = 0.08
+    gamma2: float = GAMMA2
 
     def __post_init__(self) -> None:
         if not 1 <= self.Nu <= self.N:

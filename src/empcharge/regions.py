@@ -11,6 +11,7 @@ interior.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -275,7 +276,20 @@ def coverage_check(solution: ExplicitSolution, problem: MpqpProblem,
 # ---------------------------------------------------------------------------
 # persistence
 
+# Both encodings store the same fields.  Binary, little-endian: _MAGIC;
+# _HEADER (segment_index, Nu, theta_dim, n_regions, locate_tol); theta_box
+# as THETA_DIM x 2 float64; per region a _RECORD (rows p, active-set size),
+# the active set as int32 and the _ARRAYS as float64 in C order.  Nothing
+# follows the last region.
 _MAGIC = b"EMPCTB01"
+_HEADER = struct.Struct("<iiiid")
+_RECORD = struct.Struct("<ii")
+_ARRAYS = ("E", "e", "K", "g")
+
+
+def _shapes(p: int, Nu: int) -> tuple[tuple[int, ...], ...]:
+    """Shapes of the _ARRAYS of a region with p rows."""
+    return (p, THETA_DIM), (p,), (Nu, THETA_DIM), (Nu,)
 
 
 def rounded(solution: ExplicitSolution, decimals: int | None,
@@ -284,11 +298,8 @@ def rounded(solution: ExplicitSolution, decimals: int | None,
     matching locate tolerance; decimals=None returns the input unchanged."""
     if decimals is None:
         return solution
-    regs = [CriticalRegion(E=np.round(r.E, decimals),
-                           e=np.round(r.e, decimals),
-                           K=np.round(r.K, decimals),
-                           g=np.round(r.g, decimals),
-                           active_set=r.active_set)
+    regs = [CriticalRegion(**{k: np.round(getattr(r, k), decimals)
+                              for k in _ARRAYS}, active_set=r.active_set)
             for r in solution.regions]
     # worst-case facet shift: |dE . theta| + |de| over the theta box
     span = np.abs(solution.theta_box).max(axis=1).sum()
@@ -320,95 +331,73 @@ def export_table(sol: ExplicitSolution, path, fmt: str = "json") -> None:
     (floats go through repr in JSON, raw IEEE754 in binary).
     """
     if fmt == "json":
-        doc = {
-            "format": "empc-table",
-            "version": 1,
-            "segment_index": sol.segment_index,
-            "Nu": sol.Nu,
-            "theta_dim": THETA_DIM,
-            "locate_tol": sol.locate_tol,
-            "theta_box": sol.theta_box.tolist(),
-            "regions": [
-                {
-                    "E": r.E.tolist(),
-                    "e": r.e.tolist(),
-                    "K": r.K.tolist(),
-                    "g": r.g.tolist(),
-                    "active_set": list(r.active_set),
-                }
-                for r in sol.regions
-            ],
-        }
-        _atomic_write(path, json.dumps(doc, indent=1).encode())
+        doc = {"format": "empc-table", "version": 1,
+               "segment_index": sol.segment_index, "Nu": sol.Nu,
+               "theta_dim": THETA_DIM, "locate_tol": sol.locate_tol,
+               "theta_box": sol.theta_box.tolist(),
+               "regions": [{**{k: getattr(r, k).tolist() for k in _ARRAYS},
+                            "active_set": list(r.active_set)}
+                           for r in sol.regions]}
+        data = json.dumps(doc, indent=1).encode()
     elif fmt == "bin":
-        parts = [_MAGIC,
-                 struct.pack("<iiii", sol.segment_index, sol.Nu, THETA_DIM,
-                             len(sol.regions)),
-                 struct.pack("<d", sol.locate_tol),
-                 np.ascontiguousarray(sol.theta_box, dtype="<f8").tobytes()]
+        parts = [_MAGIC, _HEADER.pack(sol.segment_index, sol.Nu, THETA_DIM,
+                                      len(sol.regions), sol.locate_tol),
+                 sol.theta_box.astype("<f8").tobytes()]
         for r in sol.regions:
-            parts.append(struct.pack("<ii", r.E.shape[0],
-                                     len(r.active_set)))
-            parts.append(np.asarray(r.active_set,
-                                    dtype="<i4").tobytes())
-            for arr in (r.E, r.e, r.K, r.g):
-                parts.append(np.ascontiguousarray(arr,
-                                                  dtype="<f8").tobytes())
-        _atomic_write(path, b"".join(parts))
+            parts += [_RECORD.pack(len(r.e), len(r.active_set)),
+                      np.asarray(r.active_set, "<i4").tobytes()]
+            parts += [getattr(r, k).astype("<f8").tobytes() for k in _ARRAYS]
+        data = b"".join(parts)
     else:
         raise ValueError(f"unknown table format: {fmt}")
+    _atomic_write(path, data)
 
 
 def import_table(path) -> ExplicitSolution:
+    """The region table at path, in either encoding: OSError when the file
+    cannot be read, ValueError naming the path for any other fault."""
     with open(path, "rb") as f:
-        head = f.read(8)
-        f.seek(0)
         raw = f.read()
-    if head == _MAGIC:
-        return _import_binary(raw)
-    doc = json.loads(raw.decode())
-    if doc.get("format") != "empc-table" or doc.get("version") != 1:
-        raise ValueError(f"{path}: not a version-1 region table")
-    Nu = doc["Nu"]
-    regs = [CriticalRegion(E=np.array(r["E"], float).reshape(-1, THETA_DIM),
-                           e=np.array(r["e"], float),
-                           K=np.array(r["K"], float).reshape(Nu, THETA_DIM),
-                           g=np.array(r["g"], float),
-                           active_set=tuple(r["active_set"]))
-            for r in doc["regions"]]
-    return ExplicitSolution(regions=regs,
-                            segment_index=doc["segment_index"],
-                            theta_box=np.array(doc["theta_box"], float),
-                            Nu=Nu,
-                            locate_tol=float(doc.get("locate_tol", 1e-9)))
+    pos = len(_MAGIC)
 
+    def take(n: int) -> bytes:
+        """The next n bytes of a binary table."""
+        nonlocal pos
+        if not 0 <= n <= len(raw) - pos:
+            raise ValueError(f"{n} bytes wanted at offset {pos} of {len(raw)}")
+        pos += n
+        return raw[pos - n:pos]
 
-def _import_binary(raw: bytes) -> ExplicitSolution:
-    off = 8
-    seg, Nu, tdim, n_reg = struct.unpack_from("<iiii", raw, off)
-    off += 16
-    if tdim != THETA_DIM:
-        raise ValueError("unexpected parameter dimension in table file")
-    (locate_tol,) = struct.unpack_from("<d", raw, off)
-    off += 8
-    theta_box = np.frombuffer(raw, "<f8", THETA_DIM * 2, off)
-    theta_box = theta_box.reshape(THETA_DIM, 2).copy()
-    off += THETA_DIM * 2 * 8
-    regs = []
-    for _ in range(n_reg):
-        p, n_act = struct.unpack_from("<ii", raw, off)
-        off += 8
-        act = tuple(int(v) for v in np.frombuffer(raw, "<i4", n_act, off))
-        off += 4 * n_act
-        sizes = [p * THETA_DIM, p, Nu * THETA_DIM, Nu]
-        arrs = []
-        for sz in sizes:
-            arrs.append(np.frombuffer(raw, "<f8", sz, off).copy())
-            off += sz * 8
-        regs.append(CriticalRegion(E=arrs[0].reshape(p, THETA_DIM),
-                                   e=arrs[1],
-                                   K=arrs[2].reshape(Nu, THETA_DIM),
-                                   g=arrs[3], active_set=act))
-    return ExplicitSolution(regions=regs, segment_index=seg,
-                            theta_box=theta_box, Nu=Nu,
-                            locate_tol=locate_tol)
+    try:
+        if raw.startswith(_MAGIC):
+            seg, Nu, tdim, n_regions, tol = _HEADER.unpack(take(_HEADER.size))
+            box = np.frombuffer(take(16 * THETA_DIM), "<f8")
+            records = []
+            for _ in range(n_regions):
+                p, n_active = _RECORD.unpack(take(_RECORD.size))
+                active = np.frombuffer(take(4 * n_active), "<i4")
+                records.append(([np.frombuffer(take(8 * math.prod(s)), "<f8")
+                                 for s in _shapes(p, Nu)], active))
+            if pos != len(raw):
+                raise ValueError(f"{len(raw) - pos} trailing bytes")
+        else:
+            doc = json.loads(raw)
+            if not (isinstance(doc, dict) and doc.get("version") == 1
+                    and doc.get("format") == "empc-table"):
+                raise ValueError("not a version-1 region table")
+            seg, Nu, tdim, tol, box = (doc[k] for k in (
+                "segment_index", "Nu", "theta_dim", "locate_tol", "theta_box"))
+            records = [([r[k] for k in _ARRAYS], r["active_set"])
+                       for r in doc["regions"]]
+        if tdim != THETA_DIM:
+            raise ValueError(f"theta_dim {tdim}, expected {THETA_DIM}")
+        regions = [CriticalRegion(
+            **{k: np.array(a, float).reshape(s) for k, a, s
+               in zip(_ARRAYS, arrays, _shapes(len(arrays[1]), Nu))},
+            active_set=tuple(int(i) for i in active))
+            for arrays, active in records]
+        return ExplicitSolution(regions, int(seg),
+                                np.array(box, float).reshape(THETA_DIM, 2),
+                                int(Nu), float(tol))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed region table: {exc!r}") from exc

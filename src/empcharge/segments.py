@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NdcParams, ocv, ocv_slope, r0
+from .model import GAMMA1, GAMMA2, NdcParams, ocv, ocv_slope, r0
 
 __all__ = [
     "LinearSegment",
@@ -131,8 +131,8 @@ def default_breakpoints():
     return DEFAULT_BREAKPOINTS
 
 
-def default_table(params: NdcParams | None = None, gamma1: float = -0.04,
-                  gamma2: float = 0.08) -> SegmentTable:
+def default_table(params: NdcParams | None = None, gamma1: float = GAMMA1,
+                  gamma2: float = GAMMA2) -> SegmentTable:
     return build_table(params or NdcParams(), DEFAULT_BREAKPOINTS,
                        gamma1, gamma2)
 

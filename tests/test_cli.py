@@ -238,3 +238,100 @@ def test_bench_without_scenarios(tmp_path):
     cfg = _write(tmp_path / "bench.json", {"version": 1, "repeats": 2})
     rc = main(["bench", "--config", cfg, "--out-dir", str(tmp_path / "out")])
     assert rc == 3
+
+
+@pytest.fixture(scope="module")
+def nu5_tables(tmp_path_factory):
+    d = tmp_path_factory.mktemp("nu5")
+    cfg = _write(d / "synth.json", {"version": 1, "breakpoints": TWO_SEGMENTS,
+                                    "mpc": {"Nu": 5}, "coverage_samples": 200})
+    assert main(["synthesize", "--config", cfg, "--out-dir", str(d)]) == 0
+    return d
+
+
+def _bad_tables(tables_dir) -> dict[str, bytes]:
+    """Segment 1's table, malformed in one way each: 8 trailing bytes, a
+    header that announces 1 of its regions, a JSON theta_dim of 4."""
+    raw = (tables_dir / "table_seg1.bin").read_bytes()
+    assert int.from_bytes(raw[20:24], "little") > 1  # header's n_regions
+    doc = json.loads((tables_dir / "table_seg1.json").read_text())
+    doc["theta_dim"] = 4
+    return {"trailing.bin": raw + bytes(8),
+            "one_region.bin": raw[:20] + (1).to_bytes(4, "little") + raw[24:],
+            "theta_dim4.json": json.dumps(doc).encode()}
+
+
+@pytest.mark.parametrize("name", ["trailing.bin", "one_region.bin",
+                                  "theta_dim4.json"])
+def test_export_rejects_malformed_table(tmp_path, tables_dir, name, capsys):
+    bad = tmp_path / name
+    bad.write_bytes(_bad_tables(tables_dir)[name])
+    rc = main(["export-table", str(bad), "--out", str(tmp_path / "t.json")])
+    assert rc == 3
+    assert "cannot read region table" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
+
+
+def test_tables_for_another_nu(tmp_path, synth_config, nu5_tables, capsys):
+    scenario = _write(tmp_path / "s.json", {
+        "version": 1, "name": "nu", "controller": "empc",
+        "synthesis": {"version": 1, "breakpoints": TWO_SEGMENTS},
+        "tables_dir": str(nu5_tables),
+    })
+    assert main(["run", "--config", scenario,
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    assert main(["verify", "--config", synth_config,
+                 "--tables", str(nu5_tables), "--samples", "5"]) == 3
+    assert "Nu=5; expected segment 1, Nu=2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _argv(command, config, tmp_path):
+    if command == "verify":
+        return [command, "--config", config, "--tables", str(tmp_path)]
+    return [command, "--config", config, "--out-dir", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("command", ["synthesize", "run", "bench", "verify"])
+@pytest.mark.parametrize("text", [None, '{"version": 1,'],
+                         ids=["missing", "cut"])
+def test_unreadable_config(tmp_path, command, text):
+    cfg = tmp_path / "c.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert main(_argv(command, str(cfg), tmp_path)) == 3
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_invalid_synthesis_block(tmp_path, command):
+    syn = {"version": 1, "mpc": {"Nu": 0}}
+    doc = syn if command == "verify" else {"version": 1, "synthesis": syn,
+                                           "controller": "qp"}
+    cfg = _write(tmp_path / "c.json", doc)
+    assert main(_argv(command, cfg, tmp_path)) == 3
+
+
+@pytest.mark.parametrize("key, value", [
+    ("feedback", "foo"), ("controller", "foo"), ("nmpc_max_iters", 0),
+    ("step_budget", "abc")])
+def test_invalid_run_value(tmp_path, key, value):
+    cfg = _write(tmp_path / "s.json", {"version": 1, "controller": "qp",
+                                       key: value})
+    assert main(["run", "--config", cfg,
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("repeats", [0, -1])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_bench_rejects_no_repeats(tmp_path, repeats, where):
+    scen = _write(tmp_path / "scen.json", {"version": 1, "controller": "qp",
+                                           "step_budget": 3})
+    doc = {"version": 1, "scenarios": [scen]}
+    flag = ["--repeats", str(repeats)] if where == "flag" else []
+    if where == "config":
+        doc["repeats"] = repeats
+    cfg = _write(tmp_path / "bench.json", doc)
+    assert main(["bench", "--config", cfg,
+                 "--out-dir", str(tmp_path / "out")] + flag) == 3
+    assert not (tmp_path / "out").exists()
