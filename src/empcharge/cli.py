@@ -1,17 +1,19 @@
 """Command-line front end: offline synthesis, scenario runs, benchmarks,
 table export and verification.
 
-Exit codes: 0 success, 2 incomplete charge, 3 synthesis failure or a
-malformed config or table, 4 verification failure.
+Exit codes: 0 success, 2 incomplete charge, 3 a usage error or a malformed
+config, value or table, 4 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .segments import build_table, default_breakpoints
 
 EXIT_OK = 0
 EXIT_INCOMPLETE = 2
-EXIT_SYNTHESIS = 3
+EXIT_CONFIG = 3
 EXIT_VERIFY = 4
 
 
@@ -34,17 +36,42 @@ class ConfigError(Exception):
     pass
 
 
-def _check_keys(doc: dict, allowed: set[str], ctx: str) -> None:
-    unknown = set(doc) - allowed
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 3, not 2: that is an incomplete charge
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _typed(value, what: str, kind: type, lo: float = -math.inf,
+           hi: float = math.inf):
+    """value when it has the JSON type kind, and a number is finite and in
+    [lo, hi]; ConfigError otherwise.  An int is accepted where a float is
+    expected and read as one; a bool is never a number."""
+    number = kind in (int, float)
+    ok = type(value) is kind or (kind is float and type(value) is int)
+    if ok and number:
+        ok = lo <= value <= hi and abs(value) <= sys.float_info.max
+    if not ok:
+        raise ConfigError(f"{what}: expected {kind.__name__}" + (
+            f" in [{lo}, {hi}]" if number else "") + f", got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _checked(doc: dict, kinds: dict, ctx: str) -> dict:
+    """doc with each value read by _typed as its key's kind: a type, or a
+    (type, lo[, hi]) tuple; ConfigError for an unknown key."""
+    unknown = set(doc) - set(kinds)
     if unknown:
         raise ConfigError(f"{ctx}: unknown keys {sorted(unknown)}")
+    return {k: _typed(v, f"{ctx}: {k}", *(kinds[k] if isinstance(
+        kinds[k], tuple) else (kinds[k],))) for k, v in doc.items()}
 
 
-def _load(path, ctx: str, allowed: set[str] | None = None):
-    """The region table at path (allowed=None), or the version-1 config
-    with only the allowed keys; ConfigError when it is missing or bad."""
+def _load(path, ctx: str, kinds: dict | None = None):
+    """The region table at path (kinds=None), or the version-1 config
+    checked against kinds (json reads NaN, Infinity and 1e999, and
+    _typed rejects them); ConfigError when it is missing or bad."""
     try:
-        if allowed is None:
+        if kinds is None:
             return import_table(path)
         with open(path, "rb") as f:
             doc = json.load(f)
@@ -52,38 +79,76 @@ def _load(path, ctx: str, allowed: set[str] | None = None):
         raise ConfigError(f"cannot read {ctx} {path}: {exc!r}") from exc
     if not isinstance(doc, dict) or doc.get("version") != 1:
         raise ConfigError(f"{ctx} {path}: expected a version-1 object")
-    _check_keys(doc, allowed | {"version"}, ctx)
-    return doc
+    return _checked(doc, kinds, ctx)
 
 
-_SYNTH_KEYS = {"params", "breakpoints", "gamma1", "gamma2", "dt", "mpc",
-               "theta_box", "round_decimals", "coverage_samples", "seed"}
-# RunSetup fields a scenario may set, each with its cast (defaults: RunSetup)
+def _write_report(out_dir, name: str, report: dict) -> None:
+    """Write a JSON report into out_dir and echo it on stdout."""
+    text = json.dumps(report, indent=1)
+    os.makedirs(out_dir, exist_ok=True)
+    _atomic_write(os.path.join(out_dir, name), text.encode())
+    print(text)
+
+
+# np.round(x, d) needs a finite 10.0**d
+_DECIMALS = (int, 0, sys.float_info.max_10_exp)
+_SYNTH_KINDS = {"version": int, "params": dict, "breakpoints": list,
+                "gamma1": float, "gamma2": float, "dt": float, "mpc": dict,
+                "theta_box": list, "round_decimals": _DECIMALS,
+                "coverage_samples": (int, 1), "seed": (int, 0)}
+# the mpc keys are MpcConfig's fields; gamma2 comes from the block itself
+_MPC_KINDS = {f.name: {"int": int, "float": float}[f.type]
+              for f in fields(MpcConfig) if f.name != "gamma2"}
+# RunSetup fields a scenario may set (defaults: RunSetup)
 _RUN_FIELDS = {"controller": str, "feedback": str, "soc_start": float,
                "soc_target": float, "step_budget": int,
                "stop_at_target": bool, "noise": bool, "seed": int,
                "nmpc_max_iters": int}
-_SCENARIO_KEYS = {"name", "synthesis", "tables_dir", *_RUN_FIELDS}
-_BENCH_KEYS = {"scenarios", "repeats"}
+_SCENARIO_KINDS = {"version": int, "name": str, "synthesis": dict,
+                   "tables_dir": str, **_RUN_FIELDS}
+_BENCH_KINDS = {"version": int, "scenarios": list, "repeats": int}
+
+
+def _rows(value, width: int, what: str) -> list[tuple[float, ...]]:
+    """value as a list of rows of width numbers; ConfigError otherwise."""
+    if not all(type(r) is list and len(r) == width
+               for r in _typed(value, what, list)):
+        raise ConfigError(f"{what}: expected rows of {width} numbers")
+    return [tuple(_typed(v, what, float) for v in r) for r in value]
 
 
 def _synthesis_objects(doc: dict):
     """params, model, table, cfg, problems from a synthesis config dict;
-    ConfigError for a value that any of them rejects."""
+    ConfigError for a value that any of them rejects.  The commands read
+    the other keys of the block after this check."""
+    doc = _checked(doc, _SYNTH_KINDS, "synthesis config")
+    _theta_box(doc)
+    params = {k: _typed(v, f"params: {k}", float)
+              for k, v in doc.get("params", {}).items()}
+    mpc = _checked(doc.get("mpc", {}), _MPC_KINDS, "mpc")
+    bp = (_rows(doc["breakpoints"], 3, "breakpoints")
+          if "breakpoints" in doc else default_breakpoints())
+    gamma2 = doc.get("gamma2", mdl.GAMMA2)
     try:
-        _check_keys(doc, _SYNTH_KEYS | {"version"}, "synthesis config")
-        params = mdl.NdcParams.from_dict(doc.get("params", {}))
-        gamma2 = float(doc.get("gamma2", mdl.GAMMA2))
-        bp = [tuple(b) for b in doc.get("breakpoints", default_breakpoints())]
-        table = build_table(params, bp, float(doc.get("gamma1", mdl.GAMMA1)),
-                            gamma2)
-        # MpcConfig rejects an unknown mpc key with a TypeError
-        cfg = MpcConfig(gamma2=gamma2, **doc.get("mpc", {}))
-        model = mdl.discretize(params, float(doc.get("dt", 60.0)))
+        params = mdl.NdcParams.from_dict(params)
+        table = build_table(params, bp, doc.get("gamma1", mdl.GAMMA1), gamma2)
+        cfg = MpcConfig(gamma2=gamma2, **mpc)
+        model = mdl.discretize(params, doc.get("dt", 60.0))
         problems = [build(model, seg, cfg) for seg in table.segments]
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"synthesis config: {exc}") from exc
     return params, model, table, cfg, problems
+
+
+def _theta_box(doc: dict) -> np.ndarray:
+    """The block's theta box; ConfigError unless it is 5 [lo, hi] pairs
+    with lo < hi."""
+    box = (np.array(_rows(doc["theta_box"], 2, "theta_box"))
+           if "theta_box" in doc else DEFAULT_THETA_BOX)
+    if box.shape != DEFAULT_THETA_BOX.shape or not all(box[:, 0] < box[:, 1]):
+        raise ConfigError("theta_box: expected 5 [lo, hi] with lo < hi, got "
+                          f"{box.tolist()}")
+    return box
 
 
 def _table_path(tables_dir, seg, fmt: str = "json") -> str:
@@ -105,30 +170,19 @@ def _load_tables(tables_dir, table, cfg) -> list[ExplicitSolution]:
     return sols
 
 
-def _theta_box(doc: dict) -> np.ndarray:
-    return np.array(doc.get("theta_box", DEFAULT_THETA_BOX), float)
-
-
 def cmd_synthesize(args) -> int:
-    doc = _load(args.config, "synthesis config", _SYNTH_KEYS)
+    doc = _load(args.config, "synthesis config", _SYNTH_KINDS)
     params, model, table, cfg, problems = _synthesis_objects(doc)
-    os.makedirs(args.out_dir, exist_ok=True)
     box = _theta_box(doc)
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
+    seed = doc.get("seed", 0) if args.seed is None else args.seed
     decimals = doc.get("round_decimals")
-    n_cov = int(doc.get("coverage_samples", 20000))
+    n_cov = doc.get("coverage_samples", 20000)
+    os.makedirs(args.out_dir, exist_ok=True)
     report = {"segments": [], "wall_time_s": None}
     t0 = time.perf_counter()
-    failed = False
     for seg, prob in zip(table.segments, problems):
         t_seg = time.perf_counter()
-        try:
-            sol = rounded(explore(prob, theta_box=box), decimals)
-        except Exception as exc:
-            print(f"segment {seg.index}: exploration failed: {exc}",
-                  file=sys.stderr)
-            failed = True
-            continue
+        sol = rounded(explore(prob, theta_box=box), decimals)
         cov = coverage_check(sol, prob, n_samples=n_cov, seed=seed + 1)
         for fmt in ("json", "bin"):
             export_table(sol, _table_path(args.out_dir, seg, fmt), fmt=fmt)
@@ -147,40 +201,38 @@ def cmd_synthesize(args) -> int:
     report["total_stored_reals"] = sum(s["stored_reals"]
                                        for s in report["segments"])
     table.to_json(os.path.join(args.out_dir, "segments.json"))
-    _atomic_write(os.path.join(args.out_dir, "synthesis_report.json"),
-                  json.dumps(report, indent=1).encode())
-    print(json.dumps(report, indent=1))
-    return EXIT_SYNTHESIS if failed else EXIT_OK
+    _write_report(args.out_dir, "synthesis_report.json", report)
+    return EXIT_OK
 
 
 def _scenario_setup(doc: dict, args) -> RunSetup:
+    doc = _checked(doc, _SCENARIO_KINDS, "scenario config")
     syn = doc.get("synthesis", {"version": 1})
     params, model, table, cfg, problems = _synthesis_objects(syn)
+    run = {k: doc[k] for k in _RUN_FIELDS if k in doc}
+    run.update({k: getattr(args, k) for k in ("controller", "feedback", "seed")
+                if getattr(args, k) is not None})
     try:
-        run = {k: cast(doc[k]) for k, cast in _RUN_FIELDS.items() if k in doc}
-        for k in ("controller", "feedback", "seed"):
-            if getattr(args, k) is not None:
-                run[k] = getattr(args, k)
         setup = RunSetup(params=params, model=model, table=table, cfg=cfg,
                          problems=problems, **run)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"scenario config: {exc}") from exc
     if setup.controller == "empc" and doc.get("tables_dir"):
         setup.solutions = _load_tables(doc["tables_dir"], table, cfg)
     elif setup.controller == "empc":
+        # as synthesize builds the tables it writes
         box = _theta_box(syn)
-        setup.solutions = [explore(p, theta_box=box) for p in problems]
+        setup.solutions = [rounded(explore(p, theta_box=box),
+                                   syn.get("round_decimals"))
+                           for p in problems]
     return setup
 
 
 def cmd_run(args) -> int:
-    doc = _load(args.config, "scenario config", _SCENARIO_KEYS)
+    doc = _load(args.config, "scenario config", _SCENARIO_KINDS)
     setup = _scenario_setup(doc, args)
     trace = run_closed_loop(setup)
-    os.makedirs(args.out_dir, exist_ok=True)
     name = doc.get("name", "scenario")
-    trace.to_csv(os.path.join(args.out_dir, f"{name}_trace.csv"))
-    gamma2 = setup.cfg.gamma2
     summary = {
         "name": name,
         "completed": trace.completed,
@@ -190,27 +242,26 @@ def cmd_run(args) -> int:
         "fallback_count": trace.fallback_count,
         "max_terminal_voltage": max((r.V for r in trace.rows),
                                     default=None),
-        "max_eta_violation": max((r.eta - gamma2 for r in trace.rows),
-                                 default=None),
+        "max_eta_violation": max((r.eta - setup.cfg.gamma2
+                                  for r in trace.rows), default=None),
     }
-    _atomic_write(os.path.join(args.out_dir, f"{name}_summary.json"),
-                  json.dumps(summary, indent=1).encode())
-    print(json.dumps(summary, indent=1))
+    _write_report(args.out_dir, f"{name}_summary.json", summary)
+    trace.to_csv(os.path.join(args.out_dir, f"{name}_trace.csv"))
     return EXIT_OK if trace.completed else EXIT_INCOMPLETE
 
 
 def cmd_bench(args) -> int:
-    doc = _load(args.config, "bench config", _BENCH_KEYS)
+    doc = _load(args.config, "bench config", _BENCH_KINDS)
     repeats = doc.get("repeats", 20) if args.repeats is None else args.repeats
-    if not (isinstance(repeats, int) and repeats >= 1):
-        raise ConfigError(f"repeats must be an integer >= 1, got {repeats!r}")
+    _typed(repeats, "repeats", int, 1)
     base_dir = os.path.dirname(os.path.abspath(args.config))
     if "scenarios" not in doc:
         raise ConfigError("bench config: missing 'scenarios'")
     entries = []
     for ref in doc["scenarios"]:
+        ref = _typed(ref, "bench config: scenarios", str)
         path = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
-        sdoc = _load(path, "scenario config", _SCENARIO_KEYS)
+        sdoc = _load(path, "scenario config", _SCENARIO_KINDS)
         setup = _scenario_setup(sdoc, args)
         per_step_means, pooled, steps = [], [], None
         wall0 = time.perf_counter()
@@ -220,7 +271,6 @@ def cmd_bench(args) -> int:
             per_step_means.append(float(np.mean(ns)))
             pooled.extend(ns)
             steps = trace.charging_steps
-        p50, p95, p99 = np.percentile(pooled, [50, 95, 99])
         entries.append({
             "name": sdoc.get("name", os.path.basename(path)),
             "controller": setup.controller,
@@ -228,27 +278,23 @@ def cmd_bench(args) -> int:
             "steps": steps,
             "mean_step_ns": float(np.mean(per_step_means)),
             "max_step_ns": float(np.max(pooled)),
-            "step_ns_p50": float(p50),
-            "step_ns_p95": float(p95),
-            "step_ns_p99": float(p99),
+            **{f"step_ns_p{q}": float(np.percentile(pooled, q))
+               for q in (50, 95, 99)},
             "total_wall_s": time.perf_counter() - wall0,
         })
     report = {"entries": entries}
-    by_kind = {}
-    for en in entries:
-        by_kind.setdefault(en["controller"], []).append(en["mean_step_ns"])
-    if "empc" in by_kind and "nmpc" in by_kind:
-        report["nmpc_over_empc_step_ratio"] = (
-            float(np.mean(by_kind["nmpc"]))
-            / float(np.mean(by_kind["empc"])))
-    os.makedirs(args.out_dir, exist_ok=True)
-    _atomic_write(os.path.join(args.out_dir, "bench_report.json"),
-                  json.dumps(report, indent=1).encode())
-    print(json.dumps(report, indent=1))
+    means = {c: [e["mean_step_ns"] for e in entries if e["controller"] == c]
+             for c in ("empc", "nmpc")}
+    if all(means.values()):
+        report["nmpc_over_empc_step_ratio"] = (float(np.mean(means["nmpc"]))
+                                               / float(np.mean(means["empc"])))
+    _write_report(args.out_dir, "bench_report.json", report)
     return EXIT_OK
 
 
 def cmd_export_table(args) -> int:
+    if args.round_decimals is not None:
+        _typed(args.round_decimals, "--round-decimals", *_DECIMALS)
     sol = rounded(_load(args.table, "region table"), args.round_decimals)
     fmt = args.format or ("bin" if args.out.endswith(".bin") else "json")
     export_table(sol, args.out, fmt=fmt)
@@ -257,9 +303,9 @@ def cmd_export_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.samples < 1:
-        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
-    doc = _load(args.config, "synthesis config", _SYNTH_KEYS)
+    _typed(args.samples, "--samples", int, 1)
+    _typed(args.tol, "--tol", float)
+    doc = _load(args.config, "synthesis config", _SYNTH_KINDS)
     _, _, table, cfg, problems = _synthesis_objects(doc)
     box = _theta_box(doc)
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
@@ -298,56 +344,42 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="empcharge")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p_syn = sub.add_parser("synthesize", help="offline region synthesis")
-    p_syn.add_argument("--config", required=True)
-    p_syn.add_argument("--out-dir", default="out")
-    p_syn.add_argument("--seed", type=int, default=None)
-
-    p_run = sub.add_parser("run", help="closed-loop scenario run")
-    p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out-dir", default="out")
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--controller", choices=CONTROLLERS, default=None)
-    p_run.add_argument("--feedback", choices=FEEDBACKS, default=None)
-
-    p_bench = sub.add_parser("bench", help="repeated timing runs")
-    p_bench.add_argument("--config", required=True)
-    p_bench.add_argument("--out-dir", default="out")
-    p_bench.add_argument("--seed", type=int, default=None)
-    p_bench.add_argument("--controller", choices=CONTROLLERS, default=None)
-    p_bench.add_argument("--feedback", choices=FEEDBACKS, default=None)
-    p_bench.add_argument("--repeats", type=int, default=None)
-
-    p_exp = sub.add_parser("export-table", help="re-export a region table")
-    p_exp.add_argument("table")
-    p_exp.add_argument("--out", required=True)
-    p_exp.add_argument("--format", choices=["json", "bin"], default=None)
-    p_exp.add_argument("--round-decimals", type=int, default=None)
-
-    p_ver = sub.add_parser("verify",
-                           help="check stored tables against the QP solver")
-    p_ver.add_argument("--config", required=True)
-    p_ver.add_argument("--tables", required=True)
-    p_ver.add_argument("--samples", type=int, default=1000)
-    p_ver.add_argument("--tol", type=float, default=1e-6)
-    p_ver.add_argument("--seed", type=int, default=None)
-
-    args = ap.parse_args(argv)
-    handlers = {
-        "synthesize": cmd_synthesize,
-        "run": cmd_run,
-        "bench": cmd_bench,
-        "export-table": cmd_export_table,
-        "verify": cmd_verify,
+    commands = {
+        "synthesize": (cmd_synthesize, "offline region synthesis"),
+        "run": (cmd_run, "closed-loop scenario run"),
+        "bench": (cmd_bench, "repeated timing runs"),
+        "export-table": (cmd_export_table, "re-export a region table"),
+        "verify": (cmd_verify, "check stored tables against the QP solver"),
     }
+    ap = _Parser(prog="empcharge")
+    sub = ap.add_subparsers(dest="command", required=True)
+    p = {name: sub.add_parser(name, help=text)
+         for name, (_, text) in commands.items()}
+    for name in ("synthesize", "run", "bench", "verify"):
+        p[name].add_argument("--config", required=True)
+        p[name].add_argument("--seed", type=int)
+    for name in ("synthesize", "run", "bench"):
+        p[name].add_argument("--out-dir", default="out")
+    for name in ("run", "bench"):
+        p[name].add_argument("--controller", choices=CONTROLLERS)
+        p[name].add_argument("--feedback", choices=FEEDBACKS)
+    p["bench"].add_argument("--repeats", type=int)
+    p["export-table"].add_argument("table")
+    p["export-table"].add_argument("--out", required=True)
+    p["export-table"].add_argument("--format", choices=["json", "bin"])
+    p["export-table"].add_argument("--round-decimals", type=int)
+    p["verify"].add_argument("--tables", required=True)
+    p["verify"].add_argument("--samples", type=int, default=1000)
+    p["verify"].add_argument("--tol", type=float, default=1e-6)
+
     try:
-        return handlers[args.command](args)
+        args = ap.parse_args(argv)
+        if getattr(args, "seed", None) is not None:
+            _typed(args.seed, "--seed", int, 0)
+        return commands[args.command][0](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_SYNTHESIS
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

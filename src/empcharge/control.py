@@ -77,8 +77,8 @@ def default_ekf(x0: np.ndarray) -> EkfState:
     return EkfState(x_hat=np.array(x0, float), P=np.eye(3) * 1e-4)
 
 
-def _predicted_vs(model: DiscreteModel, x: NdcState, du: float) -> float:
-    return float(model.step(x.as_array(), du)[1])
+def _predicted_vs(model: DiscreteModel, x: NdcState, I_next: float) -> float:
+    return float(model.step(x.as_array(), I_next - x.I)[1])
 
 
 def _current(ctrl: ControllerState, x: NdcState, du0: float) -> float:
@@ -90,21 +90,20 @@ def _apply(ctrl: ControllerState, x: NdcState, I_next: float, segment: int,
            region: int | None, fallback: bool, iterations: int = 1,
            ) -> StepResult:
     """Tail of every controller step: record the move in ctrl, report."""
-    du_applied = float(I_next - x.I)
-    ctrl.u_prev = du_applied
+    ctrl.u_prev = du_applied = float(I_next - x.I)
     return StepResult(I_next=I_next, du_applied=du_applied, segment=segment,
                       region=region, fallback=fallback, iterations=iterations)
 
 
 def _finish(move_of_segment, model: DiscreteModel, table: SegmentTable,
-            ctrl: ControllerState, x: NdcState, theta: np.ndarray,
-            ) -> StepResult:
+            ctrl: ControllerState, x: NdcState, r: float) -> StepResult:
     """Shared part of the eMPC/online-QP steps: evaluate the governing
     segment's law, apply the switch guard, saturate, update ctrl."""
+    theta = assemble_theta(x, r, ctrl.u_prev)
     si = select_segment(table, x.Vs)
     du0, region, fallback = move_of_segment(si, theta)
     I_next, seg_used = _current(ctrl, x, du0), si
-    sj = select_segment(table, _predicted_vs(model, x, I_next - x.I))
+    sj = select_segment(table, _predicted_vs(model, x, I_next))
     if sj != si:
         du_b, region_b, fb_b = move_of_segment(sj, theta)
         I_b = _current(ctrl, x, du_b)
@@ -116,8 +115,6 @@ def _finish(move_of_segment, model: DiscreteModel, table: SegmentTable,
 def empc_step(solutions: list[ExplicitSolution], table: SegmentTable,
               model: DiscreteModel, ctrl: ControllerState, x: NdcState,
               r: float) -> StepResult:
-    theta = assemble_theta(x, r, ctrl.u_prev)
-
     def move(si: int, th: np.ndarray):
         idx = locate(solutions[si], th)
         if idx is None:
@@ -125,21 +122,19 @@ def empc_step(solutions: list[ExplicitSolution], table: SegmentTable,
         reg = solutions[si].regions[idx]
         return float(reg.K[0] @ th + reg.g[0]), idx, False
 
-    return _finish(move, model, table, ctrl, x, theta)
+    return _finish(move, model, table, ctrl, x, r)
 
 
 def online_mpc_step(problems: list[MpqpProblem], table: SegmentTable,
                     model: DiscreteModel, ctrl: ControllerState, x: NdcState,
                     r: float) -> StepResult:
-    theta = assemble_theta(x, r, ctrl.u_prev)
-
     def move(si: int, th: np.ndarray):
         sol = solve_qp(problems[si].qp(th))
         if sol.status != "optimal":
             return 0.0, None, True
         return float(sol.z_star[0]), None, False
 
-    return _finish(move, model, table, ctrl, x, theta)
+    return _finish(move, model, table, ctrl, x, r)
 
 
 def nmpc_step(params: NdcParams, model: DiscreteModel, table: SegmentTable,
@@ -152,9 +147,8 @@ def nmpc_step(params: NdcParams, model: DiscreteModel, table: SegmentTable,
         raise ValueError("max_iters must be >= 1")
     theta = assemble_theta(x, r, ctrl.u_prev)
     vs_lin = float(np.clip(x.Vs, 0.0, 1.0))
-    du0, du_last, fallback, iters, z_last = 0.0, None, False, 0, None
-    for it in range(max_iters):
-        iters = it + 1
+    du0, du_last, fallback, z_last = 0.0, None, False, None
+    for iters in range(1, max_iters + 1):
         seg = _segment(params, 0, 0.0, 1.0, vs_lin, table.gamma1)
         sol = solve_qp(build(model, seg, cfg).qp(theta), z0=z_last)
         if sol.status != "optimal":
@@ -165,8 +159,8 @@ def nmpc_step(params: NdcParams, model: DiscreteModel, table: SegmentTable,
         if du_last is not None and abs(du0 - du_last) < 1e-6:
             break
         du_last = du0
-        du_est = _current(ctrl, x, du0) - x.I
-        vs_lin = float(np.clip(_predicted_vs(model, x, du_est), 0.0, 1.0))
+        vs_lin = float(np.clip(_predicted_vs(model, x, _current(ctrl, x, du0)),
+                               0.0, 1.0))
     return _apply(ctrl, x, _current(ctrl, x, du0),
                   select_segment(table, x.Vs), None, fallback, iters)
 
@@ -177,12 +171,12 @@ def ekf_step(params: NdcParams, model: DiscreteModel, ekf: EkfState,
     A = model.A_aug
     x_pred = model.step(ekf.x_hat, du_applied)
     P_pred = A @ ekf.P @ A.T + EKF_Q
-    vb, vs, i = x_pred
+    _, vs, i = x_pred
     H = np.array([0.0,
                   float(mdl.ocv_slope(params, vs))
                   + float(mdl.r0_slope(params, vs)) * i,
                   float(mdl.r0(params, vs))])
-    V_pred = float(mdl.ocv(params, vs)) + float(mdl.r0(params, vs)) * i
+    V_pred = mdl.terminal_voltage(params, NdcState(*x_pred))
     S = float(H @ P_pred @ H) + EKF_R
     K = P_pred @ H / S
     x_new = x_pred + K * (V_measured - V_pred)
@@ -255,9 +249,9 @@ class RunSetup:
 
     def __post_init__(self) -> None:
         if (self.controller not in CONTROLLERS or self.nmpc_max_iters < 1
-                or self.feedback not in FEEDBACKS):
+                or self.feedback not in FEEDBACKS or self.seed < 0):
             raise ValueError(f"need controller in {CONTROLLERS}, feedback in "
-                             f"{FEEDBACKS} and nmpc_max_iters >= 1")
+                             f"{FEEDBACKS}, nmpc_max_iters >= 1 and seed >= 0")
 
 
 def run_closed_loop(setup: RunSetup) -> SimTrace:
@@ -273,16 +267,16 @@ def run_closed_loop(setup: RunSetup) -> SimTrace:
     x = NdcState(Vb=setup.soc_start, Vs=setup.soc_start, I=0.0)
     ctrl = ControllerState()
     ekf = default_ekf(x.as_array()) if setup.feedback == "ekf" else None
-    du_prev = 0.0
     rows: list[TraceRow] = []
     completed = False
     for k in range(setup.step_budget):
-        V_true = mdl.terminal_voltage(p, x)
+        y = mdl.output_vector(p, x, table.gamma1)
         if setup.feedback == "ekf":
-            V_meas = V_true
+            V_meas = y.V
             if setup.noise:
                 V_meas += rng.normal(0.0, np.sqrt(MEAS_VAR))
-            ekf = ekf_step(p, model, ekf, du_prev, V_meas)
+            # ctrl.u_prev is still the move applied on the previous step
+            ekf = ekf_step(p, model, ekf, ctrl.u_prev, V_meas)
             x_ctrl = NdcState(*ekf.x_hat)
         else:
             x_ctrl = x
@@ -300,12 +294,9 @@ def run_closed_loop(setup: RunSetup) -> SimTrace:
                             max_iters=setup.nmpc_max_iters)
         solver_ns = time.perf_counter_ns() - t0
 
-        soc_true = mdl.soc(p, x.Vb, x.Vs)
         rows.append(TraceRow(
-            step=k, time_s=k * model.dt, Vb=float(x.Vb), Vs=float(x.Vs),
-            I=float(x.I), V=float(V_true), SoC=float(soc_true),
-            eta=float(mdl.eta(p, table.gamma1, x.Vb, x.Vs)),
-            segment=res.segment,
+            step=k, time_s=k * model.dt, Vb=float(x.Vb), Vs=y.Vs, I=y.I,
+            V=y.V, SoC=y.soc, eta=y.eta, segment=res.segment,
             region=-1 if res.region is None else res.region,
             du=res.du_applied, solver_time_ns=solver_ns,
             fallback_flag=int(res.fallback)))
@@ -322,5 +313,4 @@ def run_closed_loop(setup: RunSetup) -> SimTrace:
         if setup.noise:
             xv = xv + rng.normal(0.0, np.sqrt(PROCESS_VAR), 3)
         x = NdcState(*xv)
-        du_prev = res.du_applied
     return SimTrace(rows=rows, completed=completed)

@@ -79,10 +79,9 @@ class NdcParams:
         unknown = set(d) - known - alpha_keys
         if unknown:
             raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
-        kwargs = {k: float(v) for k, v in d.items() if k in known}
+        kwargs = {k: v for k, v in d.items() if k in known}
         if any(k in d for k in alpha_keys):
-            kwargs["alpha"] = tuple(float(d.get(f"alpha{i}", 0.0))
-                                    for i in range(6))
+            kwargs["alpha"] = tuple(d.get(f"alpha{i}", 0.0) for i in range(6))
         return cls(**kwargs)
 
 
@@ -105,9 +104,6 @@ class OutputVector:
     I: float
     V: float
     eta: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.soc, self.Vs, self.I, self.V, self.eta])
 
 
 @dataclass(frozen=True)

@@ -149,8 +149,6 @@ def build(model: DiscreteModel, segment: LinearSegment,
             if math.isfinite(lo[row]):
                 spec.append((k, row, -1.0, D[row] - lo[row],
                              f"{_ROW_NAMES[row]}>= @k={k}"))
-    if not spec:
-        raise ValueError("configuration produces no constraint rows")
     ks, rows, sign, W, labels = zip(*spec)
     ks = np.array(ks)
     Cs = np.array(sign)[:, None] * C[list(rows)]    # output rows, signed

@@ -74,9 +74,7 @@ def _feasible_start(G: np.ndarray, w: np.ndarray,
     n = G.shape[1]
     res = linprog(np.zeros(n), A_ub=G, b_ub=w, bounds=[(None, None)] * n,
                   method="highs")
-    if not res.success:
-        return None
-    return res.x
+    return res.x if res.success else None
 
 
 def solve_qp(qp: DenseQp, z0: np.ndarray | None = None) -> QpSolution:
@@ -84,60 +82,48 @@ def solve_qp(qp: DenseQp, z0: np.ndarray | None = None) -> QpSolution:
 
     Rows of G that are (numerically) zero cannot become active: they are
     either trivially satisfied or make the problem infeasible outright.
+    Without other rows the loop starts at, and returns, the unconstrained
+    minimizer.
     """
-    H, f, G, w = qp.H, np.asarray(qp.f, float), qp.G, np.asarray(qp.w, float)
+    H, f, w = qp.H, np.asarray(qp.f, float), np.asarray(qp.w, float)
     n = H.shape[0]
     try:
-        L = np.linalg.cholesky(H)
+        np.linalg.cholesky(H)
     except np.linalg.LinAlgError as exc:
         raise QpError("H is not positive definite") from exc
-    z_free = -np.linalg.solve(H, f)
+    G = np.asarray(qp.G, float).reshape(-1, n)
 
-    m = 0 if G is None else G.shape[0]
-    if m == 0:
-        return QpSolution(z_free, (), np.zeros(0), "optimal")
-    G = np.asarray(G, float).reshape(m, n)
-
-    row_norm = np.linalg.norm(G, axis=1)
-    nonzero = row_norm > ZERO_ROW_TOL
+    nonzero = np.linalg.norm(G, axis=1) > ZERO_ROW_TOL
     if np.any(w[~nonzero] < -FEAS_TOL):
         return QpSolution(None, (), np.zeros(0), "infeasible")
     Gi, wi = G[nonzero], w[nonzero]
     idx_map = np.flatnonzero(nonzero)
 
-    if Gi.shape[0] == 0:
-        return QpSolution(z_free, (), np.zeros(0), "optimal")
-
-    z = _feasible_start(Gi, wi, [z0, z_free, np.zeros(n)])
+    z = _feasible_start(Gi, wi, [z0, -np.linalg.solve(H, f), np.zeros(n)])
     if z is None:
         return QpSolution(None, (), np.zeros(0), "infeasible")
 
     work: list[int] = []
-    for _ in range(200 + 20 * m):
-        grad = H @ z + f
-        if work:
-            A = Gi[work]
-            K = np.block([[H, A.T],
-                          [A, np.zeros((len(work), len(work)))]])
-            rhs = np.concatenate([-grad, np.zeros(len(work))])
-            try:
-                sol = np.linalg.solve(K, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise QpError("singular KKT system") from exc
-            p, lam = sol[:n], sol[n:]
-        else:
-            p, lam = np.linalg.solve(H, -grad), np.zeros(0)
+    for _ in range(200 + 20 * len(G)):
+        # equality-constrained Newton step on the working set
+        A = Gi[work]
+        K = np.zeros((n + len(work),) * 2)
+        K[:n, :n], K[:n, n:], K[n:, :n] = H, A.T, A
+        rhs = np.concatenate([-(H @ z + f), np.zeros(len(work))])
+        try:
+            sol = np.linalg.solve(K, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise QpError("singular KKT system") from exc
+        p, lam = sol[:n], sol[n:]
 
         if np.linalg.norm(p) <= 1e-11:
-            if len(lam) == 0 or lam.min() >= -MULT_TOL:
+            if np.all(lam >= -MULT_TOL):
                 order = np.argsort(work)
                 act = tuple(int(idx_map[work[i]]) for i in order)
-                mult = np.maximum(lam[order], 0.0) if len(lam) else np.zeros(0)
-                return QpSolution(z, act, mult, "optimal")
+                return QpSolution(z, act, np.maximum(lam[order], 0.0),
+                                  "optimal")
             # drop the most negative multiplier, lowest index on ties
-            worst = min(range(len(work)),
-                        key=lambda i: (lam[i], work[i]))
-            work.pop(worst)
+            work.pop(min(range(len(work)), key=lambda i: (lam[i], work[i])))
             continue
 
         # ratio test over constraints not in the working set
@@ -191,12 +177,9 @@ def lp_feasible(G: np.ndarray, w: np.ndarray, tol: float = 1e-9,
     (False, None) otherwise.
     """
     out = chebyshev_center(G, w)
-    if out is None:
+    if out is None or out[1] <= tol:
         return False, None
-    center, radius = out
-    if radius <= tol:
-        return False, None
-    return True, center
+    return True, out[0]
 
 
 def _ray_facets(G: np.ndarray, w: np.ndarray, center: np.ndarray,

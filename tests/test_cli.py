@@ -1,4 +1,8 @@
+import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,7 +10,8 @@ import pytest
 from empcharge.cli import _synthesis_objects, main
 from empcharge.regions import coverage_check, import_table
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 TWO_SEGMENTS = [[0.20, 0.50, 0.39], [0.50, 0.90, 0.90]]
 
 
@@ -335,3 +340,127 @@ def test_bench_rejects_no_repeats(tmp_path, repeats, where):
     assert main(["bench", "--config", cfg,
                  "--out-dir", str(tmp_path / "out")] + flag) == 3
     assert not (tmp_path / "out").exists()
+
+
+def _synth(**values):
+    return {"version": 1, "breakpoints": TWO_SEGMENTS,
+            "coverage_samples": 200, **values}
+
+
+def _scenario(**values):
+    return {"version": 1, "controller": "qp", **values}
+
+
+def _with_literal(doc, key, literal):
+    """doc as JSON text, with key's value spelled as literal."""
+    return json.dumps(doc)[:-1] + f', "{key}": {literal}}}'
+
+
+# command, config (a dict, JSON text, or None for none), extra arguments;
+# every one is an input fault: exit 3, a config error line, nothing written
+BAD_INPUTS = {
+    # config values are read as the JSON types they are, with no casts
+    "stop_at_target_string": ("run", _scenario(stop_at_target="false"), []),
+    "noise_string": ("run", _scenario(noise="no"), []),
+    "step_budget_float": ("run", _scenario(step_budget=3.9), []),
+    "gamma1_string": ("synthesize", _synth(gamma1="-0.04"), []),
+    "params_string": ("synthesize", _synth(params={"Cb": "9913"}), []),
+    "mpc_Nc_eta_true": ("synthesize", _synth(mpc={"Nc_eta": True}), []),
+    "gamma2_NaN": ("synthesize", _with_literal(_synth(), "gamma2", "NaN"),
+                   []),
+    "gamma2_Infinity": ("synthesize",
+                        _with_literal(_synth(), "gamma2", "Infinity"), []),
+    "gamma2_-Infinity": ("synthesize",
+                         _with_literal(_synth(), "gamma2", "-Infinity"), []),
+    "gamma2_overflow": ("synthesize",
+                        _with_literal(_synth(), "gamma2", "1e999"), []),
+    # malformed synthesis inputs
+    "synthesis_list": ("run", _scenario(synthesis=[]), []),
+    "params_list": ("synthesize", _synth(params=[]), []),
+    "theta_box_1x2": ("synthesize", _synth(theta_box=[[0, 1]]), []),
+    "theta_box_lo_above_hi": ("synthesize", _synth(theta_box=[[1, 0]] * 5),
+                              []),
+    "coverage_samples_0": ("synthesize", _synth(coverage_samples=0), []),
+    "coverage_samples_string": ("synthesize",
+                                _synth(coverage_samples="abc"), []),
+    "round_decimals_309": ("synthesize", _synth(round_decimals=309), []),
+    "round_decimals_-1": ("synthesize", _synth(round_decimals=-1), []),
+    "export_round_decimals_309": ("export-table", None,
+                                  ["--round-decimals", "309"]),
+    "export_round_decimals_-1": ("export-table", None,
+                                 ["--round-decimals", "-1"]),
+    "config_seed_-1": ("synthesize", _synth(seed=-1), []),
+    "config_seed_string": ("synthesize", _synth(seed="x"), []),
+    "synthesize_flag_seed_-2": ("synthesize", _synth(), ["--seed", "-2"]),
+    "run_flag_seed_-1": ("run", _scenario(), ["--seed", "-1"]),
+    "scenario_seed_-1": ("run", _scenario(seed=-1), []),
+    "verify_flag_seed_-1": ("verify", _synth(), ["--seed", "-1"]),
+    "verify_tol_nan": ("verify", _synth(), ["--tol", "nan"]),
+    # usage errors
+    "run_flag_seed_abc": ("run", _scenario(), ["--seed", "abc"]),
+    "run_without_config": ("run", None, []),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_exits_3(tmp_path, tables_dir, capsys, case):
+    command, doc, extra = BAD_INPUTS[case]
+    out = tmp_path / "out"
+    argv = [command]
+    if doc is not None:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        argv += ["--config", str(cfg)]
+    if command == "verify":
+        argv += ["--tables", str(tables_dir), "--samples", "5"]
+    elif command == "export-table":
+        argv += [str(tables_dir / "table_seg1.json"), "--out",
+                 str(out / "t.json")]
+    else:
+        argv += ["--out-dir", str(out)]
+    assert main(argv + extra) == 3
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _trace_without_times(path) -> list[dict]:
+    with open(path) as f:
+        rows = list(csv.DictReader(f))
+    for row in rows:
+        del row["solver_time_ns"]
+    return rows
+
+
+def test_in_process_tables_are_rounded_as_synthesized(tmp_path):
+    # run synthesizes its eMPC tables in process exactly as synthesize
+    # writes them, round_decimals included
+    syn = _synth(round_decimals=3)
+    tables = tmp_path / "tables"
+    assert main(["synthesize", "--config", _write(tmp_path / "syn.json", syn),
+                 "--out-dir", str(tables)]) == 0
+    traces = {}
+    for name, extra in (("in_process", {}),
+                        ("loaded", {"tables_dir": str(tables)})):
+        scenario = _write(tmp_path / f"{name}.json", {
+            "version": 1, "name": name, "controller": "empc",
+            "synthesis": syn, **extra})
+        assert main(["run", "--config", scenario,
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        traces[name] = _trace_without_times(
+            tmp_path / "out" / f"{name}_trace.csv")
+    assert traces["in_process"] == traces["loaded"]
+
+
+def test_shell_exit_codes(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "empcharge.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    usage = cli("run", "--config", str(tmp_path / "s.json"), "--seed", "abc")
+    assert usage.returncode == 3
+    assert usage.stderr.startswith("config error:")
+    assert cli("--help").returncode == 0
