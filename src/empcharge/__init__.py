@@ -11,8 +11,7 @@ from .mpqp import MpcConfig, MpqpProblem, assemble_theta, build
 from .regions import (CriticalRegion, ExplicitSolution, coverage_check,
                       explore, export_table, import_table, locate,
                       region_for, rounded)
-from .control import (ControllerState, EkfState, RunSetup, SimTrace,
-                      ekf_step, empc_step, nmpc_step, online_mpc_step,
-                      run_closed_loop)
+from .control import (EkfState, RunSetup, SimTrace, ekf_step, empc_step,
+                      nmpc_step, online_mpc_step, run_closed_loop)
 
 __version__ = "0.1.0"

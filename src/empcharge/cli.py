@@ -66,6 +66,13 @@ def _checked(doc: dict, kinds: dict, ctx: str) -> dict:
         kinds[k], tuple) else (kinds[k],))) for k, v in doc.items()}
 
 
+def _version1(doc, what: str):
+    """doc when it is a version-1 object; ConfigError otherwise."""
+    if not isinstance(doc, dict) or doc.get("version") != 1:
+        raise ConfigError(f"{what}: expected a version-1 object")
+    return doc
+
+
 def _load(path, ctx: str, kinds: dict | None = None):
     """The region table at path (kinds=None), or the version-1 config
     checked against kinds (json reads NaN, Infinity and 1e999, and
@@ -77,9 +84,7 @@ def _load(path, ctx: str, kinds: dict | None = None):
             doc = json.load(f)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read {ctx} {path}: {exc!r}") from exc
-    if not isinstance(doc, dict) or doc.get("version") != 1:
-        raise ConfigError(f"{ctx} {path}: expected a version-1 object")
-    return _checked(doc, kinds, ctx)
+    return _checked(_version1(doc, f"{ctx} {path}"), kinds, ctx)
 
 
 def _write_report(out_dir, name: str, report: dict) -> None:
@@ -207,25 +212,25 @@ def cmd_synthesize(args) -> int:
 
 def _scenario_setup(doc: dict, args) -> RunSetup:
     doc = _checked(doc, _SCENARIO_KINDS, "scenario config")
-    syn = doc.get("synthesis", {"version": 1})
+    syn = _version1(doc.get("synthesis", {"version": 1}),
+                    "scenario config: synthesis")
     params, model, table, cfg, problems = _synthesis_objects(syn)
     run = {k: doc[k] for k in _RUN_FIELDS if k in doc}
     run.update({k: getattr(args, k) for k in ("controller", "feedback", "seed")
                 if getattr(args, k) is not None})
+    solutions = None
+    if run.get("controller", RunSetup.controller) == "empc":
+        if doc.get("tables_dir"):
+            solutions = _load_tables(doc["tables_dir"], table, cfg)
+        else:  # as synthesize builds the tables it writes
+            box = _theta_box(syn)
+            solutions = [rounded(explore(p, theta_box=box),
+                                 syn.get("round_decimals")) for p in problems]
     try:
-        setup = RunSetup(params=params, model=model, table=table, cfg=cfg,
-                         problems=problems, **run)
+        return RunSetup(params=params, model=model, table=table, cfg=cfg,
+                        problems=problems, solutions=solutions, **run)
     except ValueError as exc:
         raise ConfigError(f"scenario config: {exc}") from exc
-    if setup.controller == "empc" and doc.get("tables_dir"):
-        setup.solutions = _load_tables(doc["tables_dir"], table, cfg)
-    elif setup.controller == "empc":
-        # as synthesize builds the tables it writes
-        box = _theta_box(syn)
-        setup.solutions = [rounded(explore(p, theta_box=box),
-                                   syn.get("round_decimals"))
-                           for p in problems]
-    return setup
 
 
 def cmd_run(args) -> int:

@@ -5,7 +5,10 @@ Controller semantics per step, given state x = [Vb, Vs, I], target r and the
 previous move u_prev: pick the segment for x.Vs, evaluate the law at
 theta = [Vb, Vs, I, r, u_prev] to get du0, and apply
 
-    I_next = clip(u_prev + du0 + I, I_MIN, I_MAX).
+    I_next = clip(u_prev + du0 + I, I_MIN, I_MAX),
+
+the first step of the move convention in the mpqp module docstring.  Each
+step returns the move it applied, I_next - I, as the next step's u_prev.
 
 Because the segment law is linearized at a fixed operating point, a step
 whose predicted surface voltage crosses into the next segment can slightly
@@ -29,7 +32,6 @@ from .regions import ExplicitSolution, _atomic_write, locate
 from .segments import SegmentTable, select_segment, _segment
 
 __all__ = [
-    "ControllerState",
     "EkfState",
     "StepResult",
     "TraceRow",
@@ -50,11 +52,6 @@ PROCESS_VAR, MEAS_VAR = 1e-6, 9e-6
 # EKF tuning: the controller drives the current, so the filter's current
 # channel is far below the plant's PROCESS_VAR on purpose
 EKF_Q, EKF_R = np.diag([1e-6, 1e-6, 1e-12]), 9e-6
-
-
-@dataclass
-class ControllerState:
-    u_prev: float = 0.0
 
 
 @dataclass
@@ -81,39 +78,30 @@ def _predicted_vs(model: DiscreteModel, x: NdcState, I_next: float) -> float:
     return float(model.step(x.as_array(), I_next - x.I)[1])
 
 
-def _current(ctrl: ControllerState, x: NdcState, du0: float) -> float:
+def _current(u_prev: float, x: NdcState, du0: float) -> float:
     """Saturated next current for the move du0."""
-    return float(np.clip(ctrl.u_prev + du0 + x.I, I_MIN, I_MAX))
-
-
-def _apply(ctrl: ControllerState, x: NdcState, I_next: float, segment: int,
-           region: int | None, fallback: bool, iterations: int = 1,
-           ) -> StepResult:
-    """Tail of every controller step: record the move in ctrl, report."""
-    ctrl.u_prev = du_applied = float(I_next - x.I)
-    return StepResult(I_next=I_next, du_applied=du_applied, segment=segment,
-                      region=region, fallback=fallback, iterations=iterations)
+    return float(np.clip(u_prev + du0 + x.I, I_MIN, I_MAX))
 
 
 def _finish(move_of_segment, model: DiscreteModel, table: SegmentTable,
-            ctrl: ControllerState, x: NdcState, r: float) -> StepResult:
+            u_prev: float, x: NdcState, r: float) -> StepResult:
     """Shared part of the eMPC/online-QP steps: evaluate the governing
-    segment's law, apply the switch guard, saturate, update ctrl."""
-    theta = assemble_theta(x, r, ctrl.u_prev)
+    segment's law, apply the switch guard, saturate."""
+    theta = assemble_theta(x, r, u_prev)
     si = select_segment(table, x.Vs)
     du0, region, fallback = move_of_segment(si, theta)
-    I_next, seg_used = _current(ctrl, x, du0), si
+    I_next, seg_used = _current(u_prev, x, du0), si
     sj = select_segment(table, _predicted_vs(model, x, I_next))
     if sj != si:
         du_b, region_b, fb_b = move_of_segment(sj, theta)
-        I_b = _current(ctrl, x, du_b)
+        I_b = _current(u_prev, x, du_b)
         if I_b < I_next:
             I_next, region, fallback, seg_used = I_b, region_b, fb_b, sj
-    return _apply(ctrl, x, I_next, seg_used, region, fallback)
+    return StepResult(I_next, float(I_next - x.I), seg_used, region, fallback)
 
 
 def empc_step(solutions: list[ExplicitSolution], table: SegmentTable,
-              model: DiscreteModel, ctrl: ControllerState, x: NdcState,
+              model: DiscreteModel, u_prev: float, x: NdcState,
               r: float) -> StepResult:
     def move(si: int, th: np.ndarray):
         idx = locate(solutions[si], th)
@@ -122,11 +110,11 @@ def empc_step(solutions: list[ExplicitSolution], table: SegmentTable,
         reg = solutions[si].regions[idx]
         return float(reg.K[0] @ th + reg.g[0]), idx, False
 
-    return _finish(move, model, table, ctrl, x, r)
+    return _finish(move, model, table, u_prev, x, r)
 
 
 def online_mpc_step(problems: list[MpqpProblem], table: SegmentTable,
-                    model: DiscreteModel, ctrl: ControllerState, x: NdcState,
+                    model: DiscreteModel, u_prev: float, x: NdcState,
                     r: float) -> StepResult:
     def move(si: int, th: np.ndarray):
         sol = solve_qp(problems[si].qp(th))
@@ -134,18 +122,18 @@ def online_mpc_step(problems: list[MpqpProblem], table: SegmentTable,
             return 0.0, None, True
         return float(sol.z_star[0]), None, False
 
-    return _finish(move, model, table, ctrl, x, r)
+    return _finish(move, model, table, u_prev, x, r)
 
 
 def nmpc_step(params: NdcParams, model: DiscreteModel, table: SegmentTable,
-              cfg: MpcConfig, ctrl: ControllerState, x: NdcState, r: float,
+              cfg: MpcConfig, u_prev: float, x: NdcState, r: float,
               max_iters: int = 10) -> StepResult:
     """Iteratively relinearized MPC: linearize h and R0 at the current
     (then predicted) Vs instead of at fixed table operating points, and
     re-solve, warm-started from the last iterate, until du0 settles."""
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    theta = assemble_theta(x, r, ctrl.u_prev)
+    theta = assemble_theta(x, r, u_prev)
     vs_lin = float(np.clip(x.Vs, 0.0, 1.0))
     du0, du_last, fallback, z_last = 0.0, None, False, None
     for iters in range(1, max_iters + 1):
@@ -159,10 +147,11 @@ def nmpc_step(params: NdcParams, model: DiscreteModel, table: SegmentTable,
         if du_last is not None and abs(du0 - du_last) < 1e-6:
             break
         du_last = du0
-        vs_lin = float(np.clip(_predicted_vs(model, x, _current(ctrl, x, du0)),
-                               0.0, 1.0))
-    return _apply(ctrl, x, _current(ctrl, x, du0),
-                  select_segment(table, x.Vs), None, fallback, iters)
+        vs_lin = float(np.clip(
+            _predicted_vs(model, x, _current(u_prev, x, du0)), 0.0, 1.0))
+    I_next = _current(u_prev, x, du0)
+    return StepResult(I_next, float(I_next - x.I),
+                      select_segment(table, x.Vs), None, fallback, iters)
 
 
 def ekf_step(params: NdcParams, model: DiscreteModel, ekf: EkfState,
@@ -252,20 +241,20 @@ class RunSetup:
                 or self.feedback not in FEEDBACKS or self.seed < 0):
             raise ValueError(f"need controller in {CONTROLLERS}, feedback in "
                              f"{FEEDBACKS}, nmpc_max_iters >= 1 and seed >= 0")
+        if self.controller == "empc" and not self.solutions:
+            raise ValueError("empc controller needs explicit solutions")
+        if self.controller == "qp" and not self.problems:
+            raise ValueError("qp controller needs condensed problems")
 
 
 def run_closed_loop(setup: RunSetup) -> SimTrace:
     """Simulate plant + (optional) observer + controller until the SoC
     target is met or the step budget runs out."""
-    if setup.controller == "empc" and not setup.solutions:
-        raise ValueError("empc controller needs explicit solutions")
-    if setup.controller == "qp" and not setup.problems:
-        raise ValueError("qp controller needs condensed problems")
     p, model, table, cfg = (setup.params, setup.model, setup.table,
                             setup.cfg)
     rng = np.random.default_rng(setup.seed)
     x = NdcState(Vb=setup.soc_start, Vs=setup.soc_start, I=0.0)
-    ctrl = ControllerState()
+    u_prev = 0.0                        # the move applied on the last step
     ekf = default_ekf(x.as_array()) if setup.feedback == "ekf" else None
     rows: list[TraceRow] = []
     completed = False
@@ -275,24 +264,24 @@ def run_closed_loop(setup: RunSetup) -> SimTrace:
             V_meas = y.V
             if setup.noise:
                 V_meas += rng.normal(0.0, np.sqrt(MEAS_VAR))
-            # ctrl.u_prev is still the move applied on the previous step
-            ekf = ekf_step(p, model, ekf, ctrl.u_prev, V_meas)
+            ekf = ekf_step(p, model, ekf, u_prev, V_meas)
             x_ctrl = NdcState(*ekf.x_hat)
         else:
             x_ctrl = x
 
         t0 = time.perf_counter_ns()
         if setup.controller == "empc":
-            res = empc_step(setup.solutions, table, model, ctrl, x_ctrl,
+            res = empc_step(setup.solutions, table, model, u_prev, x_ctrl,
                             setup.soc_target)
         elif setup.controller == "qp":
-            res = online_mpc_step(setup.problems, table, model, ctrl,
+            res = online_mpc_step(setup.problems, table, model, u_prev,
                                   x_ctrl, setup.soc_target)
         else:  # "nmpc": RunSetup admits only CONTROLLERS
-            res = nmpc_step(p, model, table, cfg, ctrl, x_ctrl,
+            res = nmpc_step(p, model, table, cfg, u_prev, x_ctrl,
                             setup.soc_target,
                             max_iters=setup.nmpc_max_iters)
         solver_ns = time.perf_counter_ns() - t0
+        u_prev = res.du_applied
 
         rows.append(TraceRow(
             step=k, time_s=k * model.dt, Vb=float(x.Vb), Vs=y.Vs, I=y.I,

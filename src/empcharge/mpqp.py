@@ -1,8 +1,11 @@
 """Condensing of the per-segment linear MPC problem into parametric form.
 
 The MPC tracks a SoC reference with the move sequence z = [du_0 .. du_{Nu-1}]
-as decision variables, where the plant input at step k is u_prev + du_k
-(du_k = 0 for k >= Nu).  States are eliminated, yielding
+as decision variables.  The plant input at step k is the current increment
+
+    u_k = u_prev + sum_{j<=k} du_j        (du_j = 0 for j >= Nu),
+
+so I_{k+1} = I_k + u_k.  States are eliminated, yielding
 
     min_z 0.5 z' Sigma z + (F theta)' z  (+ 0.5 theta' Y theta)
     s.t.  G z <= S theta + W
@@ -14,13 +17,12 @@ condensed cost can be checked against direct simulation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import GAMMA2, DiscreteModel, NdcState
-from .qp import ZERO_ROW_TOL, DenseQp
+from .qp import DenseQp
 from .segments import LinearSegment
 
 __all__ = ["MpcConfig", "MpqpProblem", "build", "assemble_theta",
@@ -28,15 +30,7 @@ __all__ = ["MpcConfig", "MpqpProblem", "build", "assemble_theta",
 
 THETA_DIM = 5
 
-# output row order: SoC, Vs, I, V, eta
-_ROW_SOC, _ROW_ETA = 0, 4
-_ROW_NAMES = ("soc", "Vs", "I", "V", "eta")
-
 I_MIN, I_MAX = 0.0, 3.0  # charging current limits [A]
-# bounds on [SoC, Vs, I, V]; +-inf disables a row.  eta's bounds are
-# (-inf, gamma2), added by MpcConfig.bounds_with_gamma2
-Y_MIN = (-math.inf, -math.inf, I_MIN, -math.inf)
-Y_MAX = (math.inf, 0.95, I_MAX, 4.2)
 
 
 @dataclass(frozen=True)
@@ -58,14 +52,6 @@ class MpcConfig:
             raise ValueError("constraint horizon exceeds N")
         if self.Q < 0 or self.R <= 0:
             raise ValueError("need Q >= 0 and R > 0")
-
-    def bounds_with_gamma2(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper bounds on [SoC, Vs, I, V, eta]."""
-        return (np.array(Y_MIN + (-math.inf,)),
-                np.array(Y_MAX + (self.gamma2,)))
-
-    def nc_for_row(self, row: int) -> int:
-        return self.Nc_eta if row == _ROW_ETA else self.Nc_other
 
 
 @dataclass(frozen=True)
@@ -125,7 +111,7 @@ def build(model: DiscreteModel, segment: LinearSegment,
     N, Nu = cfg.N, cfg.Nu
     Xx, Xu, Xz = _prediction_maps(model, N, Nu)
     C, D = segment.C_mat, segment.D_vec
-    c_soc = C[_ROW_SOC]
+    c_soc = C[0]
 
     # SoC_k - r = a[k] z + lin[k] theta for k = 0..N-1
     a = c_soc @ Xz[:N]
@@ -137,30 +123,25 @@ def build(model: DiscreteModel, segment: LinearSegment,
     F = cfg.Q * (a.T @ lin)
     Y = cfg.Q * (lin.T @ lin)
 
-    lo, hi = cfg.bounds_with_gamma2()
-    spec = []                           # (k, row, sign, bound, label)
-    for k in range(1, max(cfg.Nc_eta, cfg.Nc_other) + 1):
-        for row in range(5):
-            if k > cfg.nc_for_row(row):
-                continue
-            if math.isfinite(hi[row]):
-                spec.append((k, row, 1.0, hi[row] - D[row],
-                             f"{_ROW_NAMES[row]}<= @k={k}"))
-            if math.isfinite(lo[row]):
-                spec.append((k, row, -1.0, D[row] - lo[row],
-                             f"{_ROW_NAMES[row]}>= @k={k}"))
-    ks, rows, sign, W, labels = zip(*spec)
+    # sign * y_k[row] <= sign * bound for k = 1..last, over the output rows
+    # [SoC, Vs, I, V, eta] of C; stored active sets index the rows in this
+    # order within each k.  W is sign * bound - sign * D: sign * (bound - D)
+    # would store -0.0 for I >= 0 and change the exported tables
+    bounds = ((1, 1.0, 0.95, "Vs<=", cfg.Nc_other),
+              (2, 1.0, I_MAX, "I<=", cfg.Nc_other),
+              (2, -1.0, I_MIN, "I>=", cfg.Nc_other),
+              (3, 1.0, 4.2, "V<=", cfg.Nc_other),
+              (4, 1.0, cfg.gamma2, "eta<=", cfg.Nc_eta))
+    ks, rows, sign, W, labels = zip(*(
+        (k, row, sg, sg * bound - sg * D[row], f"{name} @k={k}")
+        for k in range(1, max(cfg.Nc_eta, cfg.Nc_other) + 1)
+        for row, sg, bound, name, last in bounds if k <= last))
     ks = np.array(ks)
     Cs = np.array(sign)[:, None] * C[list(rows)]    # output rows, signed
     G = np.einsum("ri,rij->rj", Cs, Xz[ks])
-    S = np.zeros((len(spec), THETA_DIM))
+    S = np.zeros((len(ks), THETA_DIM))
     S[:, :3] = -np.einsum("ri,rij->rj", Cs, Xx[ks])
     S[:, 4] = -np.einsum("ri,ri->r", Cs, Xu[ks])
-    vacuous = ((np.linalg.norm(G, axis=1) <= ZERO_ROW_TOL)
-               & (np.linalg.norm(S, axis=1) <= ZERO_ROW_TOL))
-    if vacuous.any():
-        bad = labels[vacuous.argmax()]
-        raise ValueError(f"vacuous constraint row: {bad}")
 
     return MpqpProblem(
         Sigma=Sigma, F=F, Y=Y, G=G, S=S, W=np.array(W),

@@ -292,13 +292,22 @@ def _shapes(p: int, Nu: int) -> tuple[tuple[int, ...], ...]:
     return (p, THETA_DIM), (p,), (Nu, THETA_DIM), (Nu,)
 
 
+def _round(a: np.ndarray, decimals: int) -> np.ndarray:
+    """a rounded to decimals.  An entry whose rounding overflows (|a| times
+    10**decimals past the float range) is kept: a float has no digits that
+    far right of the point, so it is its own rounding."""
+    with np.errstate(over="ignore"):
+        r = np.round(a, decimals)
+    return np.where(np.isfinite(r), r, a)
+
+
 def rounded(solution: ExplicitSolution, decimals: int | None,
             ) -> ExplicitSolution:
     """Copy of a solution with entries rounded to the given decimals and a
     matching locate tolerance; decimals=None returns the input unchanged."""
     if decimals is None:
         return solution
-    regs = [CriticalRegion(**{k: np.round(getattr(r, k), decimals)
+    regs = [CriticalRegion(**{k: _round(getattr(r, k), decimals)
                               for k in _ARRAYS}, active_set=r.active_set)
             for r in solution.regions]
     # worst-case facet shift: |dE . theta| + |de| over the theta box
@@ -355,7 +364,8 @@ def export_table(sol: ExplicitSolution, path, fmt: str = "json") -> None:
 
 def import_table(path) -> ExplicitSolution:
     """The region table at path, in either encoding: OSError when the file
-    cannot be read, ValueError naming the path for any other fault."""
+    cannot be read, ValueError naming the path for any other fault, a
+    non-finite number, a negative count or locate_tol included."""
     with open(path, "rb") as f:
         raw = f.read()
     pos = len(_MAGIC)
@@ -389,15 +399,21 @@ def import_table(path) -> ExplicitSolution:
                 "segment_index", "Nu", "theta_dim", "locate_tol", "theta_box"))
             records = [([r[k] for k in _ARRAYS], r["active_set"])
                        for r in doc["regions"]]
+            n_regions = len(records)
         if tdim != THETA_DIM:
             raise ValueError(f"theta_dim {tdim}, expected {THETA_DIM}")
+        if min(Nu, n_regions) < 0:
+            raise ValueError(f"negative count: Nu {Nu}, {n_regions} regions")
         regions = [CriticalRegion(
             **{k: np.array(a, float).reshape(s) for k, a, s
                in zip(_ARRAYS, arrays, _shapes(len(arrays[1]), Nu))},
             active_set=tuple(int(i) for i in active))
             for arrays, active in records]
-        return ExplicitSolution(regions, int(seg),
-                                np.array(box, float).reshape(THETA_DIM, 2),
-                                int(Nu), float(tol))
+        box, tol = np.array(box, float).reshape(THETA_DIM, 2), float(tol)
+        arrays = [box, *(getattr(r, k) for r in regions for k in _ARRAYS)]
+        if not (0 <= tol < math.inf
+                and all(np.isfinite(a).all() for a in arrays)):
+            raise ValueError("a non-finite number or a negative locate_tol")
+        return ExplicitSolution(regions, int(seg), box, int(Nu), tol)
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed region table: {exc!r}") from exc

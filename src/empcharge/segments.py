@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GAMMA1, GAMMA2, NdcParams, ocv, ocv_slope, r0
+from .model import GAMMA1, GAMMA2, NdcParams, eta, ocv, ocv_slope, r0, soc
 
 __all__ = [
     "LinearSegment",
@@ -93,14 +93,15 @@ def linearize_at(params: NdcParams, vs_op: float,
 def _segment(params: NdcParams, index: int, vs_lo: float, vs_hi: float,
              vs_op: float, gamma1: float) -> LinearSegment:
     lambda1, lambda2, r0c = linearize_at(params, vs_op)
-    ct = params.Cb + params.Cs
+    # SoC and eta are linear in (Vb, Vs): their rows are the model's maps
+    # at the unit vectors
+    unit = ((1.0, 0.0), (0.0, 1.0))
     C = np.array([
-        [params.Cb / (ct * params.Vs_max), params.Cs / (ct * params.Vs_max), 0.0],
+        [soc(params, *v) for v in unit] + [0.0],
         [0.0, 1.0, 0.0],
         [0.0, 0.0, 1.0],
         [0.0, lambda1, r0c],
-        [-(params.Cb + gamma1 * params.Cb + params.Cs) / ct,
-         (ct - gamma1 * params.Cs) / ct, 0.0],
+        [eta(params, gamma1, *v) for v in unit] + [0.0],
     ])
     D = np.array([0.0, 0.0, 0.0, lambda2, 0.0])
     return LinearSegment(index=index, vs_lo=vs_lo, vs_hi=vs_hi, vs_op=vs_op,

@@ -179,6 +179,25 @@ def test_malformed_tables_dir(tmp_path, synth_config, tables_dir):
                  "--out-dir", str(tmp_path / "out")]) == 3
 
 
+def test_run_rejects_non_finite_table(tmp_path, tables_dir, capsys):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    for i in (1, 2):
+        doc = json.loads((tables_dir / f"table_seg{i}.json").read_text())
+        if i == 1:
+            doc["regions"][0]["K"][0][0] = float("nan")
+        (bad / f"table_seg{i}.json").write_text(json.dumps(doc))
+    scenario = _write(tmp_path / "s.json", {
+        "version": 1, "name": "nan", "controller": "empc",
+        "synthesis": {"version": 1, "breakpoints": TWO_SEGMENTS},
+        "tables_dir": str(bad),
+    })
+    assert main(["run", "--config", scenario,
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    assert "table_seg1.json" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_export_table_round_trip(tmp_path, tables_dir):
     src = str(tables_dir / "table_seg1.json")
     out_bin = tmp_path / "t.bin"
@@ -256,18 +275,21 @@ def nu5_tables(tmp_path_factory):
 
 def _bad_tables(tables_dir) -> dict[str, bytes]:
     """Segment 1's table, malformed in one way each: 8 trailing bytes, a
-    header that announces 1 of its regions, a JSON theta_dim of 4."""
+    header that announces 1 of its regions, a JSON theta_dim of 4, a
+    header that announces -1 regions and nothing after the theta box."""
     raw = (tables_dir / "table_seg1.bin").read_bytes()
     assert int.from_bytes(raw[20:24], "little") > 1  # header's n_regions
     doc = json.loads((tables_dir / "table_seg1.json").read_text())
     doc["theta_dim"] = 4
+    minus_one = (-1).to_bytes(4, "little", signed=True)
     return {"trailing.bin": raw + bytes(8),
             "one_region.bin": raw[:20] + (1).to_bytes(4, "little") + raw[24:],
-            "theta_dim4.json": json.dumps(doc).encode()}
+            "theta_dim4.json": json.dumps(doc).encode(),
+            "minus_one_region.bin": raw[:20] + minus_one + raw[24:112]}
 
 
 @pytest.mark.parametrize("name", ["trailing.bin", "one_region.bin",
-                                  "theta_dim4.json"])
+                                  "theta_dim4.json", "minus_one_region.bin"])
 def test_export_rejects_malformed_table(tmp_path, tables_dir, name, capsys):
     bad = tmp_path / name
     bad.write_bytes(_bad_tables(tables_dir)[name])
@@ -376,6 +398,8 @@ BAD_INPUTS = {
                         _with_literal(_synth(), "gamma2", "1e999"), []),
     # malformed synthesis inputs
     "synthesis_list": ("run", _scenario(synthesis=[]), []),
+    "synthesis_version_7": ("run", _scenario(step_budget=3,
+                                             synthesis={"version": 7}), []),
     "params_list": ("synthesize", _synth(params=[]), []),
     "theta_box_1x2": ("synthesize", _synth(theta_box=[[0, 1]]), []),
     "theta_box_lo_above_hi": ("synthesize", _synth(theta_box=[[1, 0]] * 5),

@@ -3,9 +3,8 @@ import pytest
 
 from empcharge import control
 from empcharge import model as mdl
-from empcharge.control import (ControllerState, RunSetup, default_ekf,
-                               ekf_step, empc_step, nmpc_step,
-                               online_mpc_step, run_closed_loop)
+from empcharge.control import (RunSetup, default_ekf, ekf_step, empc_step,
+                               nmpc_step, online_mpc_step, run_closed_loop)
 from empcharge.model import NdcState
 from empcharge.qp import solve_qp
 
@@ -52,23 +51,21 @@ def test_single_step_agreement(params, dmodel, table, cfg, problems,
                                solutions):
     x = NdcState(0.3, 0.32, 2.0)
     r = 0.9
-    ca, cb = ControllerState(u_prev=0.5), ControllerState(u_prev=0.5)
-    ra = empc_step(solutions, table, dmodel, ca, x, r)
-    rb = online_mpc_step(problems, table, dmodel, cb, x, r)
+    ra = empc_step(solutions, table, dmodel, 0.5, x, r)
+    rb = online_mpc_step(problems, table, dmodel, 0.5, x, r)
     assert ra.I_next == pytest.approx(rb.I_next, abs=1e-8)
     assert ra.segment == rb.segment
     assert not ra.fallback and not rb.fallback
 
 
 def test_nmpc_step_converges(params, dmodel, table, cfg):
-    ctrl = ControllerState()
-    res = nmpc_step(params, dmodel, table, cfg, ctrl,
+    res = nmpc_step(params, dmodel, table, cfg, 0.0,
                     NdcState(0.2, 0.2, 0.0), 0.9)
     assert not res.fallback
     assert res.iterations <= 5
     assert 0.0 <= res.I_next <= 3.0
     with pytest.raises(ValueError):
-        nmpc_step(params, dmodel, table, cfg, ctrl,
+        nmpc_step(params, dmodel, table, cfg, 0.0,
                   NdcState(0.2, 0.2, 0.0), 0.9, max_iters=0)
 
 
@@ -169,15 +166,14 @@ def test_trace_csv_format(params, dmodel, table, cfg, problems, solutions,
 
 def test_run_setup_validation(params, dmodel, table, cfg, problems):
     with pytest.raises(ValueError):
-        run_closed_loop(RunSetup(params=params, model=dmodel, table=table,
-                                 cfg=cfg, controller="empc"))
+        RunSetup(params=params, model=dmodel, table=table, cfg=cfg,
+                 controller="empc")
     with pytest.raises(ValueError):
-        run_closed_loop(RunSetup(params=params, model=dmodel, table=table,
-                                 cfg=cfg, controller="qp"))
+        RunSetup(params=params, model=dmodel, table=table, cfg=cfg,
+                 controller="qp")
     with pytest.raises(ValueError):
-        run_closed_loop(RunSetup(params=params, model=dmodel, table=table,
-                                 cfg=cfg, controller="bogus",
-                                 problems=problems))
+        RunSetup(params=params, model=dmodel, table=table, cfg=cfg,
+                 controller="bogus", problems=problems)
 
 
 def test_budget_exhaustion(params, dmodel, table, cfg, problems, solutions):

@@ -13,6 +13,12 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 HORIZONS = ["horizon_N90", "horizon_Nu9", "horizon_Nc_eta9"]
 
 
+def _bounds(cfg):
+    """Reference lower and upper bounds on [SoC, Vs, I, V, eta]."""
+    return (np.array([-np.inf, -np.inf, 0.0, -np.inf, -np.inf]),
+            np.array([np.inf, 0.95, 3.0, 4.2, cfg.gamma2]))
+
+
 def _mpc_block(name):
     doc = json.loads((CONFIGS / f"{name}.json").read_text())
     return MpcConfig(**doc["synthesis"]["mpc"])
@@ -107,7 +113,7 @@ def _check_constraint_oracle(dmodel, seg, cfg, p):
     # G z <= S theta + W holds exactly when the simulated outputs satisfy
     # the bounds at their constraint steps
     rng = np.random.default_rng(6)
-    lo, hi = cfg.bounds_with_gamma2()
+    lo, hi = _bounds(cfg)
     for _ in range(20):
         theta = rng.uniform([0, 0, 0, 0.2, -3], [1, 1, 3, 1, 3])
         z = rng.uniform(-1, 1, cfg.Nu)
@@ -169,6 +175,13 @@ def test_prediction_maps_closed_form(dmodel):
         assert np.allclose(g, w, rtol=0.0, atol=1e-12)
 
 
+def test_default_row_order(problems):
+    # stored active sets index these rows, so their order is part of the
+    # table format
+    assert problems[0].labels == ("Vs<= @k=1", "I<= @k=1", "I>= @k=1",
+                                  "V<= @k=1", "eta<= @k=1", "eta<= @k=2")
+
+
 def test_eta_horizon_deeper_than_others(problems, cfg):
     labels = problems[0].labels
     assert "eta<= @k=2" in labels
@@ -206,7 +219,7 @@ def test_qp_solution_respects_sim_constraints(dmodel, table, cfg, problems):
     # solve the condensed QP at a few parameters and confirm the optimal
     # move sequence keeps the simulated outputs inside bounds
     rng = np.random.default_rng(8)
-    lo, hi = cfg.bounds_with_gamma2()
+    lo, hi = _bounds(cfg)
     p = problems[0]
     seg = table.segments[0]
     done = 0

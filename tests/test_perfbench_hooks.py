@@ -50,15 +50,14 @@ def test_controller_steps_call_hooked_names(monkeypatch, params, dmodel,
             return _real(*args, **kw)
         monkeypatch.setattr(control, attr, counting)
 
-    x, r = NdcState(0.3, 0.32, 2.0), 0.9
-    ctrl = control.ControllerState
+    x, r, u_prev = NdcState(0.3, 0.32, 2.0), 0.9, 0.0
     steps = (
-        (lambda: control.empc_step(solutions, table, dmodel, ctrl(), x, r),
+        (lambda: control.empc_step(solutions, table, dmodel, u_prev, x, r),
          {"locate", "select_segment"}),
-        (lambda: control.online_mpc_step(problems, table, dmodel, ctrl(),
+        (lambda: control.online_mpc_step(problems, table, dmodel, u_prev,
                                          x, r),
          {"solve_qp", "select_segment"}),
-        (lambda: control.nmpc_step(params, dmodel, table, cfg, ctrl(), x, r),
+        (lambda: control.nmpc_step(params, dmodel, table, cfg, u_prev, x, r),
          {"build", "solve_qp", "select_segment"}),
     )
     for step, names in steps:

@@ -191,6 +191,18 @@ def test_rounded_tolerance(solutions):
         assert np.max(np.abs(a.K - b.K)) <= 5e-4 + 1e-15
 
 
+def test_rounded_at_308_decimals_stays_finite():
+    # np.round(x, 308) overflows for |x| > 1.8: such an entry has no digits
+    # 308 places right of the point and is kept as it is
+    big = np.array([[1.9, -123.456, 1e300, 0.5, 0.0]])
+    region = CriticalRegion(E=big, e=np.array([2.5]), K=big,
+                            g=np.array([-7.25]), active_set=())
+    sol = ExplicitSolution([region], 1, DEFAULT_THETA_BOX.copy(), 1)
+    r = rounded(sol, 308).regions[0]
+    for k in "EeKg":
+        assert np.array_equal(getattr(r, k), getattr(region, k))
+
+
 def test_rounded_law_still_close(problems, solutions):
     rng = np.random.default_rng(17)
     for si in (0, 4, 8):

@@ -1,6 +1,7 @@
 """Property tests of the region-table codec: random finite tables survive
 both encodings bit for bit, and any damage to a file is a ValueError."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -30,7 +31,8 @@ def tables(draw, max_regions=4, max_rows=12):
                                            max_size=Nu)))))
     return ExplicitSolution(regions, draw(st.integers(-2**31, 2**31 - 1)),
                             draw(arrays(np.float64, (5, 2), elements=FINITE)),
-                            Nu, locate_tol=draw(FINITE))
+                            Nu, locate_tol=draw(st.floats(
+                                min_value=0.0, allow_infinity=False)))
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +110,33 @@ def test_damaged_json_table_is_a_value_error(work, sol, data, damage):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="t.json"):
         import_table(path)
+
+
+REGION = CriticalRegion(E=np.ones((2, 5)), e=np.ones(2), K=np.ones((1, 5)),
+                        g=np.zeros(1), active_set=(0,))
+
+
+def _table(regions=(REGION,), box=((0.0, 1.0),) * 5, Nu=1, locate_tol=1e-9):
+    return ExplicitSolution(list(regions), 1, np.array(box), Nu, locate_tol)
+
+
+# each a table that export_table writes as it is and import_table refuses
+BAD_TABLES = {
+    "K_nan": _table([dataclasses.replace(REGION, K=np.full((1, 5), np.nan))]),
+    "e_inf": _table([dataclasses.replace(REGION, e=np.array([1.0, np.inf]))]),
+    "theta_box_-inf": _table(box=((0.0, 1.0),) * 4 + ((-np.inf, 1.0),)),
+    "locate_tol_nan": _table(locate_tol=np.nan),
+    "locate_tol_-1": _table(locate_tol=-1.0),
+    "locate_tol_inf": _table(locate_tol=np.inf),
+    "Nu_-2": _table(regions=(), Nu=-2),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "bin"])
+@pytest.mark.parametrize("name", list(BAD_TABLES))
+def test_non_finite_or_negative_table_is_a_value_error(work, name, fmt):
+    path = work / f"t.{fmt}"
+    export_table(BAD_TABLES[name], path, fmt=fmt)
+    with pytest.raises(ValueError, match=f"t.{fmt}"):
+        import_table(path)
+
