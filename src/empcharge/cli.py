@@ -160,17 +160,23 @@ def _table_path(tables_dir, seg, fmt: str = "json") -> str:
     return os.path.join(tables_dir, f"table_seg{seg.index}.{fmt}")
 
 
-def _load_tables(tables_dir, table, cfg) -> list[ExplicitSolution]:
+def _load_tables(tables_dir, table, problems) -> list[ExplicitSolution]:
     """Each segment's JSON table; ConfigError for one that is missing,
-    malformed or built for another segment or Nu."""
+    malformed, built for another segment or Nu, or with an active-set row
+    past the segment problem's constraint rows."""
     sols = []
-    for seg in table.segments:
+    for seg, prob in zip(table.segments, problems):
         path = _table_path(tables_dir, seg)
         sol = _load(path, "region table")
-        if (sol.segment_index, sol.Nu) != (seg.index, cfg.Nu):
+        m, Nu = prob.G.shape
+        if (sol.segment_index, sol.Nu) != (seg.index, Nu):
             raise ConfigError(f"{path}: segment {sol.segment_index}, Nu="
                               f"{sol.Nu}; expected segment {seg.index}, Nu="
-                              f"{cfg.Nu}")
+                              f"{Nu}")
+        rows = [i for r in sol.regions for i in r.active_set if i >= m]
+        if rows:
+            raise ConfigError(f"{path}: active-set row {rows[0]}; the "
+                              f"config has {m} constraint rows")
         sols.append(sol)
     return sols
 
@@ -221,7 +227,7 @@ def _scenario_setup(doc: dict, args) -> RunSetup:
     solutions = None
     if run.get("controller", RunSetup.controller) == "empc":
         if doc.get("tables_dir"):
-            solutions = _load_tables(doc["tables_dir"], table, cfg)
+            solutions = _load_tables(doc["tables_dir"], table, problems)
         else:  # as synthesize builds the tables it writes
             box = _theta_box(syn)
             solutions = [rounded(explore(p, theta_box=box),
@@ -311,12 +317,12 @@ def cmd_verify(args) -> int:
     _typed(args.samples, "--samples", int, 1)
     _typed(args.tol, "--tol", float)
     doc = _load(args.config, "synthesis config", _SYNTH_KINDS)
-    _, _, table, cfg, problems = _synthesis_objects(doc)
+    _, _, table, _, problems = _synthesis_objects(doc)
     box = _theta_box(doc)
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     worst, checked = 0.0, 0
     for seg, prob, sol in zip(table.segments, problems,
-                              _load_tables(args.tables, table, cfg)):
+                              _load_tables(args.tables, table, problems)):
         n_done = draws = 0
         while n_done < args.samples:
             # a theta box that is (almost) all infeasible must not hang

@@ -7,7 +7,12 @@ tie-breaking.  Problems here are tiny (a handful of variables, a few dozen
 rows), so dense factorizations are fine.
 
 LP subproblems (phase-1 feasibility, Chebyshev centers, redundancy removal)
-go through scipy's HiGHS linprog.
+go through scipy's HiGHS linprog.  A call this small costs several times
+more in scipy's input handling than in HiGHS, so redundancy removal stacks
+a polytope's per-row LPs block-diagonally into one call, confirms the rows
+it flags redundant with a second, and falls back to one LP per row, in row
+order, only for what the two leave open; the kept rows are those of the
+row-by-row order (see ``remove_redundant``).
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import block_diag
 
 __all__ = [
     "DenseQp",
@@ -201,6 +207,31 @@ def _ray_facets(G: np.ndarray, w: np.ndarray, center: np.ndarray,
     return (excess > _RAY_MARGIN) & np.all(slack >= 0)
 
 
+def _redundant_rows(G: np.ndarray, w: np.ndarray, rows: list[int],
+                    against: list[int], counts: Counter,
+                    ) -> np.ndarray | None:
+    """Whether each row i in rows is redundant given the rows in against
+    (i itself left out), from one linprog over the block-diagonal stack of
+    their LPs, max G_i z_i subject to those rows and the cap row
+    G_i z_i <= w_i + 1; None when HiGHS does not report success.  Each
+    maximum is G_i z_i, read from its own block of x: res.fun is only
+    their sum."""
+    blocks, b = [], []
+    for i in rows:
+        others = [j for j in against if j != i]
+        blocks.append(np.vstack([G[others], G[i:i + 1]]))
+        b += [w[others], [w[i] + 1.0]]
+    res = linprog(-G[rows].ravel(), A_ub=block_diag(blocks, format="csr"),
+                  b_ub=np.concatenate(b), bounds=(None, None),
+                  method="highs")
+    counts["redundancy_lps"] += len(rows)
+    counts["redundancy_lp_calls"] += 1
+    if not res.success:
+        return None
+    top = np.einsum("kj,kj->k", G[rows], res.x.reshape(len(rows), -1))
+    return top <= w[rows] + _REDUNDANT_TOL
+
+
 def remove_redundant(G: np.ndarray, w: np.ndarray, center: np.ndarray,
                      *, counts: Counter | None = None,
                      ) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -211,16 +242,37 @@ def remove_redundant(G: np.ndarray, w: np.ndarray, center: np.ndarray,
     even for unbounded polyhedra.  Rows that a ray from ``center``, a point
     of the polyhedron such as its Chebyshev center, proves to be facets
     skip that LP; the kept rows are the same.  A center outside the
-    polyhedron certifies nothing.  ``counts``, when given, tallies
-    redundancy_lps and certified_rows.
+    polyhedron certifies nothing.
+
+    The kept rows are those of one LP per row, in row order, each over the
+    rows still kept, dropping a row as soon as it is found redundant.  A
+    linprog call this small spends most of its time in scipy, not in
+    HiGHS, so the LPs are stacked instead:
+
+    1. One stacked solve tests every uncertified row against all other
+       rows.  A row found non-redundant is kept: its row-order LP has a
+       subset of these constraints, so its maximum is no smaller.
+    2. Rows flagged redundant, when there are two or more, are tested again
+       by a second stacked solve against the unflagged rows only.  Each
+       row-order LP has at least those constraints, so a row confirmed
+       here is redundant there too; when all are confirmed, all go.  A lone
+       flagged row saw exactly its row-order LP in step 1.
+    3. What the stacked solves leave open, a flagged row not confirmed
+       (two near-duplicate rows of one facet flag each other) or a solve
+       without success, is settled by the row-order LPs over the flagged
+       rows alone, the unflagged rows being kept either way.
+
+    ``counts``, when given, tallies redundancy_lps (row LPs solved, blocks
+    of a stacked solve included), redundancy_lp_calls (linprog calls),
+    redundancy_sequential_rows (rows settled in step 3) and
+    certified_rows.
     """
     G = np.atleast_2d(np.asarray(G, float))
     w = np.asarray(w, float)
-    m, n = G.shape
     norms = np.linalg.norm(G, axis=1)
     counts = Counter() if counts is None else counts
 
-    kept = [i for i in range(m) if norms[i] > ZERO_ROW_TOL]
+    kept = [i for i in range(G.shape[0]) if norms[i] > ZERO_ROW_TOL]
     # drop exact duplicates (same normalized row, same or looser bound)
     uniq: list[int] = []
     for i in kept:
@@ -231,16 +283,25 @@ def remove_redundant(G: np.ndarray, w: np.ndarray, center: np.ndarray,
     kept = uniq
 
     ray = _ray_facets(G[kept], w[kept], center)
-    facet = {kept[k] for k in np.flatnonzero(ray)}
-    counts["certified_rows"] += len(facet)
+    counts["certified_rows"] += int(ray.sum())
+    open_rows = [i for i, r in zip(kept, ray) if not r]
+    if not open_rows:
+        return G[kept], w[kept], kept
 
-    for i in [i for i in kept if i not in facet]:
-        others = [j for j in kept if j != i]
-        A = np.vstack([G[others], G[i:i + 1]])
-        b = np.concatenate([w[others], [w[i] + 1.0]])
-        res = linprog(-G[i], A_ub=A, b_ub=b,
-                      bounds=[(None, None)] * n, method="highs")
-        counts["redundancy_lps"] += 1
-        if res.success and -res.fun <= w[i] + _REDUNDANT_TOL:
+    flagged = open_rows
+    red = _redundant_rows(G, w, open_rows, kept, counts)
+    if red is not None:
+        flagged = [i for i, r in zip(open_rows, red) if r]
+        rest = [i for i in kept if i not in flagged]
+        if len(flagged) < 2:
+            return G[rest], w[rest], rest
+        red = _redundant_rows(G, w, flagged, rest, counts)
+        if red is not None and red.all():
+            return G[rest], w[rest], rest
+
+    counts["redundancy_sequential_rows"] += len(flagged)
+    for i in flagged:
+        red = _redundant_rows(G, w, [i], kept, counts)
+        if red is not None and red[0]:
             kept.remove(i)
     return G[kept], w[kept], kept

@@ -207,7 +207,8 @@ def explore(problem: MpqpProblem, theta_box: np.ndarray | None = None,
     system) prune it without an LP; one Chebyshev LP finds its region empty
     or gives the interior point that redundancy removal starts from.
     ``stats`` counts the candidates, split into pruned_rank, empty_interior
-    and the regions, and the chebyshev_lps, redundancy_lps and
+    and the regions, the chebyshev_lps, and remove_redundant's tallies:
+    redundancy_lps, redundancy_lp_calls, redundancy_sequential_rows and
     certified_rows.  ``seed`` is unused and kept for existing callers.
     """
     theta_box = DEFAULT_THETA_BOX if theta_box is None else theta_box
@@ -215,7 +216,8 @@ def explore(problem: MpqpProblem, theta_box: np.ndarray | None = None,
     rows = np.flatnonzero(
         np.linalg.norm(problem.G, axis=1) > ZERO_ROW_TOL).tolist()
     counts = Counter(candidates=0, pruned_rank=0, empty_interior=0,
-                     chebyshev_lps=0, redundancy_lps=0, certified_rows=0)
+                     chebyshev_lps=0, redundancy_lps=0, redundancy_lp_calls=0,
+                     redundancy_sequential_rows=0, certified_rows=0)
     regions = []
     for size in range(min(Nu, len(rows)) + 1):
         for A in combinations(rows, size):
@@ -362,10 +364,19 @@ def export_table(sol: ExplicitSolution, path, fmt: str = "json") -> None:
     _atomic_write(path, data)
 
 
+def _integer(v):
+    """v when JSON spelled it as an integer: not a float, not a bool."""
+    if type(v) is not int:
+        raise ValueError(f"{v!r} is not an integer")
+    return v
+
+
 def import_table(path) -> ExplicitSolution:
     """The region table at path, in either encoding: OSError when the file
     cannot be read, ValueError naming the path for any other fault, a
-    non-finite number, a negative count or locate_tol included."""
+    non-finite number, a negative count or locate_tol, a count, index or
+    active-set row that JSON does not spell as an integer, and an active
+    set with a repeated or negative row or more than Nu rows included."""
     with open(path, "rb") as f:
         raw = f.read()
     pos = len(_MAGIC)
@@ -395,15 +406,22 @@ def import_table(path) -> ExplicitSolution:
             if not (isinstance(doc, dict) and doc.get("version") == 1
                     and doc.get("format") == "empc-table"):
                 raise ValueError("not a version-1 region table")
-            seg, Nu, tdim, tol, box = (doc[k] for k in (
-                "segment_index", "Nu", "theta_dim", "locate_tol", "theta_box"))
-            records = [([r[k] for k in _ARRAYS], r["active_set"])
+            seg, Nu, tdim = (_integer(doc[k]) for k in (
+                "segment_index", "Nu", "theta_dim"))
+            tol, box = doc["locate_tol"], doc["theta_box"]
+            records = [([r[k] for k in _ARRAYS],
+                        [_integer(i) for i in r["active_set"]])
                        for r in doc["regions"]]
             n_regions = len(records)
         if tdim != THETA_DIM:
             raise ValueError(f"theta_dim {tdim}, expected {THETA_DIM}")
         if min(Nu, n_regions) < 0:
             raise ValueError(f"negative count: Nu {Nu}, {n_regions} regions")
+        for _, active in records:
+            if (len(set(active)) < len(active) or len(active) > Nu
+                    or min(active, default=0) < 0):
+                raise ValueError(f"active set {list(active)}: rows must be "
+                                 f"distinct, >= 0 and at most Nu={Nu}")
         regions = [CriticalRegion(
             **{k: np.array(a, float).reshape(s) for k, a, s
                in zip(_ARRAYS, arrays, _shapes(len(arrays[1]), Nu))},
@@ -414,6 +432,6 @@ def import_table(path) -> ExplicitSolution:
         if not (0 <= tol < math.inf
                 and all(np.isfinite(a).all() for a in arrays)):
             raise ValueError("a non-finite number or a negative locate_tol")
-        return ExplicitSolution(regions, int(seg), box, int(Nu), tol)
+        return ExplicitSolution(regions, seg, box, Nu, tol)
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed region table: {exc!r}") from exc

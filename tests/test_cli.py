@@ -54,6 +54,8 @@ def test_synthesize_outputs(tables_dir):
                                      + seg["n_regions"])
         assert seg["chebyshev_lps"] == seg["candidates"] - seg["pruned_rank"]
         assert seg["redundancy_lps"] >= 0 and seg["certified_rows"] > 0
+        assert seg["redundancy_lp_calls"] <= seg["redundancy_lps"]
+        assert seg["redundancy_sequential_rows"] >= 0
         assert seg["wall_s"] > 0
     assert report["total_stored_reals"] > 0
 
@@ -273,23 +275,38 @@ def nu5_tables(tmp_path_factory):
     return d
 
 
+def _json_table(tables_dir, **changes) -> bytes:
+    """Segment 1's JSON table with top-level keys, or region 0's when a
+    key starts with region0_, replaced."""
+    doc = json.loads((tables_dir / "table_seg1.json").read_text())
+    for key, value in changes.items():
+        where = doc["regions"][0] if key.startswith("region0_") else doc
+        where[key.removeprefix("region0_")] = value
+    return json.dumps(doc).encode()
+
+
 def _bad_tables(tables_dir) -> dict[str, bytes]:
     """Segment 1's table, malformed in one way each: 8 trailing bytes, a
     header that announces 1 of its regions, a JSON theta_dim of 4, a
-    header that announces -1 regions and nothing after the theta box."""
+    header that announces -1 regions and nothing after the theta box, a
+    fractional segment index, and a fractional and a negative active-set
+    row."""
     raw = (tables_dir / "table_seg1.bin").read_bytes()
     assert int.from_bytes(raw[20:24], "little") > 1  # header's n_regions
-    doc = json.loads((tables_dir / "table_seg1.json").read_text())
-    doc["theta_dim"] = 4
     minus_one = (-1).to_bytes(4, "little", signed=True)
     return {"trailing.bin": raw + bytes(8),
             "one_region.bin": raw[:20] + (1).to_bytes(4, "little") + raw[24:],
-            "theta_dim4.json": json.dumps(doc).encode(),
-            "minus_one_region.bin": raw[:20] + minus_one + raw[24:112]}
+            "theta_dim4.json": _json_table(tables_dir, theta_dim=4),
+            "minus_one_region.bin": raw[:20] + minus_one + raw[24:112],
+            "segment_1.9.json": _json_table(tables_dir, segment_index=1.9),
+            "active_set_0.7_-3.json": _json_table(
+                tables_dir, region0_active_set=[0.7, -3])}
 
 
 @pytest.mark.parametrize("name", ["trailing.bin", "one_region.bin",
-                                  "theta_dim4.json", "minus_one_region.bin"])
+                                  "theta_dim4.json", "minus_one_region.bin",
+                                  "segment_1.9.json",
+                                  "active_set_0.7_-3.json"])
 def test_export_rejects_malformed_table(tmp_path, tables_dir, name, capsys):
     bad = tmp_path / name
     bad.write_bytes(_bad_tables(tables_dir)[name])
@@ -310,6 +327,31 @@ def test_tables_for_another_nu(tmp_path, synth_config, nu5_tables, capsys):
     assert main(["verify", "--config", synth_config,
                  "--tables", str(nu5_tables), "--samples", "5"]) == 3
     assert "Nu=5; expected segment 1, Nu=2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_tables_with_a_row_past_the_config(tmp_path, synth_config,
+                                           tables_dir, capsys):
+    """A stored active set may name only rows the config's problem has."""
+    *_, problems = _synthesis_objects(json.loads(
+        Path(synth_config).read_text()))
+    m = len(problems[0].W)
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "table_seg1.json").write_bytes(
+        _json_table(tables_dir, region0_active_set=[m]))
+    (bad / "table_seg2.json").write_bytes(
+        (tables_dir / "table_seg2.json").read_bytes())
+    scenario = _write(tmp_path / "s.json", {
+        "version": 1, "name": "rows", "controller": "empc",
+        "synthesis": {"version": 1, "breakpoints": TWO_SEGMENTS},
+        "tables_dir": str(bad),
+    })
+    assert main(["verify", "--config", synth_config,
+                 "--tables", str(bad), "--samples", "5"]) == 3
+    assert main(["run", "--config", scenario,
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    assert f"active-set row {m}; the config has {m}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

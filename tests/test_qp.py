@@ -1,11 +1,19 @@
+import json
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from empcharge import regions
+from empcharge.cli import _synthesis_objects, _theta_box
 from empcharge.qp import (DenseQp, QpError, chebyshev_center, lp_feasible,
                           remove_redundant, solve_qp)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_unconstrained():
@@ -193,14 +201,17 @@ def _remove_redundant_reference(G, w, tol=1e-9):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3),
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5),
        m=st.integers(1, 8))
 def test_remove_redundant_matches_per_row_lps(seed, n, m):
     """Random bounded polytopes (a box plus random cuts) with duplicated,
     scaled and weakly redundant rows: a row through a box vertex whose
     normal lies in that vertex's normal cone touches the polytope at the
-    vertex only.  The rays start from the Chebyshev center and from
-    another point strictly inside."""
+    vertex only.  A near-duplicate of a facet, its bound shifted by 5e-10,
+    is within the redundancy tolerance of that facet but not a duplicate:
+    the two flag each other, and the row-order LPs settle them.  The rays
+    start from the Chebyshev center and from another point strictly
+    inside."""
     rng = np.random.default_rng(seed)
     G = np.vstack([np.eye(n), -np.eye(n), rng.standard_normal((m, n))])
     w = np.concatenate([np.ones(2 * n), rng.uniform(0.2, 1.5, m)])
@@ -209,6 +220,9 @@ def test_remove_redundant_matches_per_row_lps(seed, n, m):
     dup = rng.integers(0, len(w), 3)
     G = np.vstack([G, weak, G[dup], 2.0 * G[dup[:1]]])
     w = np.concatenate([w, [weak @ vertex], w[dup], 2.0 * w[dup[:1]]])
+    facet = rng.choice(_remove_redundant_reference(G, w))
+    G = np.vstack([G, G[facet]])
+    w = np.append(w, w[facet] + rng.choice([-5e-10, 5e-10]))
     order = rng.permutation(len(w))
     G, w = G[order], w[order]
     center, radius = chebyshev_center(G, w)
@@ -218,3 +232,46 @@ def test_remove_redundant_matches_per_row_lps(seed, n, m):
     for inner in (center, off_center):
         _, _, kept = remove_redundant(G, w, inner)
         assert kept == expect
+
+
+def test_remove_redundant_settles_near_duplicates_row_by_row():
+    """Two rows of one facet of the unit square, the second tighter by
+    5e-10 (a looser copy after it would be dropped as a duplicate): each
+    is redundant given the other, so the stacked solve flags both and the
+    confirmation against the other rows fails.  The row-order LPs over the
+    two flagged rows then drop the first and keep the second, as one LP
+    per row in row order does."""
+    G = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
+                  [0.0, -1.0]])
+    w = np.array([1.0, 1.0 - 5e-10, 1.0, 1.0, 1.0])
+    counts = Counter()
+    _, _, kept = remove_redundant(G, w, np.zeros(2), counts=counts)
+    assert kept == _remove_redundant_reference(G, w) == [1, 2, 3, 4]
+    assert counts == Counter(certified_rows=3, redundancy_lp_calls=4,
+                             redundancy_lps=6, redundancy_sequential_rows=2)
+
+
+def test_remove_redundant_matches_per_row_lps_on_default_regions(
+        monkeypatch):
+    """Every region of the 9 default segments: the rows kept from its
+    unreduced halfspaces are those of one LP per row in row order.  Also
+    pins the explorer's counts that do not depend on which optimal vertex
+    HiGHS returns."""
+    doc = json.loads((CONFIGS / "synthesis_default.json").read_text())
+    *_, problems = _synthesis_objects(doc)
+    calls = []
+
+    def recording(G, w, center, **kw):
+        out = remove_redundant(G, w, center, **kw)
+        calls.append((G, w, out[2]))
+        return out
+
+    monkeypatch.setattr(regions, "remove_redundant", recording)
+    stats = Counter()
+    for problem in problems:
+        stats.update(regions.explore(problem, _theta_box(doc)).stats)
+    assert len(calls) == stats["chebyshev_lps"] - stats["empty_interior"]
+    for G, w, kept in calls:
+        assert kept == _remove_redundant_reference(G, w)
+    assert [stats[k] for k in ("candidates", "pruned_rank", "empty_interior",
+                               "chebyshev_lps")] == [99, 54, 1, 45]

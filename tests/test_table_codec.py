@@ -28,7 +28,7 @@ def tables(draw, max_regions=4, max_rows=12):
             **{k: draw(arrays(np.float64, s, elements=FINITE))
                for k, s in shapes.items()},
             active_set=tuple(draw(st.lists(st.integers(0, 2**31 - 1),
-                                           max_size=Nu)))))
+                                           max_size=Nu, unique=True)))))
     return ExplicitSolution(regions, draw(st.integers(-2**31, 2**31 - 1)),
                             draw(arrays(np.float64, (5, 2), elements=FINITE)),
                             Nu, locate_tol=draw(st.floats(
@@ -97,9 +97,21 @@ def _resize_k(doc, data):
     region["K"] = k[:-1] if data.draw(st.booleans()) else k + [[0.0] * 5]
 
 
+def _non_integer(doc, data):
+    """A count, the segment index or an active-set row spelled as a float
+    or a bool."""
+    spots = [(doc, k) for k in ("segment_index", "Nu", "theta_dim")]
+    spots += [(r["active_set"], i) for r in doc["regions"]
+              for i in range(len(r["active_set"]))]
+    where, key = data.draw(st.sampled_from(spots))
+    where[key] = data.draw(st.sampled_from(
+        [float(where[key]), where[key] + 0.5, True, False]))
+
+
 @SETTINGS
 @given(sol=tables(max_regions=2, max_rows=4), data=st.data(),
-       damage=st.sampled_from([_drop_key, _set_theta_dim, _resize_k]))
+       damage=st.sampled_from([_drop_key, _set_theta_dim, _resize_k,
+                               _non_integer]))
 def test_damaged_json_table_is_a_value_error(work, sol, data, damage):
     path = work / "t.json"
     export_table(sol, path, fmt="json")
@@ -129,6 +141,11 @@ BAD_TABLES = {
     "locate_tol_-1": _table(locate_tol=-1.0),
     "locate_tol_inf": _table(locate_tol=np.inf),
     "Nu_-2": _table(regions=(), Nu=-2),
+    "active_set_-1": _table([dataclasses.replace(REGION, active_set=(-1,))]),
+    "active_set_repeated": _table([dataclasses.replace(
+        REGION, K=np.ones((2, 5)), g=np.zeros(2), active_set=(0, 0))], Nu=2),
+    "active_set_past_Nu": _table([dataclasses.replace(REGION,
+                                                      active_set=(0, 1))]),
 }
 
 
