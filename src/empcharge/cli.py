@@ -324,6 +324,7 @@ def cmd_verify(args) -> int:
     for seg, prob, sol in zip(table.segments, problems,
                               _load_tables(args.tables, table, problems)):
         n_done = draws = 0
+        seg_worst = 0.0
         while n_done < args.samples:
             # a theta box that is (almost) all infeasible must not hang
             if draws == 100 * args.samples:
@@ -344,11 +345,14 @@ def cmd_verify(args) -> int:
                 return EXIT_VERIFY
             r = sol.regions[idx]
             err = float(np.max(np.abs(r.K @ theta + r.g - ref.z_star)))
-            worst = max(worst, err)
+            seg_worst = max(seg_worst, err)
             if err > args.tol:
                 print(f"segment {seg.index}: law mismatch {err:.3e} at "
                       f"theta={theta}", file=sys.stderr)
                 return EXIT_VERIFY
+        print(f"segment {seg.index}: {n_done} points, worst error "
+              f"{seg_worst:.3e}")
+        worst = max(worst, seg_worst)
         checked += n_done
     print(f"verify ok: {checked} points, worst error {worst:.3e}")
     return EXIT_OK

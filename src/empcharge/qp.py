@@ -8,11 +8,13 @@ rows), so dense factorizations are fine.
 
 LP subproblems (phase-1 feasibility, Chebyshev centers, redundancy removal)
 go through scipy's HiGHS linprog.  A call this small costs several times
-more in scipy's input handling than in HiGHS, so redundancy removal stacks
-a polytope's per-row LPs block-diagonally into one call, confirms the rows
-it flags redundant with a second, and falls back to one LP per row, in row
-order, only for what the two leave open; the kept rows are those of the
-row-by-row order (see ``remove_redundant``).
+more in scipy's input handling than in HiGHS, so the LPs of many polytopes
+are stacked block-diagonally into one call: ``chebyshev_centers`` finds
+every polytope's center with one call, and ``remove_redundant_many`` tests
+every open row of every polytope with one call, confirms the rows it flags
+redundant with a second, and falls back to one LP per row, in row order,
+only for what the two leave open; the kept rows are those of the row-by-row
+order.  The one-polytope forms are the one-element calls.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ __all__ = [
     "QpError",
     "solve_qp",
     "lp_feasible",
+    "chebyshev_centers",
     "chebyshev_center",
+    "remove_redundant_many",
     "remove_redundant",
 ]
 
@@ -148,31 +152,58 @@ def solve_qp(qp: DenseQp, z0: np.ndarray | None = None) -> QpSolution:
     raise QpError("active-set iteration limit exceeded")
 
 
+def chebyshev_centers(polys, *, counts: Counter | None = None,
+                      ) -> list[tuple[np.ndarray, float] | None]:
+    """Largest inscribed ball of each polyhedron {z: Gz <= w} in polys, a
+    list of (G, w), from one linprog over the block-diagonal stack of their
+    Chebyshev LPs; None for an empty polyhedron.
+
+    The radius is capped and z is boxed (_CHEBYSHEV_BOX) so each block
+    stays bounded for unbounded polyhedra.  The radius is free below, so
+    every block is feasible and an empty polyhedron cannot make the stack
+    infeasible: its largest radius is negative.  A zero row of G with w < 0
+    shows emptiness without an LP, and a polyhedron with no other rows is
+    all of space, centered at the origin.  ``counts``, when given, tallies
+    chebyshev_lps (polyhedra) and chebyshev_lp_calls (linprog calls).
+    """
+    out: list[tuple[np.ndarray, float] | None] = []
+    blocks, b, solve = [], [], []
+    for G, w in polys:
+        G = np.atleast_2d(np.asarray(G, float))
+        w = np.asarray(w, float)
+        norms = np.linalg.norm(G, axis=1)
+        keep = norms > ZERO_ROW_TOL
+        out.append(None if np.any(w[~keep] < 0)
+                   else (np.zeros(G.shape[1]), _CHEBYSHEV_BOX))
+        if out[-1] is not None and keep.any():
+            blocks.append(np.hstack([G[keep], norms[keep, None]]))
+            b.append(w[keep])
+            solve.append(len(out) - 1)
+    if counts is not None:
+        counts["chebyshev_lps"] += len(out)
+        counts["chebyshev_lp_calls"] += bool(blocks)
+    if not blocks:
+        return out
+    ends = np.cumsum([a.shape[1] for a in blocks])
+    c = np.zeros(ends[-1])
+    c[ends - 1] = -1.0
+    bounds = [(-_CHEBYSHEV_BOX, _CHEBYSHEV_BOX)] * ends[-1]
+    for k in ends:
+        bounds[k - 1] = (None, _CHEBYSHEV_BOX)
+    res = linprog(c, A_ub=block_diag(blocks, format="csr"),
+                  b_ub=np.concatenate(b), bounds=bounds, method="highs")
+    if not res.success:  # every block is feasible and bounded
+        raise QpError(f"stacked Chebyshev LP: {res.message}")
+    for k, x in zip(solve, np.split(res.x, ends[:-1])):
+        out[k] = (x[:-1], float(x[-1])) if x[-1] >= 0 else None
+    return out
+
+
 def chebyshev_center(G: np.ndarray, w: np.ndarray,
                      ) -> tuple[np.ndarray, float] | None:
-    """Largest inscribed ball of {z: Gz <= w}; None when empty.
-
-    The ball radius is capped and z is boxed (_CHEBYSHEV_BOX) so the LP
-    stays bounded for unbounded polyhedra.
-    """
-    G = np.atleast_2d(np.asarray(G, float))
-    w = np.asarray(w, float)
-    m, n = G.shape
-    norms = np.linalg.norm(G, axis=1)
-    keep = norms > ZERO_ROW_TOL
-    if np.any(w[~keep] < 0):
-        return None
-    G, w, norms = G[keep], w[keep], norms[keep]
-    if G.shape[0] == 0:
-        return np.zeros(n), _CHEBYSHEV_BOX
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    A = np.hstack([G, norms[:, None]])
-    bounds = [(-_CHEBYSHEV_BOX, _CHEBYSHEV_BOX)] * n + [(0.0, _CHEBYSHEV_BOX)]
-    res = linprog(c, A_ub=A, b_ub=w, bounds=bounds, method="highs")
-    if not res.success:
-        return None
-    return res.x[:n], float(res.x[n])
+    """Largest inscribed ball of {z: Gz <= w}; None when empty (see
+    chebyshev_centers)."""
+    return chebyshev_centers([(G, w)])[0]
 
 
 def lp_feasible(G: np.ndarray, w: np.ndarray, tol: float = 1e-9,
@@ -207,101 +238,127 @@ def _ray_facets(G: np.ndarray, w: np.ndarray, center: np.ndarray,
     return (excess > _RAY_MARGIN) & np.all(slack >= 0)
 
 
-def _redundant_rows(G: np.ndarray, w: np.ndarray, rows: list[int],
-                    against: list[int], counts: Counter,
-                    ) -> np.ndarray | None:
-    """Whether each row i in rows is redundant given the rows in against
-    (i itself left out), from one linprog over the block-diagonal stack of
-    their LPs, max G_i z_i subject to those rows and the cap row
-    G_i z_i <= w_i + 1; None when HiGHS does not report success.  Each
-    maximum is G_i z_i, read from its own block of x: res.fun is only
-    their sum."""
+def _distinct_rows(G: np.ndarray, w: np.ndarray) -> list[int]:
+    """The nonzero rows of {Gz <= w} in row order, less each row that an
+    earlier kept row duplicates: the same normalized row with the same or a
+    tighter bound."""
+    norms = np.linalg.norm(G, axis=1)
+    rows = np.flatnonzero(norms > ZERO_ROW_TOL)
+    unit, bound = G[rows] / norms[rows, None], w[rows] / norms[rows]
+    # dup[i, j]: row j, when kept, makes row i a duplicate
+    dup = ((np.linalg.norm(unit[:, None] - unit[None], axis=2) < 1e-12)
+           & (bound[None, :] <= bound[:, None] + 1e-12))
+    keep = np.zeros(len(rows), dtype=bool)
+    for i in range(len(rows)):
+        keep[i] = not np.any(dup[i, :i] & keep[:i])
+    return rows[keep].tolist()
+
+
+def _redundant_rows(tests, counts: Counter) -> np.ndarray | None:
+    """For each test (G, w, i, against), whether row i of {Gz <= w} is
+    redundant given the rows in against (i itself left out), from one
+    linprog over the block-diagonal stack of their LPs, max G_i z subject
+    to those rows and the cap row G_i z <= w_i + 1; None when HiGHS does
+    not report success.  Each maximum is G_i z, read from its own block of
+    x: res.fun is only their sum."""
     blocks, b = [], []
-    for i in rows:
+    for G, w, i, against in tests:
         others = [j for j in against if j != i]
         blocks.append(np.vstack([G[others], G[i:i + 1]]))
         b += [w[others], [w[i] + 1.0]]
-    res = linprog(-G[rows].ravel(), A_ub=block_diag(blocks, format="csr"),
+    res = linprog(-np.concatenate([G[i] for G, _, i, _ in tests]),
+                  A_ub=block_diag(blocks, format="csr"),
                   b_ub=np.concatenate(b), bounds=(None, None),
                   method="highs")
-    counts["redundancy_lps"] += len(rows)
+    counts["redundancy_lps"] += len(tests)
     counts["redundancy_lp_calls"] += 1
     if not res.success:
         return None
-    top = np.einsum("kj,kj->k", G[rows], res.x.reshape(len(rows), -1))
-    return top <= w[rows] + _REDUNDANT_TOL
+    ends = np.cumsum([G.shape[1] for G, *_ in tests])
+    return np.array([G[i] @ x <= w[i] + _REDUNDANT_TOL for (G, w, i, _), x
+                     in zip(tests, np.split(res.x, ends[:-1]))])
 
 
-def remove_redundant(G: np.ndarray, w: np.ndarray, center: np.ndarray,
-                     *, counts: Counter | None = None,
-                     ) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Minimal representation of a nonempty polyhedron {Gz <= w}.
+def remove_redundant_many(polys, centers, *, counts: Counter | None = None,
+                          ) -> list[tuple[np.ndarray, np.ndarray, list[int]]]:
+    """Minimal representation of each nonempty polyhedron {Gz <= w} in
+    polys, a list of (G, w), as (G, w, kept rows).
 
     Row i is redundant when max G_i z over the remaining rows stays at or
     below w_i.  The max LP adds the row G_i z <= w_i + 1 so it is bounded
-    even for unbounded polyhedra.  Rows that a ray from ``center``, a point
-    of the polyhedron such as its Chebyshev center, proves to be facets
-    skip that LP; the kept rows are the same.  A center outside the
-    polyhedron certifies nothing.
+    even for unbounded polyhedra.  Rows that a ray from the polyhedron's
+    entry of ``centers``, a point of it such as its Chebyshev center, proves
+    to be facets skip that LP; the kept rows are the same.  A center outside
+    the polyhedron certifies nothing.
 
     The kept rows are those of one LP per row, in row order, each over the
     rows still kept, dropping a row as soon as it is found redundant.  A
     linprog call this small spends most of its time in scipy, not in
-    HiGHS, so the LPs are stacked instead:
+    HiGHS, so the LPs of every polyhedron are stacked instead:
 
     1. One stacked solve tests every uncertified row against all other
-       rows.  A row found non-redundant is kept: its row-order LP has a
-       subset of these constraints, so its maximum is no smaller.
-    2. Rows flagged redundant, when there are two or more, are tested again
-       by a second stacked solve against the unflagged rows only.  Each
-       row-order LP has at least those constraints, so a row confirmed
-       here is redundant there too; when all are confirmed, all go.  A lone
-       flagged row saw exactly its row-order LP in step 1.
-    3. What the stacked solves leave open, a flagged row not confirmed
-       (two near-duplicate rows of one facet flag each other) or a solve
-       without success, is settled by the row-order LPs over the flagged
-       rows alone, the unflagged rows being kept either way.
+       rows of its polyhedron.  A row found non-redundant is kept: its
+       row-order LP has a subset of these constraints, so its maximum is
+       no smaller.
+    2. Rows flagged redundant, in each polyhedron with two or more, are
+       tested again by one second stacked solve against the unflagged rows
+       only.  Each row-order LP has at least those constraints, so a row
+       confirmed here is redundant there too; when all of a polyhedron's
+       are confirmed, all go.  A lone flagged row saw exactly its
+       row-order LP in step 1.
+    3. What the stacked solves leave open in a polyhedron, a flagged row
+       not confirmed (two near-duplicate rows of one facet flag each
+       other) or a solve without success, is settled by the row-order LPs
+       over its flagged rows alone, the unflagged rows being kept either
+       way.
 
     ``counts``, when given, tallies redundancy_lps (row LPs solved, blocks
     of a stacked solve included), redundancy_lp_calls (linprog calls),
     redundancy_sequential_rows (rows settled in step 3) and
     certified_rows.
     """
-    G = np.atleast_2d(np.asarray(G, float))
-    w = np.asarray(w, float)
-    norms = np.linalg.norm(G, axis=1)
     counts = Counter() if counts is None else counts
+    polys = [(np.atleast_2d(np.asarray(G, float)), np.asarray(w, float))
+             for G, w in polys]
+    kept, flagged = [], []
+    for (G, w), center in zip(polys, centers):
+        rows = _distinct_rows(G, w)
+        ray = _ray_facets(G[rows], w[rows], center)
+        counts["certified_rows"] += int(ray.sum())
+        kept.append(rows)
+        flagged.append([i for i, r in zip(rows, ray) if not r])
 
-    kept = [i for i in range(G.shape[0]) if norms[i] > ZERO_ROW_TOL]
-    # drop exact duplicates (same normalized row, same or looser bound)
-    uniq: list[int] = []
-    for i in kept:
-        gi, wi_ = G[i] / norms[i], w[i] / norms[i]
-        if not any(np.linalg.norm(G[j] / norms[j] - gi) < 1e-12
-                   and w[j] / norms[j] <= wi_ + 1e-12 for j in uniq):
-            uniq.append(i)
-    kept = uniq
-
-    ray = _ray_facets(G[kept], w[kept], center)
-    counts["certified_rows"] += int(ray.sum())
-    open_rows = [i for i, r in zip(kept, ray) if not r]
-    if not open_rows:
-        return G[kept], w[kept], kept
-
-    flagged = open_rows
-    red = _redundant_rows(G, w, open_rows, kept, counts)
+    tests = [(k, i) for k, rows in enumerate(flagged) for i in rows]
+    red = _redundant_rows([(*polys[k], i, kept[k]) for k, i in tests],
+                          counts) if tests else None
     if red is not None:
-        flagged = [i for i, r in zip(open_rows, red) if r]
-        rest = [i for i in kept if i not in flagged]
-        if len(flagged) < 2:
-            return G[rest], w[rest], rest
-        red = _redundant_rows(G, w, flagged, rest, counts)
-        if red is not None and red.all():
-            return G[rest], w[rest], rest
+        flagged = [[] for _ in polys]
+        for (k, i), r in zip(tests, red):
+            if r:
+                flagged[k].append(i)
+        rest = [[i for i in rows if i not in out]
+                for rows, out in zip(kept, flagged)]
+        tests = [(k, i) for k, rows in enumerate(flagged) if len(rows) > 1
+                 for i in rows]
+        red = _redundant_rows([(*polys[k], i, rest[k]) for k, i in tests],
+                              counts) if tests else None
+        unsettled = ({k for k, _ in tests} if red is None
+                     else {k for (k, _), r in zip(tests, red) if not r})
+        for k in set(range(len(polys))) - unsettled:
+            kept[k], flagged[k] = rest[k], []
 
-    counts["redundancy_sequential_rows"] += len(flagged)
-    for i in flagged:
-        red = _redundant_rows(G, w, [i], kept, counts)
-        if red is not None and red[0]:
-            kept.remove(i)
-    return G[kept], w[kept], kept
+    for k, rows in enumerate(flagged):
+        counts["redundancy_sequential_rows"] += len(rows)
+        for i in rows:
+            red = _redundant_rows([(*polys[k], i, kept[k])], counts)
+            if red is not None and red[0]:
+                kept[k].remove(i)
+    return [(G[rows], w[rows], rows) for (G, w), rows in zip(polys, kept)]
+
+
+def remove_redundant(G: np.ndarray, w: np.ndarray, center: np.ndarray,
+                     *, counts: Counter | None = None,
+                     ) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Minimal representation of a nonempty polyhedron {Gz <= w}: the
+    one-polyhedron call of remove_redundant_many."""
+    return remove_redundant_many([(G, w)], [center], counts=counts)[0]

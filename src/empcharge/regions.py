@@ -23,8 +23,10 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .mpqp import MpqpProblem, THETA_DIM
-from .qp import (ZERO_ROW_TOL, _CHEBYSHEV_BOX, chebyshev_center, lp_feasible,
-                 remove_redundant, solve_qp)
+from .qp import (ZERO_ROW_TOL, _CHEBYSHEV_BOX, chebyshev_centers,
+                 remove_redundant_many, solve_qp)
+# not called here; perfbench/layers.py wraps these names in this module
+from .qp import chebyshev_center, remove_redundant  # noqa: F401
 
 __all__ = [
     "CriticalRegion",
@@ -144,11 +146,11 @@ def law_for_active_set(problem: MpqpProblem, active_set,
     return K, g, Lam, lam_c
 
 
-def _critical_region(problem: MpqpProblem, active_set: tuple[int, ...],
-                     theta_box: np.ndarray, counts: Counter,
-                     ) -> CriticalRegion | None:
-    """Critical region of an active set, None when it has no interior;
-    DegenerateActiveSet when the active rows are linearly dependent."""
+def _unreduced(problem: MpqpProblem, active_set: tuple[int, ...],
+               theta_box: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Law and unreduced region (K, g, E, e) of an active set, the region
+    being {theta: E theta <= e}; DegenerateActiveSet when the active rows
+    are linearly dependent."""
     K, g, Lam, lam_c = law_for_active_set(problem, active_set)
     # multipliers stay nonnegative, -(Lam theta) <= lam_c, and inactive
     # rows stay satisfied, (G K - S) theta <= W - G g; zero rows of G
@@ -158,13 +160,23 @@ def _critical_region(problem: MpqpProblem, active_set: tuple[int, ...],
     E = np.vstack([-Lam, problem.G[inactive] @ K - problem.S[inactive], Gb])
     e = np.concatenate([lam_c, problem.W[inactive] - problem.G[inactive] @ g,
                         wb])
-    inner = chebyshev_center(E, e)
-    counts["chebyshev_lps"] += 1
-    if inner is None or inner[1] <= _MIN_RADIUS:
-        return None
-    E, e, _ = remove_redundant(E, e, inner[0], counts=counts)
-    return CriticalRegion(E=E, e=e, K=K, g=g, active_set=active_set,
-                          interior=inner[0], radius=inner[1])
+    return K, g, E, e
+
+
+def _critical_regions(laws, counts: Counter) -> list[CriticalRegion]:
+    """The critical regions, in order, of the laws (active set, K, g, E, e)
+    whose region has an interior: one stacked Chebyshev LP over all of
+    them, then one stacked redundancy pass over those kept."""
+    balls = chebyshev_centers([(E, e) for *_, E, e in laws], counts=counts)
+    live = [(law, ball) for law, ball in zip(laws, balls)
+            if ball is not None and ball[1] > _MIN_RADIUS]
+    reduced = remove_redundant_many([law[3:] for law, _ in live],
+                                    [center for _, (center, _) in live],
+                                    counts=counts)
+    return [CriticalRegion(E=E, e=e, K=K, g=g, active_set=A,
+                           interior=center, radius=radius)
+            for ((A, K, g, *_), (center, radius)), (E, e, _)
+            in zip(live, reduced)]
 
 
 def region_for(problem: MpqpProblem, theta0: np.ndarray,
@@ -174,10 +186,12 @@ def region_for(problem: MpqpProblem, theta0: np.ndarray,
     sol = solve_qp(problem.qp(theta0))
     if sol.status != "optimal":
         raise InfeasibleAtTheta0(str(theta0))
-    region = _critical_region(problem, sol.active_set, theta_box, Counter())
-    if region is None:
+    law = (sol.active_set,
+           *_unreduced(problem, sol.active_set, theta_box))
+    regions = _critical_regions([law], Counter())
+    if not regions:
         raise DegenerateActiveSet(f"region around {theta0} has no interior")
-    return region
+    return regions[0]
 
 
 def _facet_center(E: np.ndarray, e: np.ndarray, i: int,
@@ -204,33 +218,36 @@ def explore(problem: MpqpProblem, theta_box: np.ndarray | None = None,
 
     Each set of at most Nu nonzero rows of G is a candidate active set.
     Linearly dependent rows (a singular or ill-conditioned law_for_active_set
-    system) prune it without an LP; one Chebyshev LP finds its region empty
-    or gives the interior point that redundancy removal starts from.
-    ``stats`` counts the candidates, split into pruned_rank, empty_interior
-    and the regions, the chebyshev_lps, and remove_redundant's tallies:
-    redundancy_lps, redundancy_lp_calls, redundancy_sequential_rows and
-    certified_rows.  ``seed`` is unused and kept for existing callers.
+    system) prune it without an LP.  The LPs then run per segment, not per
+    candidate: one stacked Chebyshev LP finds every remaining candidate's
+    region empty or gives the interior point that redundancy removal starts
+    from, and one redundancy pass (``qp.remove_redundant_many``: at most
+    two stacked calls, plus one per row they leave open) reduces every
+    kept region.  ``stats`` counts the candidates, split into pruned_rank,
+    empty_interior and the regions, the chebyshev_lps (one per candidate
+    that passes the rank test) and chebyshev_lp_calls, and the redundancy
+    pass's tallies: redundancy_lps, redundancy_lp_calls,
+    redundancy_sequential_rows and certified_rows.  ``seed`` is unused and
+    kept for existing callers.
     """
     theta_box = DEFAULT_THETA_BOX if theta_box is None else theta_box
     Nu = problem.Sigma.shape[0]
     rows = np.flatnonzero(
         np.linalg.norm(problem.G, axis=1) > ZERO_ROW_TOL).tolist()
     counts = Counter(candidates=0, pruned_rank=0, empty_interior=0,
-                     chebyshev_lps=0, redundancy_lps=0, redundancy_lp_calls=0,
-                     redundancy_sequential_rows=0, certified_rows=0)
-    regions = []
+                     chebyshev_lps=0, chebyshev_lp_calls=0, redundancy_lps=0,
+                     redundancy_lp_calls=0, redundancy_sequential_rows=0,
+                     certified_rows=0)
+    laws = []
     for size in range(min(Nu, len(rows)) + 1):
         for A in combinations(rows, size):
             counts["candidates"] += 1
             try:
-                region = _critical_region(problem, A, theta_box, counts)
+                laws.append((A, *_unreduced(problem, A, theta_box)))
             except DegenerateActiveSet:
                 counts["pruned_rank"] += 1
-                continue
-            if region is None:
-                counts["empty_interior"] += 1
-            else:
-                regions.append(region)
+    regions = _critical_regions(laws, counts)
+    counts["empty_interior"] = len(laws) - len(regions)
     return ExplicitSolution(regions, problem.segment_index, theta_box, Nu,
                             stats=dict(counts))
 
@@ -257,7 +274,9 @@ def coverage_check(solution: ExplicitSolution, problem: MpqpProblem,
 
     Sampling is vectorized over the stacked region halfspaces.  A miss may
     simply be an infeasible parameter: misses that break a theta-only row
-    (a zero row of G) are dropped at once, the rest get an LP test.
+    (a zero row of G) are dropped at once, the rest are feasible when the
+    QP's feasible set there has an interior (Chebyshev radius above
+    1e-12), found for all of them by one stacked LP.
     """
     rng = np.random.default_rng(seed)
     box = solution.theta_box
@@ -270,7 +289,8 @@ def coverage_check(solution: ExplicitSolution, problem: MpqpProblem,
     rhs = thetas[~covered] @ problem.S.T + problem.W
     zero = np.linalg.norm(problem.G, axis=1) <= ZERO_ROW_TOL
     rhs = rhs[np.all(rhs[:, zero] >= 0, axis=1)]
-    n_feas_missed = sum(lp_feasible(problem.G, w, tol=1e-12)[0] for w in rhs)
+    balls = chebyshev_centers([(problem.G, w) for w in rhs])
+    n_feas_missed = sum(b is not None and b[1] > 1e-12 for b in balls)
     total = n_covered + n_feas_missed
     return 1.0 if total == 0 else n_covered / total
 

@@ -53,8 +53,11 @@ def test_synthesize_outputs(tables_dir):
                                      + seg["empty_interior"]
                                      + seg["n_regions"])
         assert seg["chebyshev_lps"] == seg["candidates"] - seg["pruned_rank"]
+        assert seg["chebyshev_lp_calls"] == (seg["chebyshev_lps"] > 0)
         assert seg["redundancy_lps"] >= 0 and seg["certified_rows"] > 0
         assert seg["redundancy_lp_calls"] <= seg["redundancy_lps"]
+        assert seg["redundancy_lp_calls"] <= (
+            2 + seg["redundancy_sequential_rows"])
         assert seg["redundancy_sequential_rows"] >= 0
         assert seg["wall_s"] > 0
     assert report["total_stored_reals"] > 0
@@ -100,10 +103,18 @@ def test_run_empc_from_tables(tmp_path, tables_dir):
     assert rc == 0
 
 
-def test_verify_tables(tmp_path, synth_config, tables_dir):
+def test_verify_tables(tmp_path, synth_config, tables_dir, capsys):
     rc = main(["verify", "--config", synth_config,
                "--tables", str(tables_dir), "--samples", "50"])
     assert rc == 0
+    *per_segment, last = capsys.readouterr().out.splitlines()
+    worst = []
+    for i, line in enumerate(per_segment, start=1):
+        head, err = line.split(", worst error ")
+        assert head == f"segment {i}: 50 points"
+        worst.append(float(err))
+    assert len(worst) == len(TWO_SEGMENTS)
+    assert last == f"verify ok: 100 points, worst error {max(worst):.3e}"
 
 
 def test_verify_gives_up_on_infeasible_box(tmp_path, tables_dir, capsys):

@@ -6,7 +6,9 @@ import inspect
 import pathlib
 from collections import Counter
 
-from empcharge import control, regions
+import scipy.optimize._linprog as scipy_linprog
+
+from empcharge import control, qp, regions
 from empcharge.model import NdcState
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -31,6 +33,29 @@ def test_layers_patch_targets_exist(monkeypatch):
     layers.patch_all(tr)
     assert ("empcharge.qp", "chebyshev_center") in tr.targets
     assert ("empcharge.regions", "remove_redundant") in tr.targets
+
+
+def test_explore_lps_go_through_hooked_linprog(monkeypatch, problems):
+    """Every HiGHS call ``explore`` makes goes through ``qp.linprog``, the
+    name ``layers.py`` wraps, so the traced run counts all of them: at most
+    one Chebyshev call and two stacked redundancy calls per default
+    segment, the default segments needing no row-by-row fallback."""
+    calls = Counter()
+
+    def counting(real, key):
+        def wrapper(*args, **kw):
+            calls[key] += 1
+            return real(*args, **kw)
+        return wrapper
+
+    monkeypatch.setattr(scipy_linprog, "_linprog_highs", counting(
+        scipy_linprog._linprog_highs, "highs"))
+    monkeypatch.setattr(qp, "linprog", counting(qp.linprog, "hooked"))
+    for problem in problems:
+        calls.clear()
+        regions.explore(problem)
+        assert calls["highs"] == calls["hooked"]
+        assert 1 <= calls["hooked"] <= 3
 
 
 def test_explore_accepts_seed():

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from empcharge import regions
+from empcharge import qp, regions
 from empcharge.cli import _synthesis_objects, _theta_box
-from empcharge.qp import (DenseQp, QpError, chebyshev_center, lp_feasible,
-                          remove_redundant, solve_qp)
+from empcharge.qp import (DenseQp, QpError, chebyshev_center,
+                          chebyshev_centers, lp_feasible, remove_redundant,
+                          remove_redundant_many, solve_qp)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -151,6 +152,38 @@ def test_chebyshev_center_empty():
     assert chebyshev_center(G, w) is None
 
 
+def test_chebyshev_centers_match_single_calls(monkeypatch):
+    """One stacked call over an empty polytope, one with a zero row and
+    w < 0, one with no rows, an unbounded one and the unit square gives
+    what one call per polytope gives: None, or the radius within 1e-9."""
+    polys = [
+        (np.array([[1.0], [-1.0]]), np.array([0.0, -1.0])),
+        (np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([-1.0, 1.0])),
+        (np.zeros((0, 2)), np.zeros(0)),
+        (np.array([[1.0, 0.0]]), np.array([1.0])),
+        (np.vstack([np.eye(2), -np.eye(2)]), np.ones(4)),
+    ]
+    singles = [chebyshev_center(G, w) for G, w in polys]
+    calls = []
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return linprog(*args, **kw)
+
+    monkeypatch.setattr(qp, "linprog", counting)
+    counts = Counter()
+    stacked = chebyshev_centers(polys, counts=counts)
+    assert len(calls) == 1
+    assert counts == Counter(chebyshev_lps=5, chebyshev_lp_calls=1)
+    assert [s is None for s in stacked] == [True, True, False, False, False]
+    for (G, w), one, many in zip(polys, singles, stacked):
+        assert (one is None) == (many is None)
+        if many is not None:
+            assert many[1] == pytest.approx(one[1], abs=1e-9)
+            assert np.all(G @ many[0] <= w + 1e-9)
+    assert stacked[4][1] == pytest.approx(1.0, abs=1e-9)
+
+
 def test_lp_feasible():
     G = np.array([[1.0], [-1.0]])
     ok, z = lp_feasible(G, np.array([1.0, 1.0]))
@@ -200,6 +233,23 @@ def _remove_redundant_reference(G, w, tol=1e-9):
     return kept
 
 
+def _random_polytope(rng, n, m):
+    """A box plus m random cuts, with duplicated, scaled and weakly
+    redundant rows and a near-duplicate of one facet, rows shuffled."""
+    G = np.vstack([np.eye(n), -np.eye(n), rng.standard_normal((m, n))])
+    w = np.concatenate([np.ones(2 * n), rng.uniform(0.2, 1.5, m)])
+    vertex = rng.choice([-1.0, 1.0], n)
+    weak = rng.uniform(0.1, 1.0, n) * vertex
+    dup = rng.integers(0, len(w), 3)
+    G = np.vstack([G, weak, G[dup], 2.0 * G[dup[:1]]])
+    w = np.concatenate([w, [weak @ vertex], w[dup], 2.0 * w[dup[:1]]])
+    facet = rng.choice(_remove_redundant_reference(G, w))
+    G = np.vstack([G, G[facet]])
+    w = np.append(w, w[facet] + rng.choice([-5e-10, 5e-10]))
+    order = rng.permutation(len(w))
+    return G[order], w[order]
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5),
        m=st.integers(1, 8))
@@ -213,18 +263,7 @@ def test_remove_redundant_matches_per_row_lps(seed, n, m):
     start from the Chebyshev center and from another point strictly
     inside."""
     rng = np.random.default_rng(seed)
-    G = np.vstack([np.eye(n), -np.eye(n), rng.standard_normal((m, n))])
-    w = np.concatenate([np.ones(2 * n), rng.uniform(0.2, 1.5, m)])
-    vertex = rng.choice([-1.0, 1.0], n)
-    weak = rng.uniform(0.1, 1.0, n) * vertex
-    dup = rng.integers(0, len(w), 3)
-    G = np.vstack([G, weak, G[dup], 2.0 * G[dup[:1]]])
-    w = np.concatenate([w, [weak @ vertex], w[dup], 2.0 * w[dup[:1]]])
-    facet = rng.choice(_remove_redundant_reference(G, w))
-    G = np.vstack([G, G[facet]])
-    w = np.append(w, w[facet] + rng.choice([-5e-10, 5e-10]))
-    order = rng.permutation(len(w))
-    G, w = G[order], w[order]
+    G, w = _random_polytope(rng, n, m)
     center, radius = chebyshev_center(G, w)
     u = rng.standard_normal(n)
     off_center = center + 0.5 * radius * u / np.linalg.norm(u)
@@ -232,6 +271,37 @@ def test_remove_redundant_matches_per_row_lps(seed, n, m):
     for inner in (center, off_center):
         _, _, kept = remove_redundant(G, w, inner)
         assert kept == expect
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 6))
+def test_remove_redundant_many_matches_per_polytope_reference(seed, size):
+    """One batched call over a list of random polytopes of 2 to 5
+    dimensions keeps, in each, the rows of one LP per row in row order.
+    The list also holds two rows of one facet of the unit square 5e-10
+    apart, which only the row-order fallback settles, and the unit square
+    itself, whose rows a ray from its center all certifies."""
+    rng = np.random.default_rng(seed)
+    square = (np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
+    near = (np.vstack([[1.0, 0.0], square[0]]),
+            np.array([1.0, 1.0 - 5e-10, 1.0, 1.0, 1.0]))
+    polys = [_random_polytope(rng, int(rng.integers(2, 6)),
+                              int(rng.integers(1, 9))) for _ in range(size)]
+    polys.insert(int(rng.integers(0, size + 1)), near)
+    polys.append(square)
+    alone = Counter()
+    remove_redundant(*square, np.zeros(2), counts=alone)
+    assert alone == Counter(certified_rows=4)
+    centers = [chebyshev_center(G, w)[0] for G, w in polys]
+    counts = Counter()
+    out = remove_redundant_many(polys, centers, counts=counts)
+    for (G, w), (Gr, wr, kept) in zip(polys, out):
+        assert kept == _remove_redundant_reference(G, w)
+        assert np.array_equal(Gr, G[kept]) and np.array_equal(wr, w[kept])
+    assert out[-1][2] == [0, 1, 2, 3]
+    assert counts["redundancy_sequential_rows"] >= 2
+    assert counts["redundancy_lp_calls"] <= (
+        2 + counts["redundancy_sequential_rows"])
 
 
 def test_remove_redundant_settles_near_duplicates_row_by_row():
@@ -261,12 +331,12 @@ def test_remove_redundant_matches_per_row_lps_on_default_regions(
     *_, problems = _synthesis_objects(doc)
     calls = []
 
-    def recording(G, w, center, **kw):
-        out = remove_redundant(G, w, center, **kw)
-        calls.append((G, w, out[2]))
+    def recording(polys, centers, **kw):
+        out = remove_redundant_many(polys, centers, **kw)
+        calls.extend((G, w, kept) for (G, w), (*_, kept) in zip(polys, out))
         return out
 
-    monkeypatch.setattr(regions, "remove_redundant", recording)
+    monkeypatch.setattr(regions, "remove_redundant_many", recording)
     stats = Counter()
     for problem in problems:
         stats.update(regions.explore(problem, _theta_box(doc)).stats)

@@ -1,12 +1,24 @@
+import json
+from itertools import combinations
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from empcharge.mpqp import MpqpProblem
-from empcharge.qp import DenseQp, solve_qp
+from empcharge import qp
+from empcharge.cli import _synthesis_objects, _theta_box
+from empcharge.mpqp import THETA_DIM, MpqpProblem
+from empcharge.qp import (ZERO_ROW_TOL, DenseQp, chebyshev_center,
+                          lp_feasible, remove_redundant, solve_qp)
 from empcharge.regions import (DEFAULT_THETA_BOX, CriticalRegion,
-                               ExplicitSolution, coverage_check, explore,
-                               export_table, import_table, law_for_active_set,
-                               locate, region_for, rounded)
+                               DegenerateActiveSet,
+                               ExplicitSolution, box_halfspaces,
+                               coverage_check, explore, export_table,
+                               import_table, law_for_active_set, locate,
+                               region_for, rounded)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _toy_problem():
@@ -132,6 +144,90 @@ def test_coverage(problems, solutions):
     for p, sol in zip(problems[:3], solutions[:3]):
         assert coverage_check(sol, p, n_samples=20000) == pytest.approx(
             1.0, abs=1e-6)
+
+
+def _coverage_reference(solution, problem, n_samples, seed):
+    """coverage_check with one lp_feasible call per missed sample."""
+    rng = np.random.default_rng(seed)
+    box = solution.theta_box
+    thetas = rng.uniform(box[:, 0], box[:, 1], size=(n_samples, THETA_DIM))
+    n_covered = n_feas_missed = 0
+    for theta in thetas:
+        if any(np.all(r.E @ theta <= r.e + solution.locate_tol)
+               for r in solution.regions):
+            n_covered += 1
+            continue
+        w = problem.S @ theta + problem.W
+        zero = np.linalg.norm(problem.G, axis=1) <= ZERO_ROW_TOL
+        if np.all(w[zero] >= 0):
+            n_feas_missed += lp_feasible(problem.G, w, tol=1e-12)[0]
+    return n_covered / (n_covered + n_feas_missed)
+
+
+def test_coverage_of_table_with_hole_in_one_lp(monkeypatch, problems,
+                                               solutions):
+    """With one region deleted, the missed feasible theta are found by one
+    stacked LP, and the coverage is that of one LP per missed sample."""
+    p, sol = problems[4], solutions[4]
+    holed = ExplicitSolution(sol.regions[1:], sol.segment_index,
+                             sol.theta_box, sol.Nu, sol.locate_tol)
+    expect = _coverage_reference(holed, p, 2000, seed=1)
+    calls = []
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return linprog(*args, **kw)
+
+    monkeypatch.setattr(qp, "linprog", counting)
+    cov = coverage_check(holed, p, n_samples=2000, seed=1)
+    assert cov == expect < 0.99
+    assert len(calls) == 1
+
+
+def _explore_reference(problem, theta_box):
+    """explore with one Chebyshev LP and one redundancy pass per
+    candidate, as each candidate's region was built before the LPs were
+    stacked per segment."""
+    rows = np.flatnonzero(np.linalg.norm(problem.G, axis=1) > ZERO_ROW_TOL)
+    Nu = problem.Sigma.shape[0]
+    Gb, wb = box_halfspaces(theta_box)
+    regions = []
+    for size in range(min(Nu, len(rows)) + 1):
+        for A in combinations(rows.tolist(), size):
+            try:
+                K, g, Lam, lam_c = law_for_active_set(problem, A)
+            except DegenerateActiveSet:
+                continue
+            inactive = [i for i in range(problem.G.shape[0]) if i not in A]
+            E = np.vstack([-Lam, problem.G[inactive] @ K
+                           - problem.S[inactive], Gb])
+            e = np.concatenate([lam_c, problem.W[inactive]
+                                - problem.G[inactive] @ g, wb])
+            inner = chebyshev_center(E, e)
+            if inner is None or inner[1] <= 1e-9:
+                continue
+            E, e, _ = remove_redundant(E, e, inner[0])
+            regions.append((A, E, e, K, g))
+    return regions
+
+
+@pytest.mark.parametrize("config, n_segments", [
+    ("synthesis_default.json", 9), ("horizon_Nc_eta5.json", 3)])
+def test_explore_matches_per_candidate_reference(config, n_segments):
+    """The per-segment stacked LPs give the tables of one LP per candidate:
+    the same active sets in the same order and the same E/e/K/g bytes."""
+    doc = json.loads((CONFIGS / config).read_text())
+    doc = doc.get("synthesis", doc)
+    *_, problems = _synthesis_objects(doc)
+    box = _theta_box(doc)
+    for problem in problems[:n_segments]:
+        got = [(r.active_set, r.E, r.e, r.K, r.g)
+               for r in explore(problem, box).regions]
+        expect = _explore_reference(problem, box)
+        assert [r[0] for r in got] == [r[0] for r in expect]
+        for a, b in zip(got, expect):
+            assert all(x.tobytes() == y.tobytes()
+                       for x, y in zip(a[1:], b[1:]))
 
 
 def test_export_import_json_bit_exact(tmp_path, solutions):
