@@ -211,7 +211,8 @@ def cmd_synthesize(args) -> int:
     report["wall_time_s"] = time.perf_counter() - t0
     report["total_stored_reals"] = sum(s["stored_reals"]
                                        for s in report["segments"])
-    table.to_json(os.path.join(args.out_dir, "segments.json"))
+    _atomic_write(os.path.join(args.out_dir, "segments.json"),
+                  table.to_json().encode())
     _write_report(args.out_dir, "synthesis_report.json", report)
     return EXIT_OK
 

@@ -6,15 +6,13 @@ steps, and adds/removes constraints with deterministic lowest-index
 tie-breaking.  Problems here are tiny (a handful of variables, a few dozen
 rows), so dense factorizations are fine.
 
-LP subproblems (phase-1 feasibility, Chebyshev centers, redundancy removal)
-go through scipy's HiGHS linprog.  A call this small costs several times
-more in scipy's input handling than in HiGHS, so the LPs of many polytopes
-are stacked block-diagonally into one call: ``chebyshev_centers`` finds
-every polytope's center with one call, and ``remove_redundant_many`` tests
-every open row of every polytope with one call, confirms the rows it flags
-redundant with a second, and falls back to one LP per row, in row order,
-only for what the two leave open; the kept rows are those of the row-by-row
-order.  The one-polytope forms are the one-element calls.
+LP subproblems (phase-1 feasibility, Chebyshev centers) go through scipy's
+HiGHS linprog.  A call this small costs several times more in scipy's input
+handling than in HiGHS, so ``chebyshev_centers`` stacks the Chebyshev LPs
+of many polytopes block-diagonally into one call; ``chebyshev_center`` is
+its one-element call.  Redundancy removal makes no LP: ``remove_redundant``
+reads a polytope's facets from qhull's halfspace intersection (Barber,
+Dobkin & Huhdanpaa, ACM TOMS 1996) around an interior point.
 """
 
 from __future__ import annotations
@@ -25,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import block_diag
+from scipy.spatial import HalfspaceIntersection, QhullError
 
 __all__ = [
     "DenseQp",
@@ -34,16 +33,11 @@ __all__ = [
     "lp_feasible",
     "chebyshev_centers",
     "chebyshev_center",
-    "remove_redundant_many",
     "remove_redundant",
 ]
 
 FEAS_TOL = 1e-8
 MULT_TOL = 1e-9
-# a ray-certified facet overshoots its bound by more than this
-_RAY_MARGIN = 1e-6
-# a row is redundant when its LP optimum stays within this of its bound
-_REDUNDANT_TOL = 1e-9
 # Chebyshev LPs box z and cap the radius so unbounded polyhedra stay bounded
 _CHEBYSHEV_BOX = 1e6
 # rows of G with norms at or below this are zero rows: they never get active
@@ -219,25 +213,6 @@ def lp_feasible(G: np.ndarray, w: np.ndarray, tol: float = 1e-9,
     return True, out[0]
 
 
-def _ray_facets(G: np.ndarray, w: np.ndarray, center: np.ndarray,
-                ) -> np.ndarray:
-    """Rows of {Gz <= w} that a ray proves to be facets: from the feasible
-    point ``center`` along row i's normal, the ray crosses row i first and
-    stays inside every other row until G_i z exceeds w_i by _RAY_MARGIN
-    (or by 1, the cap row of the redundancy LP).  That point is feasible
-    for row i's LP, whose optimum thus clears its tolerance by far."""
-    norms = np.linalg.norm(G, axis=1)
-    slack = w - G @ center
-    # rate[i, j]: growth of G_j z per unit step along row i's unit normal
-    rate = (G / norms[:, None]) @ G.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        reach = np.where(rate > 0, slack / rate, np.inf)
-    np.fill_diagonal(reach, np.inf)
-    excess = np.minimum(norms * reach.min(axis=1, initial=np.inf) - slack,
-                        1.0)
-    return (excess > _RAY_MARGIN) & np.all(slack >= 0)
-
-
 def _distinct_rows(G: np.ndarray, w: np.ndarray) -> list[int]:
     """The nonzero rows of {Gz <= w} in row order, less each row that an
     earlier kept row duplicates: the same normalized row with the same or a
@@ -254,111 +229,33 @@ def _distinct_rows(G: np.ndarray, w: np.ndarray) -> list[int]:
     return rows[keep].tolist()
 
 
-def _redundant_rows(tests, counts: Counter) -> np.ndarray | None:
-    """For each test (G, w, i, against), whether row i of {Gz <= w} is
-    redundant given the rows in against (i itself left out), from one
-    linprog over the block-diagonal stack of their LPs, max G_i z subject
-    to those rows and the cap row G_i z <= w_i + 1; None when HiGHS does
-    not report success.  Each maximum is G_i z, read from its own block of
-    x: res.fun is only their sum."""
-    blocks, b = [], []
-    for G, w, i, against in tests:
-        others = [j for j in against if j != i]
-        blocks.append(np.vstack([G[others], G[i:i + 1]]))
-        b += [w[others], [w[i] + 1.0]]
-    res = linprog(-np.concatenate([G[i] for G, _, i, _ in tests]),
-                  A_ub=block_diag(blocks, format="csr"),
-                  b_ub=np.concatenate(b), bounds=(None, None),
-                  method="highs")
-    counts["redundancy_lps"] += len(tests)
-    counts["redundancy_lp_calls"] += 1
-    if not res.success:
-        return None
-    ends = np.cumsum([G.shape[1] for G, *_ in tests])
-    return np.array([G[i] @ x <= w[i] + _REDUNDANT_TOL for (G, w, i, _), x
-                     in zip(tests, np.split(res.x, ends[:-1]))])
-
-
-def remove_redundant_many(polys, centers, *, counts: Counter | None = None,
-                          ) -> list[tuple[np.ndarray, np.ndarray, list[int]]]:
-    """Minimal representation of each nonempty polyhedron {Gz <= w} in
-    polys, a list of (G, w), as (G, w, kept rows).
-
-    Row i is redundant when max G_i z over the remaining rows stays at or
-    below w_i.  The max LP adds the row G_i z <= w_i + 1 so it is bounded
-    even for unbounded polyhedra.  Rows that a ray from the polyhedron's
-    entry of ``centers``, a point of it such as its Chebyshev center, proves
-    to be facets skip that LP; the kept rows are the same.  A center outside
-    the polyhedron certifies nothing.
-
-    The kept rows are those of one LP per row, in row order, each over the
-    rows still kept, dropping a row as soon as it is found redundant.  A
-    linprog call this small spends most of its time in scipy, not in
-    HiGHS, so the LPs of every polyhedron are stacked instead:
-
-    1. One stacked solve tests every uncertified row against all other
-       rows of its polyhedron.  A row found non-redundant is kept: its
-       row-order LP has a subset of these constraints, so its maximum is
-       no smaller.
-    2. Rows flagged redundant, in each polyhedron with two or more, are
-       tested again by one second stacked solve against the unflagged rows
-       only.  Each row-order LP has at least those constraints, so a row
-       confirmed here is redundant there too; when all of a polyhedron's
-       are confirmed, all go.  A lone flagged row saw exactly its
-       row-order LP in step 1.
-    3. What the stacked solves leave open in a polyhedron, a flagged row
-       not confirmed (two near-duplicate rows of one facet flag each
-       other) or a solve without success, is settled by the row-order LPs
-       over its flagged rows alone, the unflagged rows being kept either
-       way.
-
-    ``counts``, when given, tallies redundancy_lps (row LPs solved, blocks
-    of a stacked solve included), redundancy_lp_calls (linprog calls),
-    redundancy_sequential_rows (rows settled in step 3) and
-    certified_rows.
-    """
-    counts = Counter() if counts is None else counts
-    polys = [(np.atleast_2d(np.asarray(G, float)), np.asarray(w, float))
-             for G, w in polys]
-    kept, flagged = [], []
-    for (G, w), center in zip(polys, centers):
-        rows = _distinct_rows(G, w)
-        ray = _ray_facets(G[rows], w[rows], center)
-        counts["certified_rows"] += int(ray.sum())
-        kept.append(rows)
-        flagged.append([i for i, r in zip(rows, ray) if not r])
-
-    tests = [(k, i) for k, rows in enumerate(flagged) for i in rows]
-    red = _redundant_rows([(*polys[k], i, kept[k]) for k, i in tests],
-                          counts) if tests else None
-    if red is not None:
-        flagged = [[] for _ in polys]
-        for (k, i), r in zip(tests, red):
-            if r:
-                flagged[k].append(i)
-        rest = [[i for i in rows if i not in out]
-                for rows, out in zip(kept, flagged)]
-        tests = [(k, i) for k, rows in enumerate(flagged) if len(rows) > 1
-                 for i in rows]
-        red = _redundant_rows([(*polys[k], i, rest[k]) for k, i in tests],
-                              counts) if tests else None
-        unsettled = ({k for k, _ in tests} if red is None
-                     else {k for (k, _), r in zip(tests, red) if not r})
-        for k in set(range(len(polys))) - unsettled:
-            kept[k], flagged[k] = rest[k], []
-
-    for k, rows in enumerate(flagged):
-        counts["redundancy_sequential_rows"] += len(rows)
-        for i in rows:
-            red = _redundant_rows([(*polys[k], i, kept[k])], counts)
-            if red is not None and red[0]:
-                kept[k].remove(i)
-    return [(G[rows], w[rows], rows) for (G, w), rows in zip(polys, kept)]
-
-
 def remove_redundant(G: np.ndarray, w: np.ndarray, center: np.ndarray,
-                     *, counts: Counter | None = None,
                      ) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Minimal representation of a nonempty polyhedron {Gz <= w}: the
-    one-polyhedron call of remove_redundant_many."""
-    return remove_redundant_many([(G, w)], [center], counts=counts)[0]
+    """Minimal representation of the polytope {Gz <= w} as (G, w, kept
+    rows), the kept rows in row order.
+
+    Preconditions: the polytope is bounded, its dimension is at least 2
+    and ``center`` lies strictly inside it, such as its Chebyshev center.
+    A center on the boundary or outside raises QpError, as does any other
+    fault qhull reports.
+
+    Exact duplicates go first (_distinct_rows: the earliest of equal rows
+    stays, qhull having no rule for them).  Qhull's halfspace intersection
+    around ``center`` then gives the facets of what is left: a row is kept
+    when it is a vertex of the dual hull.  These are the rows that one LP
+    per row keeps, in row order, each row being redundant when its maximum
+    over the rows kept so far stays within 1e-9 of its bound, with one
+    difference: a row that cuts the polytope by less than 1e-9, such as a
+    vertex shaved that thinly, is a facet to qhull and is kept, while that
+    LP's tolerance drops it.
+    """
+    G = np.atleast_2d(np.asarray(G, float))
+    w = np.asarray(w, float)
+    rows = np.array(_distinct_rows(G, w))
+    try:
+        hs = HalfspaceIntersection(np.hstack([G[rows], -w[rows, None]]),
+                                   np.asarray(center, float))
+    except QhullError as exc:
+        raise QpError(f"halfspace intersection: {exc}") from exc
+    kept = sorted(rows[hs.dual_vertices].tolist())
+    return G[kept], w[kept], kept

@@ -24,9 +24,9 @@ from scipy.optimize import linprog
 
 from .mpqp import MpqpProblem, THETA_DIM
 from .qp import (ZERO_ROW_TOL, _CHEBYSHEV_BOX, chebyshev_centers,
-                 remove_redundant_many, solve_qp)
-# not called here; perfbench/layers.py wraps these names in this module
-from .qp import chebyshev_center, remove_redundant  # noqa: F401
+                 remove_redundant, solve_qp)
+# not called here; perfbench/layers.py wraps this name in this module
+from .qp import chebyshev_center  # noqa: F401
 
 __all__ = [
     "CriticalRegion",
@@ -166,17 +166,15 @@ def _unreduced(problem: MpqpProblem, active_set: tuple[int, ...],
 def _critical_regions(laws, counts: Counter) -> list[CriticalRegion]:
     """The critical regions, in order, of the laws (active set, K, g, E, e)
     whose region has an interior: one stacked Chebyshev LP over all of
-    them, then one stacked redundancy pass over those kept."""
+    them, then remove_redundant on each region kept, from its center."""
     balls = chebyshev_centers([(E, e) for *_, E, e in laws], counts=counts)
-    live = [(law, ball) for law, ball in zip(laws, balls)
-            if ball is not None and ball[1] > _MIN_RADIUS]
-    reduced = remove_redundant_many([law[3:] for law, _ in live],
-                                    [center for _, (center, _) in live],
-                                    counts=counts)
-    return [CriticalRegion(E=E, e=e, K=K, g=g, active_set=A,
-                           interior=center, radius=radius)
-            for ((A, K, g, *_), (center, radius)), (E, e, _)
-            in zip(live, reduced)]
+    out = []
+    for (A, K, g, E, e), ball in zip(laws, balls):
+        if ball is not None and ball[1] > _MIN_RADIUS:
+            E, e, _ = remove_redundant(E, e, ball[0])
+            out.append(CriticalRegion(E=E, e=e, K=K, g=g, active_set=A,
+                                      interior=ball[0], radius=ball[1]))
+    return out
 
 
 def region_for(problem: MpqpProblem, theta0: np.ndarray,
@@ -218,26 +216,20 @@ def explore(problem: MpqpProblem, theta_box: np.ndarray | None = None,
 
     Each set of at most Nu nonzero rows of G is a candidate active set.
     Linearly dependent rows (a singular or ill-conditioned law_for_active_set
-    system) prune it without an LP.  The LPs then run per segment, not per
-    candidate: one stacked Chebyshev LP finds every remaining candidate's
-    region empty or gives the interior point that redundancy removal starts
-    from, and one redundancy pass (``qp.remove_redundant_many``: at most
-    two stacked calls, plus one per row they leave open) reduces every
-    kept region.  ``stats`` counts the candidates, split into pruned_rank,
-    empty_interior and the regions, the chebyshev_lps (one per candidate
-    that passes the rank test) and chebyshev_lp_calls, and the redundancy
-    pass's tallies: redundancy_lps, redundancy_lp_calls,
-    redundancy_sequential_rows and certified_rows.  ``seed`` is unused and
-    kept for existing callers.
+    system) prune it without an LP.  One stacked Chebyshev LP per segment,
+    not per candidate, then finds every remaining candidate's region empty
+    or gives a point strictly inside it, and ``remove_redundant`` reduces
+    each kept region from that point without an LP.  ``stats`` counts the
+    candidates, split into pruned_rank, empty_interior and the regions, and
+    the chebyshev_lps (one per candidate that passes the rank test) and
+    chebyshev_lp_calls.  ``seed`` is unused and kept for existing callers.
     """
     theta_box = DEFAULT_THETA_BOX if theta_box is None else theta_box
     Nu = problem.Sigma.shape[0]
     rows = np.flatnonzero(
         np.linalg.norm(problem.G, axis=1) > ZERO_ROW_TOL).tolist()
     counts = Counter(candidates=0, pruned_rank=0, empty_interior=0,
-                     chebyshev_lps=0, chebyshev_lp_calls=0, redundancy_lps=0,
-                     redundancy_lp_calls=0, redundancy_sequential_rows=0,
-                     certified_rows=0)
+                     chebyshev_lps=0, chebyshev_lp_calls=0)
     laws = []
     for size in range(min(Nu, len(rows)) + 1):
         for A in combinations(rows, size):
@@ -268,7 +260,7 @@ def locate(solution: ExplicitSolution, theta: np.ndarray) -> int | None:
 
 
 def coverage_check(solution: ExplicitSolution, problem: MpqpProblem,
-                   n_samples: int = 100_000, seed: int = 1) -> float:
+                   n_samples: int, seed: int) -> float:
     """Fraction of random feasible theta in the box covered by some region,
     within the table's locate_tol.
 

@@ -63,7 +63,9 @@ class SegmentTable:
     def coverage(self) -> tuple[float, float]:
         return (self.segments[0].vs_lo, self.segments[-1].vs_hi)
 
-    def to_json(self, path) -> None:
+    def to_json(self) -> str:
+        """The table's segments.json text: gamma1, gamma2 and each
+        segment's linearization."""
         rows = []
         for s in self.segments:
             rows.append({
@@ -75,9 +77,8 @@ class SegmentTable:
                 "lambda2": s.lambda2,
                 "r0_const": s.r0_const,
             })
-        with open(path, "w") as f:
-            json.dump({"gamma1": self.gamma1, "gamma2": self.gamma2,
-                       "segments": rows}, f, indent=2)
+        return json.dumps({"gamma1": self.gamma1, "gamma2": self.gamma2,
+                           "segments": rows}, indent=2)
 
 
 def linearize_at(params: NdcParams, vs_op: float,

@@ -54,11 +54,6 @@ def test_synthesize_outputs(tables_dir):
                                      + seg["n_regions"])
         assert seg["chebyshev_lps"] == seg["candidates"] - seg["pruned_rank"]
         assert seg["chebyshev_lp_calls"] == (seg["chebyshev_lps"] > 0)
-        assert seg["redundancy_lps"] >= 0 and seg["certified_rows"] > 0
-        assert seg["redundancy_lp_calls"] <= seg["redundancy_lps"]
-        assert seg["redundancy_lp_calls"] <= (
-            2 + seg["redundancy_sequential_rows"])
-        assert seg["redundancy_sequential_rows"] >= 0
         assert seg["wall_s"] > 0
     assert report["total_stored_reals"] > 0
 

@@ -37,9 +37,9 @@ def test_layers_patch_targets_exist(monkeypatch):
 
 def test_explore_lps_go_through_hooked_linprog(monkeypatch, problems):
     """Every HiGHS call ``explore`` makes goes through ``qp.linprog``, the
-    name ``layers.py`` wraps, so the traced run counts all of them: at most
-    one Chebyshev call and two stacked redundancy calls per default
-    segment, the default segments needing no row-by-row fallback."""
+    name ``layers.py`` wraps, so the traced run counts all of them: one
+    stacked Chebyshev call per default segment, redundancy removal making
+    none."""
     calls = Counter()
 
     def counting(real, key):
@@ -55,7 +55,7 @@ def test_explore_lps_go_through_hooked_linprog(monkeypatch, problems):
         calls.clear()
         regions.explore(problem)
         assert calls["highs"] == calls["hooked"]
-        assert 1 <= calls["hooked"] <= 3
+        assert calls["hooked"] == 1
 
 
 def test_explore_accepts_seed():

@@ -12,7 +12,7 @@ from empcharge import qp, regions
 from empcharge.cli import _synthesis_objects, _theta_box
 from empcharge.qp import (DenseQp, QpError, chebyshev_center,
                           chebyshev_centers, lp_feasible, remove_redundant,
-                          remove_redundant_many, solve_qp)
+                          solve_qp)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -259,9 +259,9 @@ def test_remove_redundant_matches_per_row_lps(seed, n, m):
     normal lies in that vertex's normal cone touches the polytope at the
     vertex only.  A near-duplicate of a facet, its bound shifted by 5e-10,
     is within the redundancy tolerance of that facet but not a duplicate:
-    the two flag each other, and the row-order LPs settle them.  The rays
-    start from the Chebyshev center and from another point strictly
-    inside."""
+    the row-order LPs keep the tighter of the two, and so does qhull.  The
+    intersection is taken around the Chebyshev center and around another
+    point strictly inside."""
     rng = np.random.default_rng(seed)
     G, w = _random_polytope(rng, n, m)
     center, radius = chebyshev_center(G, w)
@@ -276,11 +276,11 @@ def test_remove_redundant_matches_per_row_lps(seed, n, m):
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 6))
 def test_remove_redundant_many_matches_per_polytope_reference(seed, size):
-    """One batched call over a list of random polytopes of 2 to 5
-    dimensions keeps, in each, the rows of one LP per row in row order.
-    The list also holds two rows of one facet of the unit square 5e-10
-    apart, which only the row-order fallback settles, and the unit square
-    itself, whose rows a ray from its center all certifies."""
+    """Over a list of random polytopes of 2 to 5 dimensions, each reduced
+    from its Chebyshev center keeps the rows of one LP per row in row
+    order.  The list also holds two rows of one facet of the unit square
+    5e-10 apart, and the unit square itself, all of whose rows are
+    facets."""
     rng = np.random.default_rng(seed)
     square = (np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
     near = (np.vstack([[1.0, 0.0], square[0]]),
@@ -289,59 +289,121 @@ def test_remove_redundant_many_matches_per_polytope_reference(seed, size):
                               int(rng.integers(1, 9))) for _ in range(size)]
     polys.insert(int(rng.integers(0, size + 1)), near)
     polys.append(square)
-    alone = Counter()
-    remove_redundant(*square, np.zeros(2), counts=alone)
-    assert alone == Counter(certified_rows=4)
-    centers = [chebyshev_center(G, w)[0] for G, w in polys]
-    counts = Counter()
-    out = remove_redundant_many(polys, centers, counts=counts)
+    out = [remove_redundant(G, w, chebyshev_center(G, w)[0])
+           for G, w in polys]
     for (G, w), (Gr, wr, kept) in zip(polys, out):
         assert kept == _remove_redundant_reference(G, w)
         assert np.array_equal(Gr, G[kept]) and np.array_equal(wr, w[kept])
     assert out[-1][2] == [0, 1, 2, 3]
-    assert counts["redundancy_sequential_rows"] >= 2
-    assert counts["redundancy_lp_calls"] <= (
-        2 + counts["redundancy_sequential_rows"])
 
 
 def test_remove_redundant_settles_near_duplicates_row_by_row():
     """Two rows of one facet of the unit square, the second tighter by
     5e-10 (a looser copy after it would be dropped as a duplicate): each
-    is redundant given the other, so the stacked solve flags both and the
-    confirmation against the other rows fails.  The row-order LPs over the
-    two flagged rows then drop the first and keep the second, as one LP
-    per row in row order does."""
+    is redundant given the other within the LPs' 1e-9 tolerance, so the
+    row-order LPs drop the first and keep the second.  Qhull keeps the
+    tighter row too: the looser one cuts nothing off."""
     G = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
                   [0.0, -1.0]])
     w = np.array([1.0, 1.0 - 5e-10, 1.0, 1.0, 1.0])
-    counts = Counter()
-    _, _, kept = remove_redundant(G, w, np.zeros(2), counts=counts)
+    _, _, kept = remove_redundant(G, w, np.zeros(2))
     assert kept == _remove_redundant_reference(G, w) == [1, 2, 3, 4]
-    assert counts == Counter(certified_rows=3, redundancy_lp_calls=4,
-                             redundancy_lps=6, redundancy_sequential_rows=2)
+
+
+def _slab(rng, n, radius):
+    """The box [-1, 1]^n cut by m random rows around the origin and by a
+    slab 2 * radius thick through it, rows shuffled."""
+    a = rng.standard_normal(n)
+    a /= np.linalg.norm(a)
+    mid = rng.uniform(-0.3, 0.3)
+    m = int(rng.integers(0, 6))
+    G = np.vstack([np.eye(n), -np.eye(n), rng.standard_normal((m, n)),
+                   a, -a])
+    w = np.concatenate([np.ones(2 * n), rng.uniform(0.5, 1.5, m),
+                        [mid + radius, radius - mid]])
+    order = rng.permutation(len(w))
+    return G[order], w[order]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_remove_redundant_thin_slabs(n):
+    """Slabs down to a Chebyshev radius of about 2e-9, just above the
+    explorer's 1e-9 interior test: qhull, from the Chebyshev center, keeps
+    the rows of one LP per row in row order."""
+    rng = np.random.default_rng(100 + n)
+    for radius in np.geomspace(2e-9, 1e-2, 15):
+        G, w = _slab(rng, n, radius)
+        center, r = chebyshev_center(G, w)
+        assert r > 1e-9
+        assert remove_redundant(G, w, center)[2] == (
+            _remove_redundant_reference(G, w))
+
+
+@pytest.mark.parametrize("center", [[1.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
+def test_remove_redundant_needs_center_strictly_inside(center):
+    """A center on the boundary (a facet, a vertex) or outside."""
+    G = np.vstack([np.eye(2), -np.eye(2)])
+    with pytest.raises(QpError):
+        remove_redundant(G, np.ones(4), np.array(center))
+
+
+def _shaved_box(rng, n, depth):
+    """The box [-1, 1]^n with one vertex cut off to the given depth by a
+    row whose normal lies in that vertex's normal cone; the row comes
+    last."""
+    vertex = rng.choice([-1.0, 1.0], n)
+    a = rng.uniform(0.1, 1.0, n) * vertex
+    a /= np.linalg.norm(a)
+    G = np.vstack([np.eye(n), -np.eye(n), a])
+    return G, np.append(np.ones(2 * n), a @ vertex - depth)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_remove_redundant_shaved_vertex(n):
+    """A vertex shaved by 1e-8 or more is a facet to both qhull and the
+    row-order LPs.  A shave of 5e-10 is a true facet too, and qhull keeps
+    it, but it stays within the LPs' 1e-9 tolerance of its bound, so they
+    drop it: the one case where the two differ."""
+    rng = np.random.default_rng(n)
+    for depth in (1e-2, 1e-5, 1e-8):
+        G, w = _shaved_box(rng, n, depth)
+        kept = remove_redundant(G, w, chebyshev_center(G, w)[0])[2]
+        assert kept == _remove_redundant_reference(G, w)
+        assert kept == list(range(2 * n + 1))
+    G, w = _shaved_box(rng, n, 5e-10)
+    kept = remove_redundant(G, w, chebyshev_center(G, w)[0])[2]
+    assert kept == list(range(2 * n + 1))
+    assert _remove_redundant_reference(G, w) == list(range(2 * n))
 
 
 def test_remove_redundant_matches_per_row_lps_on_default_regions(
         monkeypatch):
-    """Every region of the 9 default segments: the rows kept from its
-    unreduced halfspaces are those of one LP per row in row order.  Also
-    pins the explorer's counts that do not depend on which optimal vertex
-    HiGHS returns."""
-    doc = json.loads((CONFIGS / "synthesis_default.json").read_text())
-    *_, problems = _synthesis_objects(doc)
+    """Every region the explorer keeps on the 9 default segments and on
+    segments 1-3 of horizon_Nc_eta5: the rows kept from its unreduced
+    halfspaces are those of one LP per row in row order.  Also pins the
+    explorer's counts, which do not depend on which optimal vertex HiGHS
+    returns."""
     calls = []
 
-    def recording(polys, centers, **kw):
-        out = remove_redundant_many(polys, centers, **kw)
-        calls.extend((G, w, kept) for (G, w), (*_, kept) in zip(polys, out))
+    def recording(G, w, center):
+        out = remove_redundant(G, w, center)
+        calls.append((G, w, out[2]))
         return out
 
-    monkeypatch.setattr(regions, "remove_redundant_many", recording)
-    stats = Counter()
-    for problem in problems:
-        stats.update(regions.explore(problem, _theta_box(doc)).stats)
-    assert len(calls) == stats["chebyshev_lps"] - stats["empty_interior"]
-    for G, w, kept in calls:
-        assert kept == _remove_redundant_reference(G, w)
-    assert [stats[k] for k in ("candidates", "pruned_rank", "empty_interior",
-                               "chebyshev_lps")] == [99, 54, 1, 45]
+    monkeypatch.setattr(regions, "remove_redundant", recording)
+    for config, n_segments, pin in (
+            ("synthesis_default.json", 9, [99, 54, 1, 45]),
+            ("horizon_Nc_eta5.json", 3, [87, 18, 19, 69])):
+        doc = json.loads((CONFIGS / config).read_text())
+        doc = doc.get("synthesis", doc)
+        *_, problems = _synthesis_objects(doc)
+        calls.clear()
+        stats = Counter()
+        for problem in problems[:n_segments]:
+            stats.update(regions.explore(problem, _theta_box(doc)).stats)
+        assert len(calls) == stats["chebyshev_lps"] - stats["empty_interior"]
+        for G, w, kept in calls:
+            assert kept == _remove_redundant_reference(G, w)
+        assert [stats[k] for k in ("candidates", "pruned_rank",
+                                   "empty_interior", "chebyshev_lps")
+                ] == pin

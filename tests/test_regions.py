@@ -142,7 +142,7 @@ def test_regions_have_disjoint_interiors(solutions):
 
 def test_coverage(problems, solutions):
     for p, sol in zip(problems[:3], solutions[:3]):
-        assert coverage_check(sol, p, n_samples=20000) == pytest.approx(
+        assert coverage_check(sol, p, n_samples=20000, seed=1) == pytest.approx(
             1.0, abs=1e-6)
 
 

@@ -117,10 +117,8 @@ def test_build_table_validation(params):
                     -0.04, 0.08)
 
 
-def test_table_json_round_trip(tmp_path, table):
-    path = tmp_path / "segments.json"
-    table.to_json(path)
-    doc = json.loads(path.read_text())
+def test_table_json_round_trip(table):
+    doc = json.loads(table.to_json())
     assert doc["gamma1"] == table.gamma1
     assert doc["gamma2"] == table.gamma2
     assert len(doc["segments"]) == 9
