@@ -106,7 +106,7 @@ _MPC_KINDS = {f.name: {"int": int, "float": float}[f.type]
               for f in fields(MpcConfig) if f.name != "gamma2"}
 # RunSetup fields a scenario may set (defaults: RunSetup)
 _RUN_FIELDS = {"controller": str, "feedback": str, "soc_start": float,
-               "soc_target": float, "step_budget": int,
+               "soc_target": float, "step_budget": (int, 1),
                "stop_at_target": bool, "noise": bool, "seed": int,
                "nmpc_max_iters": int}
 _SCENARIO_KINDS = {"version": int, "name": str, "synthesis": dict,
@@ -245,17 +245,19 @@ def cmd_run(args) -> int:
     setup = _scenario_setup(doc, args)
     trace = run_closed_loop(setup)
     name = doc.get("name", "scenario")
+    step_ns = [r.solver_time_ns for r in trace.rows]  # step_budget >= 1
     summary = {
         "name": name,
         "completed": trace.completed,
         "charging_steps": trace.charging_steps,
         "charging_time_s": trace.charging_steps * setup.model.dt,
-        "final_soc": trace.rows[-1].SoC if trace.rows else None,
+        "final_soc": trace.rows[-1].SoC,
         "fallback_count": trace.fallback_count,
-        "max_terminal_voltage": max((r.V for r in trace.rows),
-                                    default=None),
-        "max_eta_violation": max((r.eta - setup.cfg.gamma2
-                                  for r in trace.rows), default=None),
+        "max_terminal_voltage": max(r.V for r in trace.rows),
+        "max_eta_violation": max(r.eta - setup.cfg.gamma2
+                                 for r in trace.rows),
+        "step_ns_p50": float(np.percentile(step_ns, 50)),
+        "step_ns_max": max(step_ns),
     }
     _write_report(args.out_dir, f"{name}_summary.json", summary)
     trace.to_csv(os.path.join(args.out_dir, f"{name}_trace.csv"))

@@ -52,6 +52,7 @@ PROCESS_VAR, MEAS_VAR = 1e-6, 9e-6
 # EKF tuning: the controller drives the current, so the filter's current
 # channel is far below the plant's PROCESS_VAR on purpose
 EKF_Q, EKF_R = np.diag([1e-6, 1e-6, 1e-12]), 9e-6
+_EYE3 = np.eye(3)
 
 
 @dataclass
@@ -80,7 +81,7 @@ def _predicted_vs(model: DiscreteModel, x: NdcState, I_next: float) -> float:
 
 def _current(u_prev: float, x: NdcState, du0: float) -> float:
     """Saturated next current for the move du0."""
-    return float(np.clip(u_prev + du0 + x.I, I_MIN, I_MAX))
+    return min(max(u_prev + du0 + x.I, I_MIN), I_MAX)
 
 
 def _finish(move_of_segment, model: DiscreteModel, table: SegmentTable,
@@ -134,7 +135,7 @@ def nmpc_step(params: NdcParams, model: DiscreteModel, table: SegmentTable,
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     theta = assemble_theta(x, r, u_prev)
-    vs_lin = float(np.clip(x.Vs, 0.0, 1.0))
+    vs_lin = min(max(x.Vs, 0.0), 1.0)
     du0, du_last, fallback, z_last = 0.0, None, False, None
     for iters in range(1, max_iters + 1):
         seg = _segment(params, 0, 0.0, 1.0, vs_lin, table.gamma1)
@@ -147,8 +148,8 @@ def nmpc_step(params: NdcParams, model: DiscreteModel, table: SegmentTable,
         if du_last is not None and abs(du0 - du_last) < 1e-6:
             break
         du_last = du0
-        vs_lin = float(np.clip(
-            _predicted_vs(model, x, _current(u_prev, x, du0)), 0.0, 1.0))
+        vs_lin = min(max(
+            _predicted_vs(model, x, _current(u_prev, x, du0)), 0.0), 1.0)
     I_next = _current(u_prev, x, du0)
     return StepResult(I_next, float(I_next - x.I),
                       select_segment(table, x.Vs), None, fallback, iters)
@@ -156,20 +157,24 @@ def nmpc_step(params: NdcParams, model: DiscreteModel, table: SegmentTable,
 
 def ekf_step(params: NdcParams, model: DiscreteModel, ekf: EkfState,
              du_applied: float, V_measured: float) -> EkfState:
-    """One predict-update cycle with terminal voltage as the measurement."""
+    """One predict-update cycle with terminal voltage as the measurement.
+    The output maps run on the prediction as Python floats.  The 3x3
+    products stay numpy in this association: a noisy charge can turn on
+    one ulp (a point location that hits or misses), so their order is
+    kept."""
     A = model.A_aug
     x_pred = model.step(ekf.x_hat, du_applied)
     P_pred = A @ ekf.P @ A.T + EKF_Q
-    _, vs, i = x_pred
+    pred = NdcState(*x_pred.tolist())
     H = np.array([0.0,
-                  float(mdl.ocv_slope(params, vs))
-                  + float(mdl.r0_slope(params, vs)) * i,
-                  float(mdl.r0(params, vs))])
-    V_pred = mdl.terminal_voltage(params, NdcState(*x_pred))
+                  mdl.ocv_slope(params, pred.Vs)
+                  + float(mdl.r0_slope(params, pred.Vs)) * pred.I,
+                  float(mdl.r0(params, pred.Vs))])
+    V_pred = mdl.terminal_voltage(params, pred)
     S = float(H @ P_pred @ H) + EKF_R
     K = P_pred @ H / S
     x_new = x_pred + K * (V_measured - V_pred)
-    P_new = (np.eye(3) - np.outer(K, H)) @ P_pred
+    P_new = (_EYE3 - np.outer(K, H)) @ P_pred
     P_new = 0.5 * (P_new + P_new.T)
     return EkfState(x_hat=x_new, P=P_new)
 
@@ -238,9 +243,11 @@ class RunSetup:
 
     def __post_init__(self) -> None:
         if (self.controller not in CONTROLLERS or self.nmpc_max_iters < 1
-                or self.feedback not in FEEDBACKS or self.seed < 0):
+                or self.feedback not in FEEDBACKS or self.seed < 0
+                or self.step_budget < 1):
             raise ValueError(f"need controller in {CONTROLLERS}, feedback in "
-                             f"{FEEDBACKS}, nmpc_max_iters >= 1 and seed >= 0")
+                             f"{FEEDBACKS}, nmpc_max_iters >= 1, seed >= 0 "
+                             "and step_budget >= 1")
         if self.controller == "empc" and not self.solutions:
             raise ValueError("empc controller needs explicit solutions")
         if self.controller == "qp" and not self.problems:
@@ -253,6 +260,7 @@ def run_closed_loop(setup: RunSetup) -> SimTrace:
     p, model, table, cfg = (setup.params, setup.model, setup.table,
                             setup.cfg)
     rng = np.random.default_rng(setup.seed)
+    meas_sd, process_sd = np.sqrt(MEAS_VAR), np.sqrt(PROCESS_VAR)
     x = NdcState(Vb=setup.soc_start, Vs=setup.soc_start, I=0.0)
     u_prev = 0.0                        # the move applied on the last step
     ekf = default_ekf(x.as_array()) if setup.feedback == "ekf" else None
@@ -263,9 +271,9 @@ def run_closed_loop(setup: RunSetup) -> SimTrace:
         if setup.feedback == "ekf":
             V_meas = y.V
             if setup.noise:
-                V_meas += rng.normal(0.0, np.sqrt(MEAS_VAR))
+                V_meas += rng.normal(0.0, meas_sd)
             ekf = ekf_step(p, model, ekf, u_prev, V_meas)
-            x_ctrl = NdcState(*ekf.x_hat)
+            x_ctrl = NdcState(*ekf.x_hat.tolist())
         else:
             x_ctrl = x
 
@@ -300,6 +308,6 @@ def run_closed_loop(setup: RunSetup) -> SimTrace:
         # relative to the plant's true current state
         xv = model.step(x.as_array(), res.I_next - x.I)
         if setup.noise:
-            xv = xv + rng.normal(0.0, np.sqrt(PROCESS_VAR), 3)
-        x = NdcState(*xv)
+            xv = xv + rng.normal(0.0, process_sd, 3)
+        x = NdcState(*xv.tolist())
     return SimTrace(rows=rows, completed=completed)

@@ -121,31 +121,46 @@ class DiscreteModel:
     dt: float
 
     def step(self, x: np.ndarray, du: float) -> np.ndarray:
-        """Augmented state one step on: A_aug x + B_aug du."""
-        return self.A_aug @ x + self.B_aug.ravel() * du
+        """Augmented state one step on: A_aug x + B_aug du.  B_aug is the
+        unit vector e_2, so du is added to the current entry alone."""
+        x = self.A_aug @ x
+        x[2] += du
+        return x
 
 
 def default_params() -> NdcParams:
     return NdcParams()
 
 
-def ocv(params: NdcParams, Vs) -> float:
+# The four maps below take Vs as a float or an array: a scalar gives a
+# scalar, an array an array.  The closed loop calls them on one Python
+# float per step, where numpy's dispatch costs more than the arithmetic,
+# so the OCV polynomial runs by Horner's rule in Python.  That is
+# np.polyval's multiply-then-add sequence from a zero start, so the values
+# are bit-identical to it.
+
+def ocv(params: NdcParams, Vs: float | np.ndarray) -> float | np.ndarray:
     """Open-circuit voltage h(Vs), fifth-order polynomial."""
-    return np.polyval(params.alpha[::-1], Vs)
+    h = 0.0
+    for a in reversed(params.alpha):
+        h = h * Vs + a
+    return h
 
 
-def ocv_slope(params: NdcParams, Vs) -> float:
+def ocv_slope(params: NdcParams, Vs: float | np.ndarray) -> float | np.ndarray:
     """dh/dVs."""
-    deriv = [i * a for i, a in enumerate(params.alpha)][1:]
-    return np.polyval(deriv[::-1], Vs)
+    h = 0.0
+    for i in range(len(params.alpha) - 1, 0, -1):
+        h = h * Vs + i * params.alpha[i]
+    return h
 
 
-def r0(params: NdcParams, Vs) -> float:
+def r0(params: NdcParams, Vs: float | np.ndarray) -> float | np.ndarray:
     """Series resistance beta1 + beta2*exp(-beta3*(1 - Vs))."""
     return params.beta1 + params.beta2 * np.exp(-params.beta3 * (1.0 - Vs))
 
 
-def r0_slope(params: NdcParams, Vs) -> float:
+def r0_slope(params: NdcParams, Vs: float | np.ndarray) -> float | np.ndarray:
     """dR0/dVs."""
     return params.beta2 * params.beta3 * np.exp(-params.beta3 * (1.0 - Vs))
 

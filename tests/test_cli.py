@@ -73,6 +73,7 @@ def test_run_qp_scenario(tmp_path):
     trace = (out / "tiny_trace.csv").read_text().splitlines()
     assert trace[0].startswith("step,time_s,Vb,Vs,I,V,SoC")
     assert len(trace) == summary["charging_steps"] + 1
+    assert 0 < summary["step_ns_p50"] <= summary["step_ns_max"]
 
 
 def test_run_incomplete_exit_code(tmp_path):
@@ -412,6 +413,17 @@ def test_bench_rejects_no_repeats(tmp_path, repeats, where):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("step_budget", [0, -3])
+def test_bench_rejects_no_steps(tmp_path, step_budget):
+    scen = _write(tmp_path / "scen.json", {"version": 1, "controller": "qp",
+                                           "step_budget": step_budget})
+    cfg = _write(tmp_path / "bench.json", {"version": 1,
+                                           "scenarios": [scen]})
+    assert main(["bench", "--config", cfg, "--out-dir",
+                 str(tmp_path / "out"), "--repeats", "2"]) == 3
+    assert not (tmp_path / "out").exists()
+
+
 def _synth(**values):
     return {"version": 1, "breakpoints": TWO_SEGMENTS,
             "coverage_samples": 200, **values}
@@ -433,6 +445,8 @@ BAD_INPUTS = {
     "stop_at_target_string": ("run", _scenario(stop_at_target="false"), []),
     "noise_string": ("run", _scenario(noise="no"), []),
     "step_budget_float": ("run", _scenario(step_budget=3.9), []),
+    "step_budget_0": ("run", _scenario(step_budget=0), []),
+    "step_budget_-3": ("run", _scenario(step_budget=-3), []),
     "gamma1_string": ("synthesize", _synth(gamma1="-0.04"), []),
     "params_string": ("synthesize", _synth(params={"Cb": "9913"}), []),
     "mpc_Nc_eta_true": ("synthesize", _synth(mpc={"Nc_eta": True}), []),

@@ -6,6 +6,7 @@ from empcharge import model as mdl
 from empcharge.control import (RunSetup, default_ekf, ekf_step, empc_step,
                                nmpc_step, online_mpc_step, run_closed_loop)
 from empcharge.model import NdcState
+from empcharge.mpqp import I_MAX, I_MIN
 from empcharge.qp import solve_qp
 
 
@@ -174,6 +175,27 @@ def test_run_setup_validation(params, dmodel, table, cfg, problems):
     with pytest.raises(ValueError):
         RunSetup(params=params, model=dmodel, table=table, cfg=cfg,
                  controller="bogus", problems=problems)
+
+
+@pytest.mark.parametrize("step_budget", [0, -3])
+def test_run_setup_rejects_no_steps(params, dmodel, table, cfg, problems,
+                                    step_budget):
+    with pytest.raises(ValueError, match="step_budget"):
+        RunSetup(params=params, model=dmodel, table=table, cfg=cfg,
+                 controller="qp", problems=problems, step_budget=step_budget)
+
+
+@pytest.mark.parametrize("total", [
+    I_MIN - 1.0, I_MIN - 1e-12, I_MIN, I_MIN + 1e-12, 1.5,
+    I_MAX - 1e-12, I_MAX, I_MAX + 1e-12, I_MAX + 1.0])
+def test_current_equals_clip(total):
+    """_current saturates as np.clip does, at, inside and beyond both
+    current bounds."""
+    for I, u_prev in [(0.0, 0.0), (1.2, -0.4), (2.9, 0.3)]:
+        x = NdcState(Vb=0.5, Vs=0.5, I=I)
+        du0 = total - I - u_prev
+        assert control._current(u_prev, x, du0) == float(
+            np.clip(u_prev + du0 + x.I, I_MIN, I_MAX))
 
 
 def test_budget_exhaustion(params, dmodel, table, cfg, problems, solutions):

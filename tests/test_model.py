@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from empcharge import model as mdl
 from empcharge.model import NdcParams, NdcState
+from empcharge.segments import DEFAULT_BREAKPOINTS
 
 
 def test_ocv_endpoints(params):
@@ -180,3 +183,51 @@ def test_params_from_dict_rejects_unknown():
 def test_params_from_dict_alpha_keys():
     p = NdcParams.from_dict({"alpha0": 1.0, "alpha1": 2.0})
     assert p.alpha == (1.0, 2.0, 0.0, 0.0, 0.0, 0.0)
+
+
+# References: the np.polyval forms that ocv and ocv_slope replaced.  The
+# Horner loops repeat polyval's operations in its order, so the values are
+# equal, not close.
+def _ocv_reference(params, vs):
+    return np.polyval(params.alpha[::-1], vs)
+
+
+def _ocv_slope_reference(params, vs):
+    deriv = [i * a for i, a in enumerate(params.alpha)][1:]
+    return np.polyval(deriv[::-1], vs)
+
+
+# [0, 1] on a fine grid, with every default operating point
+_VS_GRID = np.union1d(np.linspace(0.0, 1.0, 1001),
+                      [op for _, _, op in DEFAULT_BREAKPOINTS])
+
+
+@pytest.mark.parametrize("fn, ref", [(mdl.ocv, _ocv_reference),
+                                     (mdl.ocv_slope, _ocv_slope_reference)])
+def test_ocv_maps_equal_polyval(params, fn, ref):
+    for vs in _VS_GRID.tolist():
+        value = fn(params, vs)
+        assert type(value) is float  # no numpy scalar on a Python float
+        assert value == ref(params, vs)
+    for vs in _VS_GRID:
+        assert isinstance(vs, np.float64)
+        assert fn(params, vs) == ref(params, vs)
+    assert np.array_equal(fn(params, _VS_GRID), ref(params, _VS_GRID))
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.lists(st.floats(-50.0, 50.0), min_size=6, max_size=6),
+       vs=st.floats(-2.0, 2.0))
+def test_ocv_maps_equal_polyval_any_coefficients(alpha, vs):
+    params = NdcParams(alpha=tuple(alpha))
+    assert mdl.ocv(params, vs) == _ocv_reference(params, vs)
+    assert mdl.ocv_slope(params, vs) == _ocv_slope_reference(params, vs)
+
+
+def test_step_equals_augmented_product(dmodel):
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        x, du = rng.uniform(-1.0, 3.0, 3), float(rng.uniform(-3.0, 3.0))
+        ref = dmodel.A_aug @ x + dmodel.B_aug.ravel() * du
+        assert np.array_equal(dmodel.step(x, du), ref)
+        assert np.array_equal(dmodel.step(x.tolist(), du), ref)
