@@ -87,6 +87,17 @@ def _load(path, ctx: str, kinds: dict | None = None):
     return _checked(_version1(doc, f"{ctx} {path}"), kinds, ctx)
 
 
+def _check_out_dir(path) -> None:
+    """ConfigError unless os.makedirs can make path or it is a directory:
+    the nearest of it and its parents that exists must be a directory.
+    Nothing is created."""
+    found = os.path.abspath(path)
+    while not os.path.lexists(found):
+        found = os.path.dirname(found)
+    if not os.path.isdir(found):
+        raise ConfigError(f"--out-dir {path}: {found} is not a directory")
+
+
 def _write_report(out_dir, name: str, report: dict) -> None:
     """Write a JSON report into out_dir and echo it on stdout."""
     text = json.dumps(report, indent=1)
@@ -104,9 +115,9 @@ _SYNTH_KINDS = {"version": int, "params": dict, "breakpoints": list,
 # the mpc keys are MpcConfig's fields; gamma2 comes from the block itself
 _MPC_KINDS = {f.name: {"int": int, "float": float}[f.type]
               for f in fields(MpcConfig) if f.name != "gamma2"}
-# RunSetup fields a scenario may set (defaults: RunSetup)
+# RunSetup fields a scenario may set (defaults and ranges: RunSetup)
 _RUN_FIELDS = {"controller": str, "feedback": str, "soc_start": float,
-               "soc_target": float, "step_budget": (int, 1),
+               "soc_target": float, "step_budget": int,
                "stop_at_target": bool, "noise": bool, "seed": int,
                "nmpc_max_iters": int}
 _SCENARIO_KINDS = {"version": int, "name": str, "synthesis": dict,
@@ -188,6 +199,7 @@ def cmd_synthesize(args) -> int:
     seed = doc.get("seed", 0) if args.seed is None else args.seed
     decimals = doc.get("round_decimals")
     n_cov = doc.get("coverage_samples", 20000)
+    _check_out_dir(args.out_dir)
     os.makedirs(args.out_dir, exist_ok=True)
     report = {"segments": [], "wall_time_s": None}
     t0 = time.perf_counter()
@@ -242,6 +254,7 @@ def _scenario_setup(doc: dict, args) -> RunSetup:
 
 def cmd_run(args) -> int:
     doc = _load(args.config, "scenario config", _SCENARIO_KINDS)
+    _check_out_dir(args.out_dir)
     setup = _scenario_setup(doc, args)
     trace = run_closed_loop(setup)
     name = doc.get("name", "scenario")
@@ -268,6 +281,7 @@ def cmd_bench(args) -> int:
     doc = _load(args.config, "bench config", _BENCH_KINDS)
     repeats = doc.get("repeats", 20) if args.repeats is None else args.repeats
     _typed(repeats, "repeats", int, 1)
+    _check_out_dir(args.out_dir)
     base_dir = os.path.dirname(os.path.abspath(args.config))
     if "scenarios" not in doc:
         raise ConfigError("bench config: missing 'scenarios'")
@@ -310,6 +324,10 @@ def cmd_export_table(args) -> int:
     if args.round_decimals is not None:
         _typed(args.round_decimals, "--round-decimals", *_DECIMALS)
     sol = rounded(_load(args.table, "region table"), args.round_decimals)
+    out_dir = os.path.dirname(os.path.abspath(args.out))
+    if os.path.isdir(args.out) or not os.path.isdir(out_dir):
+        raise ConfigError(f"--out {args.out}: not a file in an existing "
+                          "directory")
     fmt = args.format or ("bin" if args.out.endswith(".bin") else "json")
     export_table(sol, args.out, fmt=fmt)
     print(f"wrote {args.out} ({fmt}, {sol.n_regions} regions)")
@@ -318,7 +336,7 @@ def cmd_export_table(args) -> int:
 
 def cmd_verify(args) -> int:
     _typed(args.samples, "--samples", int, 1)
-    _typed(args.tol, "--tol", float)
+    _typed(args.tol, "--tol", float, 0)
     doc = _load(args.config, "synthesis config", _SYNTH_KINDS)
     _, _, table, _, problems = _synthesis_objects(doc)
     box = _theta_box(doc)

@@ -51,7 +51,8 @@ COMPLETION_SLACK = 0.005  # done once the estimated SoC is this near target
 PROCESS_VAR, MEAS_VAR = 1e-6, 9e-6
 # EKF tuning: the controller drives the current, so the filter's current
 # channel is far below the plant's PROCESS_VAR on purpose
-EKF_Q, EKF_R = np.diag([1e-6, 1e-6, 1e-12]), 9e-6
+EKF_Q, EKF_R = np.diag([PROCESS_VAR, PROCESS_VAR, 1e-12]), MEAS_VAR
+NMPC_MAX_ITERS = 10  # relinearizations per NMPC step
 _EYE3 = np.eye(3)
 
 
@@ -84,21 +85,27 @@ def _current(u_prev: float, x: NdcState, du0: float) -> float:
     return min(max(u_prev + du0 + x.I, I_MIN), I_MAX)
 
 
+def _result(u_prev: float, x: NdcState, segment: int, du0: float | None,
+            region: int | None, iterations: int = 1) -> StepResult:
+    """The step of the move du0, saturated; du0 None (no region holds
+    theta, or no QP solution) is the fallback move du0 = 0."""
+    I_next = _current(u_prev, x, 0.0 if du0 is None else du0)
+    return StepResult(I_next, float(I_next - x.I), segment, region,
+                      du0 is None, iterations)
+
+
 def _finish(move_of_segment, model: DiscreteModel, table: SegmentTable,
             u_prev: float, x: NdcState, r: float) -> StepResult:
-    """Shared part of the eMPC/online-QP steps: evaluate the governing
-    segment's law, apply the switch guard, saturate."""
+    """Shared part of the eMPC/online-QP steps: the governing segment's
+    move_of_segment(segment, theta) -> (du0, region), then the guard."""
     theta = assemble_theta(x, r, u_prev)
     si = select_segment(table, x.Vs)
-    du0, region, fallback = move_of_segment(si, theta)
-    I_next, seg_used = _current(u_prev, x, du0), si
-    sj = select_segment(table, _predicted_vs(model, x, I_next))
-    if sj != si:
-        du_b, region_b, fb_b = move_of_segment(sj, theta)
-        I_b = _current(u_prev, x, du_b)
-        if I_b < I_next:
-            I_next, region, fallback, seg_used = I_b, region_b, fb_b, sj
-    return StepResult(I_next, float(I_next - x.I), seg_used, region, fallback)
+    res = _result(u_prev, x, si, *move_of_segment(si, theta))
+    sj = select_segment(table, _predicted_vs(model, x, res.I_next))
+    if sj != si:  # the switch guard: the smaller current, si's on a tie
+        res = min(res, _result(u_prev, x, sj, *move_of_segment(sj, theta)),
+                  key=lambda s: s.I_next)
+    return res
 
 
 def empc_step(solutions: list[ExplicitSolution], table: SegmentTable,
@@ -107,9 +114,9 @@ def empc_step(solutions: list[ExplicitSolution], table: SegmentTable,
     def move(si: int, th: np.ndarray):
         idx = locate(solutions[si], th)
         if idx is None:
-            return 0.0, None, True
+            return None, None
         reg = solutions[si].regions[idx]
-        return float(reg.K[0] @ th + reg.g[0]), idx, False
+        return float(reg.K[0] @ th + reg.g[0]), idx
 
     return _finish(move, model, table, u_prev, x, r)
 
@@ -119,16 +126,15 @@ def online_mpc_step(problems: list[MpqpProblem], table: SegmentTable,
                     r: float) -> StepResult:
     def move(si: int, th: np.ndarray):
         sol = solve_qp(problems[si].qp(th))
-        if sol.status != "optimal":
-            return 0.0, None, True
-        return float(sol.z_star[0]), None, False
+        return (float(sol.z_star[0]) if sol.status == "optimal" else None,
+                None)
 
     return _finish(move, model, table, u_prev, x, r)
 
 
 def nmpc_step(params: NdcParams, model: DiscreteModel, table: SegmentTable,
               cfg: MpcConfig, u_prev: float, x: NdcState, r: float,
-              max_iters: int = 10) -> StepResult:
+              max_iters: int = NMPC_MAX_ITERS) -> StepResult:
     """Iteratively relinearized MPC: linearize h and R0 at the current
     (then predicted) Vs instead of at fixed table operating points, and
     re-solve, warm-started from the last iterate, until du0 settles."""
@@ -136,12 +142,12 @@ def nmpc_step(params: NdcParams, model: DiscreteModel, table: SegmentTable,
         raise ValueError("max_iters must be >= 1")
     theta = assemble_theta(x, r, u_prev)
     vs_lin = min(max(x.Vs, 0.0), 1.0)
-    du0, du_last, fallback, z_last = 0.0, None, False, None
+    du_last = z_last = None
     for iters in range(1, max_iters + 1):
         seg = _segment(params, 0, 0.0, 1.0, vs_lin, table.gamma1)
         sol = solve_qp(build(model, seg, cfg).qp(theta), z0=z_last)
         if sol.status != "optimal":
-            du0, fallback = 0.0, True
+            du0 = None
             break
         z_last = sol.z_star
         du0 = float(sol.z_star[0])
@@ -150,9 +156,7 @@ def nmpc_step(params: NdcParams, model: DiscreteModel, table: SegmentTable,
         du_last = du0
         vs_lin = min(max(
             _predicted_vs(model, x, _current(u_prev, x, du0)), 0.0), 1.0)
-    I_next = _current(u_prev, x, du0)
-    return StepResult(I_next, float(I_next - x.I),
-                      select_segment(table, x.Vs), None, fallback, iters)
+    return _result(u_prev, x, select_segment(table, x.Vs), du0, None, iters)
 
 
 def ekf_step(params: NdcParams, model: DiscreteModel, ekf: EkfState,
@@ -239,7 +243,7 @@ class RunSetup:
     stop_at_target: bool = True
     noise: bool = False
     seed: int = 0
-    nmpc_max_iters: int = 10
+    nmpc_max_iters: int = NMPC_MAX_ITERS
 
     def __post_init__(self) -> None:
         if (self.controller not in CONTROLLERS or self.nmpc_max_iters < 1

@@ -22,7 +22,7 @@ from itertools import combinations
 import numpy as np
 from scipy.optimize import linprog
 
-from .mpqp import MpqpProblem, THETA_DIM
+from .mpqp import I_MAX, I_MIN, MpqpProblem, THETA_DIM
 from .qp import (ZERO_ROW_TOL, _CHEBYSHEV_BOX, chebyshev_centers,
                  remove_redundant, solve_qp)
 # not called here; perfbench/layers.py wraps this name in this module
@@ -33,7 +33,6 @@ __all__ = [
     "ExplicitSolution",
     "DEFAULT_THETA_BOX",
     "DegenerateActiveSet",
-    "InfeasibleAtTheta0",
     "region_for",
     "explore",
     "locate",
@@ -43,23 +42,19 @@ __all__ = [
     "import_table",
 ]
 
-# rows: Vb, Vs, I, r, u_prev
+# rows: Vb, Vs, I, r, u_prev; a move u_prev spans the current range
 DEFAULT_THETA_BOX = np.array([
     [0.0, 1.0],
     [0.0, 1.0],
-    [0.0, 3.0],
+    [I_MIN, I_MAX],
     [0.2, 1.0],
-    [-3.0, 3.0],
+    [I_MIN - I_MAX, I_MAX - I_MIN],
 ])
 
 _MIN_RADIUS = 1e-9
 
 
 class DegenerateActiveSet(Exception):
-    pass
-
-
-class InfeasibleAtTheta0(Exception):
     pass
 
 
@@ -70,8 +65,6 @@ class CriticalRegion:
     K: np.ndarray            # Nu x 5
     g: np.ndarray            # Nu
     active_set: tuple[int, ...]
-    interior: np.ndarray | None = None
-    radius: float = 0.0
 
     def stored_reals(self) -> int:
         return self.E.size + self.e.size + self.K.size + self.g.size
@@ -133,12 +126,10 @@ def law_for_active_set(problem: MpqpProblem, active_set,
     SA = problem.S[A]
     WA = problem.W[A]
     M = GA @ Sig_inv @ GA.T
-    try:
-        M_inv = np.linalg.inv(M)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateActiveSet(str(active_set)) from exc
+    # the one rank test: a singular M has cond inf or ~1e16, never a warning
     if np.linalg.cond(M) > 1e10:
         raise DegenerateActiveSet(str(active_set))
+    M_inv = np.linalg.inv(M)
     Lam = -M_inv @ (SA + GA @ Sig_inv @ F)
     lam_c = -M_inv @ WA
     K = -Sig_inv @ (F + GA.T @ Lam)
@@ -172,18 +163,18 @@ def _critical_regions(laws, counts: Counter) -> list[CriticalRegion]:
     for (A, K, g, E, e), ball in zip(laws, balls):
         if ball is not None and ball[1] > _MIN_RADIUS:
             E, e, _ = remove_redundant(E, e, ball[0])
-            out.append(CriticalRegion(E=E, e=e, K=K, g=g, active_set=A,
-                                      interior=ball[0], radius=ball[1]))
+            out.append(CriticalRegion(E=E, e=e, K=K, g=g, active_set=A))
     return out
 
 
 def region_for(problem: MpqpProblem, theta0: np.ndarray,
                theta_box: np.ndarray | None = None) -> CriticalRegion:
-    """Build the critical region around theta0 from the QP's active set."""
+    """Build the critical region around theta0 from the QP's active set;
+    ValueError when the QP is infeasible at theta0."""
     theta_box = DEFAULT_THETA_BOX if theta_box is None else theta_box
     sol = solve_qp(problem.qp(theta0))
     if sol.status != "optimal":
-        raise InfeasibleAtTheta0(str(theta0))
+        raise ValueError(f"QP {sol.status} at theta0 {theta0}")
     law = (sol.active_set,
            *_unreduced(problem, sol.active_set, theta_box))
     regions = _critical_regions([law], Counter())
@@ -279,6 +270,11 @@ def coverage_check(solution: ExplicitSolution, problem: MpqpProblem,
                           axis=1)
     n_covered = int(covered.sum())
     rhs = thetas[~covered] @ problem.S.T + problem.W
+    # chebyshev_centers' zero-row rule, vectorized over the misses, not a
+    # duplicate of it: on the 9 default segments it rejects all 3728
+    # misses of each, so none reaches the LP.  Without it the loop there
+    # takes one Python iteration per miss, and coverage of the 9 took
+    # 0.059 s -> 0.587 s (1 BLAS thread, best of 5), with the same values
     zero = np.linalg.norm(problem.G, axis=1) <= ZERO_ROW_TOL
     rhs = rhs[np.all(rhs[:, zero] >= 0, axis=1)]
     balls = chebyshev_centers([(problem.G, w) for w in rhs])

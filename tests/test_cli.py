@@ -482,6 +482,7 @@ BAD_INPUTS = {
     "scenario_seed_-1": ("run", _scenario(seed=-1), []),
     "verify_flag_seed_-1": ("verify", _synth(), ["--seed", "-1"]),
     "verify_tol_nan": ("verify", _synth(), ["--tol", "nan"]),
+    "verify_tol_-1": ("verify", _synth(), ["--tol", "-1"]),
     # usage errors
     "run_flag_seed_abc": ("run", _scenario(), ["--seed", "abc"]),
     "run_without_config": ("run", None, []),
@@ -507,6 +508,31 @@ def test_bad_input_exits_3(tmp_path, tables_dir, capsys, case):
     assert main(argv + extra) == 3
     assert "config error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synthesize", "run", "bench",
+                                     "export-table"])
+def test_unwritable_output_exits_3(tmp_path, tables_dir, capsys, command):
+    """An --out-dir that is a file, or an --out in a missing directory, is
+    an input fault found before any synthesis, charge or write."""
+    scenario = _write(tmp_path / "s.json", _scenario(step_budget=3))
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    configs = {"synthesize": _write(tmp_path / "c.json", _synth()),
+               "run": scenario,
+               "bench": _write(tmp_path / "b.json", {
+                   "version": 1, "scenarios": [scenario], "repeats": 1})}
+    if command == "export-table":
+        argv = [command, str(tables_dir / "table_seg1.json"),
+                "--out", str(tmp_path / "missing" / "t.bin")]
+    else:
+        argv = [command, "--config", configs[command],
+                "--out-dir", str(blocker)]
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 3
+    assert "config error:" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+    assert blocker.read_text() == "kept"
 
 
 def _trace_without_times(path) -> list[dict]:

@@ -82,6 +82,13 @@ def test_region_for_matches_qp(problems):
     assert np.all(reg.E @ theta0 <= reg.e + 1e-9)
 
 
+def test_region_for_rejects_infeasible_theta0(problems):
+    """Full cells at full current: no move keeps the k=1 rows."""
+    theta0 = np.array([1.0, 1.0, 3.0, 0.9, 3.0])
+    with pytest.raises(ValueError, match="theta0"):
+        region_for(problems[0], theta0)
+
+
 def test_explored_law_matches_qp_samples(problems, solutions):
     rng = np.random.default_rng(13)
     for si in (0, 4, 8):
@@ -115,7 +122,8 @@ def test_default_active_sets(problems, solutions):
         assert st["candidates"] == (st["pruned_rank"] + st["empty_interior"]
                                     + sol.n_regions)
         for r in sol.regions:
-            ref = region_for(p, r.interior, sol.theta_box)
+            ref = region_for(p, chebyshev_center(r.E, r.e)[0],
+                             sol.theta_box)
             assert ref.active_set == r.active_set
             for key in ("E", "e", "K", "g"):
                 assert np.array_equal(getattr(ref, key), getattr(r, key))
@@ -131,13 +139,13 @@ def test_region_count_small(solutions):
 def test_regions_have_disjoint_interiors(solutions):
     for sol in solutions:
         for i, r in enumerate(sol.regions):
-            assert r.interior is not None and r.radius > 1e-9
+            ball = chebyshev_center(r.E, r.e)
+            assert ball is not None and ball[1] > 1e-9
             for j, other in enumerate(sol.regions):
                 if i == j:
                     continue
                 # strict interior of one region is outside every other
-                assert not np.all(other.E @ r.interior
-                                  <= other.e - 1e-12)
+                assert not np.all(other.E @ ball[0] <= other.e - 1e-12)
 
 
 def test_coverage(problems, solutions):
