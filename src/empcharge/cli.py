@@ -20,7 +20,7 @@ import numpy as np
 from . import model as mdl
 from .control import CONTROLLERS, FEEDBACKS, RunSetup, run_closed_loop
 from .mpqp import MpcConfig, build
-from .qp import solve_qp
+from .qp import load_scipy, solve_qp
 from .regions import (DEFAULT_THETA_BOX, ExplicitSolution, coverage_check,
                       explore, export_table, import_table, locate, rounded,
                       _atomic_write)
@@ -201,6 +201,7 @@ def cmd_synthesize(args) -> int:
     n_cov = doc.get("coverage_samples", 20000)
     _check_out_dir(args.out_dir)
     os.makedirs(args.out_dir, exist_ok=True)
+    load_scipy()  # before the clocks: wall_s and wall_time_s exclude it
     report = {"segments": [], "wall_time_s": None}
     t0 = time.perf_counter()
     for seg, prob in zip(table.segments, problems):
@@ -237,6 +238,10 @@ def _scenario_setup(doc: dict, args) -> RunSetup:
     run = {k: doc[k] for k in _RUN_FIELDS if k in doc}
     run.update({k: getattr(args, k) for k in ("controller", "feedback", "seed")
                 if getattr(args, k) is not None})
+    try:
+        RunSetup.check(run)  # before any table is read or synthesized
+    except ValueError as exc:
+        raise ConfigError(f"scenario config: {exc}") from exc
     solutions = None
     if run.get("controller", RunSetup.controller) == "empc":
         if doc.get("tables_dir"):
@@ -285,12 +290,15 @@ def cmd_bench(args) -> int:
     base_dir = os.path.dirname(os.path.abspath(args.config))
     if "scenarios" not in doc:
         raise ConfigError("bench config: missing 'scenarios'")
-    entries = []
+    scenarios = []  # every scenario is checked before the first charge
     for ref in doc["scenarios"]:
         ref = _typed(ref, "bench config: scenarios", str)
         path = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
         sdoc = _load(path, "scenario config", _SCENARIO_KINDS)
-        setup = _scenario_setup(sdoc, args)
+        scenarios.append((sdoc.get("name", os.path.basename(path)),
+                          _scenario_setup(sdoc, args)))
+    entries = []
+    for name, setup in scenarios:
         per_step_means, pooled, steps = [], [], None
         wall0 = time.perf_counter()
         for _ in range(repeats):
@@ -300,7 +308,7 @@ def cmd_bench(args) -> int:
             pooled.extend(ns)
             steps = trace.charging_steps
         entries.append({
-            "name": sdoc.get("name", os.path.basename(path)),
+            "name": name,
             "controller": setup.controller,
             "repeats": repeats,
             "steps": steps,

@@ -27,7 +27,7 @@ import numpy as np
 from . import model as mdl
 from .model import DiscreteModel, NdcParams, NdcState
 from .mpqp import I_MAX, I_MIN, MpcConfig, MpqpProblem, assemble_theta, build
-from .qp import solve_qp
+from .qp import load_scipy, solve_qp
 from .regions import ExplicitSolution, _atomic_write, locate
 from .segments import SegmentTable, select_segment, _segment
 
@@ -246,16 +246,28 @@ class RunSetup:
     nmpc_max_iters: int = NMPC_MAX_ITERS
 
     def __post_init__(self) -> None:
-        if (self.controller not in CONTROLLERS or self.nmpc_max_iters < 1
-                or self.feedback not in FEEDBACKS or self.seed < 0
-                or self.step_budget < 1):
-            raise ValueError(f"need controller in {CONTROLLERS}, feedback in "
-                             f"{FEEDBACKS}, nmpc_max_iters >= 1, seed >= 0 "
-                             "and step_budget >= 1")
+        self.check(vars(self))
         if self.controller == "empc" and not self.solutions:
             raise ValueError("empc controller needs explicit solutions")
         if self.controller == "qp" and not self.problems:
             raise ValueError("qp controller needs condensed problems")
+        if self.controller != "empc":  # its QPs' phase-1 LPs go to scipy
+            load_scipy()
+
+    @classmethod
+    def check(cls, run: dict) -> None:
+        """ValueError unless the run values in run, RunSetup's defaults
+        standing in for those it lacks, are in range.  It needs no tables,
+        so a caller can check the values before it builds them."""
+        v = {k: run.get(k, getattr(cls, k)) for k in (
+            "controller", "feedback", "nmpc_max_iters", "seed",
+            "step_budget")}
+        if (v["controller"] not in CONTROLLERS or v["nmpc_max_iters"] < 1
+                or v["feedback"] not in FEEDBACKS or v["seed"] < 0
+                or v["step_budget"] < 1):
+            raise ValueError(f"need controller in {CONTROLLERS}, feedback in "
+                             f"{FEEDBACKS}, nmpc_max_iters >= 1, seed >= 0 "
+                             "and step_budget >= 1")
 
 
 def run_closed_loop(setup: RunSetup) -> SimTrace:

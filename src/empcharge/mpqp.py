@@ -7,12 +7,11 @@ as decision variables.  The plant input at step k is the current increment
 
 so I_{k+1} = I_k + u_k.  States are eliminated, yielding
 
-    min_z 0.5 z' Sigma z + (F theta)' z  (+ 0.5 theta' Y theta)
+    min_z 0.5 z' Sigma z + (F theta)' z
     s.t.  G z <= S theta + W
 
-over the parameter vector theta = [Vb, Vs, I, r, u_prev].  Y collects the
-theta-only quadratic term; it does not move the minimizer but is kept so the
-condensed cost can be checked against direct simulation.
+over the parameter vector theta = [Vb, Vs, I, r, u_prev].  The cost's
+theta-only quadratic term does not move the minimizer and is left out.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ class MpcConfig:
 class MpqpProblem:
     Sigma: np.ndarray       # Nu x Nu
     F: np.ndarray           # Nu x 5
-    Y: np.ndarray           # 5 x 5 theta-only cost quadratic
     G: np.ndarray           # m x Nu
     S: np.ndarray           # m x 5
     W: np.ndarray           # m
@@ -121,7 +119,6 @@ def build(model: DiscreteModel, segment: LinearSegment,
     lin[:, 4] = Xu[:N] @ c_soc
     Sigma = cfg.Q * (a.T @ a) + cfg.R * np.eye(Nu)
     F = cfg.Q * (a.T @ lin)
-    Y = cfg.Q * (lin.T @ lin)
 
     # sign * y_k[row] <= sign * bound for k = 1..last, over the output rows
     # [SoC, Vs, I, V, eta] of C; stored active sets index the rows in this
@@ -144,6 +141,6 @@ def build(model: DiscreteModel, segment: LinearSegment,
     S[:, 4] = -np.einsum("ri,ri->r", Cs, Xu[ks])
 
     return MpqpProblem(
-        Sigma=Sigma, F=F, Y=Y, G=G, S=S, W=np.array(W),
+        Sigma=Sigma, F=F, G=G, S=S, W=np.array(W),
         segment_index=segment.index, labels=labels,
     )

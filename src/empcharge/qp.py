@@ -13,6 +13,15 @@ of many polytopes block-diagonally into one call; ``chebyshev_center`` is
 its one-element call.  Redundancy removal makes no LP: ``remove_redundant``
 reads a polytope's facets from qhull's halfspace intersection (Barber,
 Dobkin & Huhdanpaa, ACM TOMS 1996) around an interior point.
+
+No module imports scipy at module level: the online law needs numpy alone,
+and importing scipy.optimize costs about 0.6 s of a fresh process.  scipy
+is imported inside ``linprog``, ``chebyshev_centers`` and
+``remove_redundant``.  ``linprog`` stays a module attribute, a function that
+imports scipy's on its first call, so that every LP passes one name, the
+one the tests and the benchmark's tracer wrap.  ``load_scipy`` imports it
+ahead of use: synthesis and the online-QP controllers call it before their
+clocks start, so no time the program reports includes the import.
 """
 
 from __future__ import annotations
@@ -21,9 +30,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import block_diag
-from scipy.spatial import HalfspaceIntersection, QhullError
 
 __all__ = [
     "DenseQp",
@@ -34,6 +40,7 @@ __all__ = [
     "chebyshev_centers",
     "chebyshev_center",
     "remove_redundant",
+    "load_scipy",
 ]
 
 FEAS_TOL = 1e-8
@@ -46,6 +53,18 @@ ZERO_ROW_TOL = 1e-12
 
 class QpError(Exception):
     pass
+
+
+def load_scipy() -> None:
+    """Import every scipy module this module calls, so that the first LP
+    or halfspace intersection of a timed span does not pay for it."""
+    import scipy.optimize, scipy.sparse, scipy.spatial  # noqa: E401, F401
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call."""
+    import scipy.optimize
+    return scipy.optimize.linprog(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -178,6 +197,7 @@ def chebyshev_centers(polys, *, counts: Counter | None = None,
         counts["chebyshev_lp_calls"] += bool(blocks)
     if not blocks:
         return out
+    from scipy.sparse import block_diag
     ends = np.cumsum([a.shape[1] for a in blocks])
     c = np.zeros(ends[-1])
     c[ends - 1] = -1.0
@@ -249,6 +269,7 @@ def remove_redundant(G: np.ndarray, w: np.ndarray, center: np.ndarray,
     vertex shaved that thinly, is a facet to qhull and is kept, while that
     LP's tolerance drops it.
     """
+    from scipy.spatial import HalfspaceIntersection, QhullError
     G = np.atleast_2d(np.asarray(G, float))
     w = np.asarray(w, float)
     rows = np.array(_distinct_rows(G, w))

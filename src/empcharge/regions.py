@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .mpqp import I_MAX, I_MIN, MpqpProblem, THETA_DIM
-from .qp import (ZERO_ROW_TOL, _CHEBYSHEV_BOX, chebyshev_centers,
+from .qp import (ZERO_ROW_TOL, _CHEBYSHEV_BOX, chebyshev_centers, linprog,
                  remove_redundant, solve_qp)
 # not called here; perfbench/layers.py wraps this name in this module
 from .qp import chebyshev_center  # noqa: F401

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from empcharge import cli
 from empcharge.cli import _synthesis_objects, main
 from empcharge.regions import coverage_check, import_table
 
@@ -398,6 +399,38 @@ def test_invalid_run_value(tmp_path, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("feedback", "foo"), ("nmpc_max_iters", 0), ("step_budget", 0),
+    ("seed", -1)])
+def test_run_values_checked_before_synthesis(tmp_path, monkeypatch, key,
+                                             value):
+    """An eMPC scenario without tables_dir synthesizes its tables in
+    process; a bad run value exits 3 before any segment is explored."""
+    explored = []
+    monkeypatch.setattr(cli, "explore",
+                        lambda *a, **kw: explored.append(a) or None)
+    cfg = _write(tmp_path / "s.json", {"version": 1, "controller": "empc",
+                                       key: value})
+    assert main(["run", "--config", cfg,
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    assert explored == []
+
+
+def test_bench_checks_every_scenario_before_charging(tmp_path, monkeypatch):
+    charges = []
+    monkeypatch.setattr(cli, "run_closed_loop",
+                        lambda setup: charges.append(setup))
+    good = _write(tmp_path / "good.json", {"version": 1, "controller": "qp",
+                                           "step_budget": 3})
+    bad = _write(tmp_path / "bad.json", {"version": 1, "controller": "qp",
+                                         "step_budget": 0})
+    cfg = _write(tmp_path / "bench.json", {"version": 1, "repeats": 5,
+                                           "scenarios": [good, bad]})
+    assert main(["bench", "--config", cfg,
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    assert charges == []
+
+
 @pytest.mark.parametrize("repeats", [0, -1])
 @pytest.mark.parametrize("where", ["flag", "config"])
 def test_bench_rejects_no_repeats(tmp_path, repeats, where):
@@ -576,3 +609,73 @@ def test_shell_exit_codes(tmp_path):
     assert usage.returncode == 3
     assert usage.stderr.startswith("config error:")
     assert cli("--help").returncode == 0
+
+
+# Run in a fresh interpreter, argv: scenario, table, out dir, qp scenario.
+# Prints {step: whether scipy is in sys.modules after it}, "qp_first_solve"
+# holding whether scipy.optimize is loaded when the first QP is solved.
+_ONLINE_PROBE = """
+import json, sys
+from empcharge import cli, control
+scenario, table, out, qp_scenario = sys.argv[1:]
+seen = {"import": "scipy" in sys.modules}
+cli.main(["run", "--config", scenario, "--out-dir", out])
+seen["empc_run"] = "scipy" in sys.modules
+cli.main(["export-table", table, "--out", out + "/t.bin"])
+seen["export_table"] = "scipy" in sys.modules
+solve_qp = control.solve_qp
+def first_solve(*args, **kw):
+    seen.setdefault("qp_first_solve", "scipy.optimize" in sys.modules)
+    return solve_qp(*args, **kw)
+control.solve_qp = first_solve
+cli.main(["run", "--config", qp_scenario, "--out-dir", out])
+print(json.dumps(seen))
+"""
+
+# argv: synthesis config, out dir; whether scipy.optimize is loaded when
+# synthesize explores its first segment
+_SYNTH_PROBE = """
+import json, sys
+from empcharge import cli
+explore, seen = cli.explore, {}
+def first_explore(*args, **kw):
+    seen.setdefault("first_explore", "scipy.optimize" in sys.modules)
+    return explore(*args, **kw)
+cli.explore = first_explore
+cli.main(["synthesize", "--config", sys.argv[1], "--out-dir", sys.argv[2]])
+print(json.dumps(seen))
+"""
+
+
+def _fresh_python(code, *argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                         env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def test_online_path_loads_no_scipy(tmp_path, synth_config, tables_dir):
+    """The eMPC law runs on numpy alone: importing the package, an eMPC run
+    from stored tables and export-table load no scipy.  Synthesis and the
+    online-QP controller import it before their clocks start, so no
+    reported time includes the import."""
+    syn = json.loads(Path(synth_config).read_text())
+    scenario = _write(tmp_path / "empc.json", {
+        "version": 1, "name": "empc", "controller": "empc",
+        "synthesis": syn, "tables_dir": str(tables_dir)})
+    qp_doc = json.loads((CONFIGS / "basic_case_qp.json").read_text())
+    qp_scenario = _write(tmp_path / "qp.json", qp_doc)
+    out = tmp_path / "out"
+    seen = _fresh_python(_ONLINE_PROBE, scenario,
+                         tables_dir / "table_seg1.json", out, qp_scenario)
+    assert seen == {"import": False, "empc_run": False,
+                    "export_table": False, "qp_first_solve": True}
+    assert (out / "empc_trace.csv").exists()
+    assert (out / "basic_case_qp_trace.csv").exists()
+    seen = _fresh_python(_SYNTH_PROBE, synth_config, tmp_path / "tables")
+    assert seen == {"first_explore": True}
+    assert (tmp_path / "tables" / "table_seg2.json").exists()
+

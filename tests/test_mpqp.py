@@ -60,7 +60,6 @@ def test_shapes(problems, cfg):
     for p in problems:
         assert p.Sigma.shape == (cfg.Nu, cfg.Nu)
         assert p.F.shape == (cfg.Nu, 5)
-        assert p.Y.shape == (5, 5)
         m = p.G.shape[0]
         assert p.S.shape == (m, 5)
         assert p.W.shape == (m,)
@@ -86,15 +85,26 @@ def test_trivial_horizon():
     assert np.allclose(p.F, 0.0, atol=1e-14)
 
 
+def _theta_cost(dmodel, seg, cfg):
+    """Y of the cost's theta-only term 0.5 theta'Y theta, which build
+    leaves out: the tracking errors SoC_k - r at z = 0 are lin @ theta."""
+    Xx, Xu, _ = _prediction_maps(dmodel, cfg.N, cfg.Nu)
+    c_soc = seg.C_mat[0]
+    lin = np.column_stack([c_soc @ Xx[:cfg.N], -np.ones(cfg.N),
+                           Xu[:cfg.N] @ c_soc])
+    return cfg.Q * (lin.T @ lin)
+
+
 def _check_cost_oracle(dmodel, seg, cfg, p):
     # 0.5 z'Sigma z + theta'F'z + 0.5 theta'Y theta must equal the rolled-out
     # tracking cost for arbitrary (theta, z)
+    Y = _theta_cost(dmodel, seg, cfg)
     rng = np.random.default_rng(5)
     for _ in range(20):
         theta = rng.uniform([0, 0, 0, 0.2, -3], [1, 1, 3, 1, 3])
         z = rng.uniform(-1, 1, cfg.Nu)
         condensed = (0.5 * z @ p.Sigma @ z + theta @ p.F.T @ z
-                     + 0.5 * theta @ p.Y @ theta)
+                     + 0.5 * theta @ Y @ theta)
         direct = _simulate_cost(dmodel, seg, cfg, theta, z)
         assert condensed == pytest.approx(direct, abs=1e-8)
 

@@ -126,6 +126,27 @@ def test_matches_grid_search_2d():
         assert obj(sol.z_star) <= obj(best) + 1e-9
 
 
+@pytest.mark.xfail(
+    reason="the active-set loop cycles to its iteration limit on this "
+    "feasible QP, whose optimum is a vertex with multipliers ~1e6; 6 of "
+    "3000 random QPs (default_rng(1), n <= 4, m <= 11) do the same; the "
+    "LP-free QP of ROADMAP item 4 is to mend it",
+    raises=QpError, strict=True)
+def test_vertex_optimum_with_large_multipliers():
+    H = np.array([[2.49143723, -0.481889], [-0.481889, 0.3875974]])
+    f = np.array([0.1515621, 1.16438366])
+    G = np.array([[-0.43039542, 1.02972077], [0.31026913, -0.74006117]])
+    w = np.array([-0.01404248, -0.7990104])
+    assert linprog(np.zeros(2), A_ub=G, b_ub=w,
+                   bounds=[(None, None)] * 2, method="highs").status == 0
+    sol = solve_qp(DenseQp(H, f, G, w))
+    assert sol.status == "optimal"
+    assert sol.active_set == (0, 1)
+    assert np.allclose(sol.z_star, np.linalg.solve(G, w), rtol=1e-9)
+    assert np.allclose(sol.z_star, [-857.477, -358.416], atol=1e-3)
+    assert np.all(sol.multipliers > 1e6)
+
+
 def test_deterministic():
     rng = np.random.default_rng(4)
     H = np.eye(3)

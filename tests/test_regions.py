@@ -30,7 +30,6 @@ def _toy_problem():
     return MpqpProblem(
         Sigma=np.array([[1.0]]),
         F=np.array([[1.0, 0.0, 0.0, 0.0, 0.0]]),
-        Y=np.zeros((5, 5)),
         G=np.array([[1.0], [-1.0]]),
         S=np.zeros((2, 5)),
         W=np.array([1.0, 1.0]),
