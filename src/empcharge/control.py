@@ -258,16 +258,20 @@ class RunSetup:
     def check(cls, run: dict) -> None:
         """ValueError unless the run values in run, RunSetup's defaults
         standing in for those it lacks, are in range.  It needs no tables,
-        so a caller can check the values before it builds them."""
+        so a caller can check the values before it builds them.  A charge
+        starts at rest with Vb = Vs = soc_start, so both SoC values lie in
+        [0, 1], the Vs range of the OCV map and of the segment table."""
         v = {k: run.get(k, getattr(cls, k)) for k in (
             "controller", "feedback", "nmpc_max_iters", "seed",
-            "step_budget")}
+            "step_budget", "soc_start", "soc_target")}
         if (v["controller"] not in CONTROLLERS or v["nmpc_max_iters"] < 1
                 or v["feedback"] not in FEEDBACKS or v["seed"] < 0
-                or v["step_budget"] < 1):
+                or v["step_budget"] < 1 or not 0 <= v["soc_start"] <= 1
+                or not 0 <= v["soc_target"] <= 1):
             raise ValueError(f"need controller in {CONTROLLERS}, feedback in "
-                             f"{FEEDBACKS}, nmpc_max_iters >= 1, seed >= 0 "
-                             "and step_budget >= 1")
+                             f"{FEEDBACKS}, nmpc_max_iters >= 1, seed >= 0, "
+                             "step_budget >= 1 and soc_start, soc_target in "
+                             "[0, 1]")
 
 
 def run_closed_loop(setup: RunSetup) -> SimTrace:

@@ -12,6 +12,14 @@ so I_{k+1} = I_k + u_k.  States are eliminated, yielding
 
 over the parameter vector theta = [Vb, Vs, I, r, u_prev].  The cost's
 theta-only quadratic term does not move the minimizer and is left out.
+
+``build`` is the one condensing path: synthesis, the online-QP controller
+and NMPC all call it.  Of its work, only the constraint rows' output maps
+belong to the segment.  The prediction maps, Sigma, F and the row plan
+depend on the model's matrices, the SoC row of C and the MpcConfig alone,
+and are memoized per those values, so an NMPC iteration, which condenses
+a fresh linearization, forms only its output rows.  Every array ``build``
+returns is read-only, because Sigma and F are the memo's own.
 """
 
 from __future__ import annotations
@@ -98,18 +106,42 @@ def _prediction_maps(model: DiscreteModel, N: int, Nu: int):
     return Xx, Xu, Xz
 
 
-def build(model: DiscreteModel, segment: LinearSegment,
-          cfg: MpcConfig) -> MpqpProblem:
-    """Condense the tracking MPC for one segment into parametric form.
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
-    The SoC tracking error is penalized at k = 0..N-1; constraints are
-    imposed at k = 1..Nc per row family (the input increment decided now
-    first shows up in the step-1 outputs).
-    """
+
+@dataclass(frozen=True)
+class _Condensing:
+    """The part of build that the segment's output rows do not enter: the
+    cost, and per constraint row its output row of C, sign, signed bound
+    and label, and the prediction maps at the row's step k."""
+    Sigma: np.ndarray
+    F: np.ndarray
+    rows: np.ndarray
+    sign: np.ndarray
+    signed_bound: np.ndarray
+    Xz: np.ndarray          # m x 3 x Nu
+    Xx: np.ndarray          # m x 3 x 3
+    Xu: np.ndarray          # m x 3
+    labels: tuple[str, ...]
+
+
+# _Condensing per (A_aug, B_aug, SoC row of C, MpcConfig), by value; the
+# oldest entry goes when it is full
+_CONDENSED: dict[tuple, _Condensing] = {}
+_CONDENSED_SIZE = 16
+
+
+def _condensing(model: DiscreteModel, c_soc: np.ndarray,
+                cfg: MpcConfig) -> _Condensing:
+    key = (model.A_aug.tobytes(), model.B_aug.tobytes(), c_soc.tobytes(),
+           cfg)
+    if key in _CONDENSED:
+        return _CONDENSED[key]
     N, Nu = cfg.N, cfg.Nu
     Xx, Xu, Xz = _prediction_maps(model, N, Nu)
-    C, D = segment.C_mat, segment.D_vec
-    c_soc = C[0]
 
     # SoC_k - r = a[k] z + lin[k] theta for k = 0..N-1
     a = c_soc @ Xz[:N]
@@ -122,25 +154,44 @@ def build(model: DiscreteModel, segment: LinearSegment,
 
     # sign * y_k[row] <= sign * bound for k = 1..last, over the output rows
     # [SoC, Vs, I, V, eta] of C; stored active sets index the rows in this
-    # order within each k.  W is sign * bound - sign * D: sign * (bound - D)
-    # would store -0.0 for I >= 0 and change the exported tables
+    # order within each k
     bounds = ((1, 1.0, 0.95, "Vs<=", cfg.Nc_other),
               (2, 1.0, I_MAX, "I<=", cfg.Nc_other),
               (2, -1.0, I_MIN, "I>=", cfg.Nc_other),
               (3, 1.0, 4.2, "V<=", cfg.Nc_other),
               (4, 1.0, cfg.gamma2, "eta<=", cfg.Nc_eta))
-    ks, rows, sign, W, labels = zip(*(
-        (k, row, sg, sg * bound - sg * D[row], f"{name} @k={k}")
+    ks, rows, sign, signed_bound, labels = zip(*(
+        (k, row, sg, sg * bound, f"{name} @k={k}")
         for k in range(1, max(cfg.Nc_eta, cfg.Nc_other) + 1)
         for row, sg, bound, name, last in bounds if k <= last))
     ks = np.array(ks)
-    Cs = np.array(sign)[:, None] * C[list(rows)]    # output rows, signed
-    G = np.einsum("ri,rij->rj", Cs, Xz[ks])
-    S = np.zeros((len(ks), THETA_DIM))
-    S[:, :3] = -np.einsum("ri,rij->rj", Cs, Xx[ks])
-    S[:, 4] = -np.einsum("ri,ri->r", Cs, Xu[ks])
+    if len(_CONDENSED) >= _CONDENSED_SIZE:
+        del _CONDENSED[next(iter(_CONDENSED))]
+    out = _CONDENSED[key] = _Condensing(
+        *_read_only(Sigma, F, np.array(rows), np.array(sign),
+                    np.array(signed_bound), Xz[ks], Xx[ks], Xu[ks]),
+        labels=labels)
+    return out
 
-    return MpqpProblem(
-        Sigma=Sigma, F=F, G=G, S=S, W=np.array(W),
-        segment_index=segment.index, labels=labels,
-    )
+
+def build(model: DiscreteModel, segment: LinearSegment,
+          cfg: MpcConfig) -> MpqpProblem:
+    """Condense the tracking MPC for one segment into parametric form.
+
+    The SoC tracking error is penalized at k = 0..N-1; constraints are
+    imposed at k = 1..Nc per row family (the input increment decided now
+    first shows up in the step-1 outputs).  Everything but the segment's
+    output rows of C and offsets D comes memoized from _condensing.
+    """
+    c = _condensing(model, segment.C_mat[0], cfg)
+    Cs = c.sign[:, None] * segment.C_mat[c.rows]    # output rows, signed
+    G = np.einsum("ri,rij->rj", Cs, c.Xz)
+    S = np.zeros((len(c.rows), THETA_DIM))
+    S[:, :3] = -np.einsum("ri,rij->rj", Cs, c.Xx)
+    S[:, 4] = -np.einsum("ri,ri->r", Cs, c.Xu)
+    # sign * bound - sign * D: sign * (bound - D) would store -0.0 for
+    # I >= 0 and change the exported tables
+    W = c.signed_bound - c.sign * segment.D_vec[c.rows]
+    _read_only(G, S, W)
+    return MpqpProblem(Sigma=c.Sigma, F=c.F, G=G, S=S, W=W,
+                       segment_index=segment.index, labels=c.labels)

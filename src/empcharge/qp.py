@@ -4,7 +4,11 @@ The QP solver is a primal active-set method: it tracks a working set of
 constraints treated as equalities, moves along equality-constrained Newton
 steps, and adds/removes constraints with deterministic lowest-index
 tie-breaking.  Problems here are tiny (a handful of variables, a few dozen
-rows), so dense factorizations are fine.
+rows), so dense factorizations are fine.  At that size numpy's fixed cost
+per call outweighs the arithmetic: ``DenseQp`` checks symmetry on Python
+floats with np.allclose's rule, and ``solve_qp`` without a start returns a
+feasible unconstrained minimizer at once, before any feasible-start search
+or KKT solve.
 
 LP subproblems (phase-1 feasibility, Chebyshev centers) go through scipy's
 HiGHS linprog.  A call this small costs several times more in scipy's input
@@ -26,6 +30,7 @@ clocks start, so no time the program reports includes the import.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -77,8 +82,18 @@ class DenseQp:
     w: np.ndarray
 
     def __post_init__(self) -> None:
-        if not np.allclose(self.H, self.H.T, atol=1e-10):
+        if not _symmetric(self.H):
             raise QpError("H must be symmetric")
+
+
+def _symmetric(H: np.ndarray) -> bool:
+    """np.allclose(H, H.T, atol=1e-10), entry by entry on Python floats:
+    |a - b| <= 1e-10 + 1e-5 |b| with b finite, or a == b.  A non-square
+    H, which np.allclose cannot broadcast, is not symmetric.  numpy's
+    function costs several times a small H's Cholesky factorization."""
+    return H.shape == H.T.shape and all(
+        a == b or (abs(a - b) <= 1e-10 + 1e-5 * abs(b) and math.isfinite(b))
+        for a, b in zip(H.ravel().tolist(), H.T.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -105,8 +120,11 @@ def solve_qp(qp: DenseQp, z0: np.ndarray | None = None) -> QpSolution:
 
     Rows of G that are (numerically) zero cannot become active: they are
     either trivially satisfied or make the problem infeasible outright.
-    Without other rows the loop starts at, and returns, the unconstrained
-    minimizer.
+    Without a start z0, an unconstrained minimizer that meets every other
+    row is returned at once, with no active row: the loop, started there,
+    returns it after one KKT solve whose step is rounding error.
+    Otherwise the loop starts at the first feasible point of z0, the
+    unconstrained minimizer and the origin, or at a phase-1 LP's point.
     """
     H, f, w = qp.H, np.asarray(qp.f, float), np.asarray(qp.w, float)
     n = H.shape[0]
@@ -122,7 +140,10 @@ def solve_qp(qp: DenseQp, z0: np.ndarray | None = None) -> QpSolution:
     Gi, wi = G[nonzero], w[nonzero]
     idx_map = np.flatnonzero(nonzero)
 
-    z = _feasible_start(Gi, wi, [z0, -np.linalg.solve(H, f), np.zeros(n)])
+    z_free = -np.linalg.solve(H, f)
+    if z0 is None and np.all(Gi @ z_free <= wi + FEAS_TOL):
+        return QpSolution(z_free, (), np.zeros(0), "optimal")
+    z = _feasible_start(Gi, wi, [z0, z_free, np.zeros(n)])
     if z is None:
         return QpSolution(None, (), np.zeros(0), "infeasible")
 

@@ -401,7 +401,8 @@ def test_invalid_run_value(tmp_path, key, value):
 
 @pytest.mark.parametrize("key, value", [
     ("feedback", "foo"), ("nmpc_max_iters", 0), ("step_budget", 0),
-    ("seed", -1)])
+    ("seed", -1), ("soc_start", 1e300), ("soc_start", -5.0),
+    ("soc_target", 1.5)])
 def test_run_values_checked_before_synthesis(tmp_path, monkeypatch, key,
                                              value):
     """An eMPC scenario without tables_dir synthesizes its tables in
@@ -480,6 +481,10 @@ BAD_INPUTS = {
     "step_budget_float": ("run", _scenario(step_budget=3.9), []),
     "step_budget_0": ("run", _scenario(step_budget=0), []),
     "step_budget_-3": ("run", _scenario(step_budget=-3), []),
+    "soc_start_1e300": ("run", _scenario(soc_start=1e300), []),
+    "soc_start_-5": ("run", _scenario(soc_start=-5.0), []),
+    "soc_target_1.5": ("run", _scenario(soc_target=1.5), []),
+    "soc_target_-0.1": ("run", _scenario(soc_target=-0.1), []),
     "gamma1_string": ("synthesize", _synth(gamma1="-0.04"), []),
     "params_string": ("synthesize", _synth(params={"Cb": "9913"}), []),
     "mpc_Nc_eta_true": ("synthesize", _synth(mpc={"Nc_eta": True}), []),

@@ -4,13 +4,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from empcharge.model import NdcState
+from empcharge import mpqp
+from empcharge.model import NdcParams, NdcState, discretize
 from empcharge.mpqp import MpcConfig, _prediction_maps, assemble_theta, build
 from empcharge.qp import DenseQp, solve_qp
+from empcharge.segments import _segment
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # the configs that stretch N, Nu and Nc_eta beyond the default horizon
 HORIZONS = ["horizon_N90", "horizon_Nu9", "horizon_Nc_eta9"]
+ALL_HORIZONS = sorted(p.stem for p in CONFIGS.glob("horizon_*.json"))
 
 
 def _bounds(cfg):
@@ -249,3 +252,103 @@ def test_qp_solution_respects_sim_constraints(dmodel, table, cfg, problems):
                 assert y[3] <= hi[3] + 1e-7
             if k <= cfg.Nc_eta:
                 assert y[4] <= hi[4] + 1e-7
+
+
+def _uncached_build(model, seg, cfg):
+    """build with nothing memoized: the whole condensing, in the order of
+    operations build keeps, for one segment."""
+    N, Nu = cfg.N, cfg.Nu
+    Xx, Xu, Xz = _prediction_maps(model, N, Nu)
+    C, D = seg.C_mat, seg.D_vec
+    c_soc = C[0]
+    a = c_soc @ Xz[:N]
+    lin = np.zeros((N, 5))
+    lin[:, :3] = c_soc @ Xx[:N]
+    lin[:, 3] = -1.0
+    lin[:, 4] = Xu[:N] @ c_soc
+    Sigma = cfg.Q * (a.T @ a) + cfg.R * np.eye(Nu)
+    F = cfg.Q * (a.T @ lin)
+    bounds = ((1, 1.0, 0.95, "Vs<=", cfg.Nc_other),
+              (2, 1.0, 3.0, "I<=", cfg.Nc_other),
+              (2, -1.0, 0.0, "I>=", cfg.Nc_other),
+              (3, 1.0, 4.2, "V<=", cfg.Nc_other),
+              (4, 1.0, cfg.gamma2, "eta<=", cfg.Nc_eta))
+    ks, rows, sign, W, labels = zip(*(
+        (k, row, sg, sg * bound - sg * D[row], f"{name} @k={k}")
+        for k in range(1, max(cfg.Nc_eta, cfg.Nc_other) + 1)
+        for row, sg, bound, name, last in bounds if k <= last))
+    ks = np.array(ks)
+    Cs = np.array(sign)[:, None] * C[list(rows)]
+    G = np.einsum("ri,rij->rj", Cs, Xz[ks])
+    S = np.zeros((len(ks), 5))
+    S[:, :3] = -np.einsum("ri,rij->rj", Cs, Xx[ks])
+    S[:, 4] = -np.einsum("ri,ri->r", Cs, Xu[ks])
+    return mpqp.MpqpProblem(Sigma, F, G, S, np.array(W), seg.index, labels)
+
+
+def _assert_same_problem(got, want):
+    for name in ("Sigma", "F", "G", "S", "W"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.labels == want.labels
+    assert got.segment_index == want.segment_index
+
+
+@pytest.mark.parametrize("name", ["default"] + ALL_HORIZONS)
+def test_build_equals_uncached(dmodel, table, name):
+    """The memoized condensing gives the bits of a computation from
+    scratch, for every segment and every horizon set-up."""
+    cfg = MpcConfig() if name == "default" else _mpc_block(name)
+    for seg in table.segments:
+        _assert_same_problem(build(dmodel, seg, cfg),
+                             _uncached_build(dmodel, seg, cfg))
+
+
+def test_build_equals_uncached_nmpc_linearizations(params, dmodel, table,
+                                                    cfg):
+    # NMPC condenses a fresh linearization at every iteration; all of them
+    # share one memo entry, and only their output rows differ
+    for vs in (0.0, 0.13, 0.5, 0.77, 0.95, 1.0):
+        seg = _segment(params, 0, 0.0, 1.0, vs, table.gamma1)
+        _assert_same_problem(build(dmodel, seg, cfg),
+                             _uncached_build(dmodel, seg, cfg))
+
+
+def test_build_memo_serves_no_stale_entry(params, dmodel, table, cfg):
+    """Another dt, other model parameters or another MpcConfig each get
+    their own condensing: each build, in any order, equals its own
+    computation from scratch."""
+    seg = table.segments[3]
+    cases = [(dmodel, cfg),
+             (discretize(params, 30.0), cfg),
+             (discretize(NdcParams(Cb=12000.0), 60.0), cfg),
+             (dmodel, MpcConfig(Q=2.0)),
+             (dmodel, MpcConfig(Nc_eta=3)),
+             (dmodel, cfg)]
+    sigmas = []
+    for model, c in cases + cases[::-1]:
+        p = build(model, seg, c)
+        _assert_same_problem(p, _uncached_build(model, seg, c))
+        sigmas.append(p.Sigma)
+    # the cases differ, so a stale entry would have shown above
+    assert not np.array_equal(sigmas[0], sigmas[1])
+    assert not np.array_equal(sigmas[0], sigmas[2])
+    assert not np.array_equal(sigmas[0], sigmas[3])
+
+
+def test_build_memo_stays_bounded(dmodel, table):
+    seg = table.segments[0]
+    for q in range(3 * mpqp._CONDENSED_SIZE):
+        build(dmodel, seg, MpcConfig(Q=1.0 + q))
+    assert len(mpqp._CONDENSED) <= mpqp._CONDENSED_SIZE
+    p = build(dmodel, seg, MpcConfig(Q=1.0))  # evicted, so computed again
+    _assert_same_problem(p, _uncached_build(dmodel, seg, MpcConfig(Q=1.0)))
+
+
+@pytest.mark.parametrize("name", ["Sigma", "F", "G", "S", "W"])
+def test_build_arrays_are_read_only(dmodel, table, cfg, name):
+    p = build(dmodel, table.segments[0], cfg)
+    with pytest.raises(ValueError):
+        getattr(p, name)[0] = 0.0
+    # the memo's arrays are untouched
+    _assert_same_problem(build(dmodel, table.segments[0], cfg),
+                         _uncached_build(dmodel, table.segments[0], cfg))

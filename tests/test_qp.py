@@ -83,6 +83,78 @@ def test_asymmetric_h_rejected():
                 np.zeros((0, 2)), np.zeros(0))
 
 
+_BIG = 1e7  # 1e-6 relative asymmetry is 10: inside rtol, far past atol
+# H and whether np.allclose(H, H.T, atol=1e-10) holds
+SYMMETRY_CASES = {
+    "exact": ([[2.0, 0.3], [0.3, 1.0]], True),
+    "off_by_1e-11": ([[2.0, 0.3], [0.3 + 1e-11, 1.0]], True),
+    "off_by_1e-9": ([[1e-6, 0.0], [1e-9, 1e-6]], False),
+    "off_by_1e-9_within_rtol": ([[2.0, 0.3], [0.3 + 1e-9, 1.0]], True),
+    "relative_1e-6": ([[_BIG, _BIG], [_BIG * (1 + 1e-6), 2 * _BIG]], True),
+    "relative_1e-4": ([[_BIG, _BIG], [_BIG * (1 + 1e-4), 2 * _BIG]], False),
+    "nan_off_diagonal": ([[1.0, np.nan], [np.nan, 1.0]], False),
+    "nan_diagonal": ([[np.nan, 0.0], [0.0, 1.0]], False),
+    "inf_diagonal": ([[np.inf, 0.0], [0.0, 1.0]], True),
+    "inf_both_sides": ([[1.0, np.inf], [np.inf, 1.0]], True),
+    "inf_opposite_signs": ([[1.0, np.inf], [-np.inf, 1.0]], False),
+    "inf_against_finite": ([[1.0, np.inf], [1e300, 1.0]], False),
+    "one_by_one": ([[3.0]], True),
+    "three_by_three": ([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2],
+                        [0.5, 0.2 + 2e-5, 2.0]], False),
+}
+
+
+@pytest.mark.parametrize("case", list(SYMMETRY_CASES))
+def test_symmetry_check_agrees_with_allclose(case):
+    H, symmetric = SYMMETRY_CASES[case]
+    H = np.array(H)
+    assert bool(np.allclose(H, H.T, atol=1e-10)) is symmetric
+    assert qp._symmetric(H) is symmetric
+    n = len(H)
+    if symmetric:
+        DenseQp(H, np.zeros(n), np.zeros((0, n)), np.zeros(0))
+    else:
+        with pytest.raises(QpError):
+            DenseQp(H, np.zeros(n), np.zeros((0, n)), np.zeros(0))
+
+
+def test_unconstrained_minimizer_returned_at_once(monkeypatch):
+    """A feasible unconstrained minimizer comes back as it is: the bits of
+    -H^-1 f, no active row, no multipliers and no feasible-start search."""
+    starts = []
+    monkeypatch.setattr(qp, "_feasible_start",
+                        lambda *a: starts.append(a) or None)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        M = rng.standard_normal((3, 3))
+        H = M @ M.T + 0.1 * np.eye(3)
+        f = rng.standard_normal(3)
+        G = rng.standard_normal((5, 3))
+        w = G @ -np.linalg.solve(H, f) + rng.uniform(0.0, 1.0, 5)
+        sol = solve_qp(DenseQp(H, f, G, w))
+        assert sol.status == "optimal"
+        assert np.array_equal(sol.z_star, -np.linalg.solve(H, f))
+        assert sol.active_set == ()
+        assert sol.multipliers.shape == (0,)
+    assert starts == []
+
+
+def test_warm_start_skips_the_immediate_return(monkeypatch):
+    """With z0 given, the loop runs from z0 even when the unconstrained
+    minimizer is feasible."""
+    starts = []
+    real = qp._feasible_start
+    monkeypatch.setattr(qp, "_feasible_start",
+                        lambda *a: starts.append(a) or real(*a))
+    H, f = np.eye(2), np.array([-2.0, -2.0])
+    G, w = np.array([[1.0, 0.0]]), np.array([5.0])
+    sol = solve_qp(DenseQp(H, f, G, w), z0=np.array([0.5, 0.5]))
+    assert len(starts) == 1
+    assert np.array_equal(starts[0][2][0], [0.5, 0.5])
+    assert sol.status == "optimal" and sol.active_set == ()
+    assert np.allclose(sol.z_star, [2.0, 2.0], rtol=0.0, atol=1e-12)
+
+
 def test_kkt_residuals_random():
     rng = np.random.default_rng(7)
     for _ in range(50):
