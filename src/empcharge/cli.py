@@ -112,14 +112,15 @@ _SYNTH_KINDS = {"version": int, "params": dict, "breakpoints": list,
                 "gamma1": float, "gamma2": float, "dt": float, "mpc": dict,
                 "theta_box": list, "round_decimals": _DECIMALS,
                 "coverage_samples": (int, 1), "seed": (int, 0)}
+# the JSON kind of a dataclass field, by its annotation
+_JSON_KINDS = {"str": str, "int": int, "float": float, "bool": bool}
 # the mpc keys are MpcConfig's fields; gamma2 comes from the block itself
-_MPC_KINDS = {f.name: {"int": int, "float": float}[f.type]
+_MPC_KINDS = {f.name: _JSON_KINDS[f.type]
               for f in fields(MpcConfig) if f.name != "gamma2"}
-# RunSetup fields a scenario may set (defaults and ranges: RunSetup)
-_RUN_FIELDS = {"controller": str, "feedback": str, "soc_start": float,
-               "soc_target": float, "step_budget": int,
-               "stop_at_target": bool, "noise": bool, "seed": int,
-               "nmpc_max_iters": int}
+# a scenario may set the RunSetup fields of a JSON kind (defaults and
+# ranges: RunSetup); the model, tables and problems come from synthesis
+_RUN_FIELDS = {f.name: _JSON_KINDS[f.type]
+               for f in fields(RunSetup) if f.type in _JSON_KINDS}
 _SCENARIO_KINDS = {"version": int, "name": str, "synthesis": dict,
                    "tables_dir": str, **_RUN_FIELDS}
 _BENCH_KINDS = {"version": int, "scenarios": list, "repeats": int}

@@ -10,11 +10,15 @@ theta = [Vb, Vs, I, r, u_prev] to get du0, and apply
 the first step of the move convention in the mpqp module docstring.  Each
 step returns the move it applied, I_next - I, as the next step's u_prev.
 
-Because the segment law is linearized at a fixed operating point, a step
-whose predicted surface voltage crosses into the next segment can slightly
-under-predict terminal voltage.  A switch guard re-evaluates the law of the
-segment owning the predicted Vs and keeps the smaller current, preserving
-the conservatism of the upper-end R0 choice across switches.
+The move reaches the current only after the A_aug product
+(DiscreteModel.step), so the surface voltage one step on is fixed by the
+state alone.  Because the segment law is linearized at a fixed operating
+point, a step whose predicted surface voltage crosses into the next segment
+can slightly under-predict terminal voltage.  A switch guard re-evaluates
+the law of the segment owning the predicted Vs and keeps the smaller
+current, preserving the conservatism of the upper-end R0 choice across
+switches.  The NMPC baseline linearizes h and R0 at that predicted Vs
+instead, and solves one QP per step.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ PROCESS_VAR, MEAS_VAR = 1e-6, 9e-6
 # EKF tuning: the controller drives the current, so the filter's current
 # channel is far below the plant's PROCESS_VAR on purpose
 EKF_Q, EKF_R = np.diag([PROCESS_VAR, PROCESS_VAR, 1e-12]), MEAS_VAR
-NMPC_MAX_ITERS = 10  # relinearizations per NMPC step
 _EYE3 = np.eye(3)
 
 
@@ -63,7 +66,7 @@ class StepResult:
     segment: int
     region: int | None
     fallback: bool
-    iterations: int = 1
+    iterations: int = 1  # QPs solved; perfbench's nmpc_step note reads it
 
 
 @dataclass
@@ -76,8 +79,9 @@ def default_ekf(x0: np.ndarray) -> EkfState:
     return EkfState(x_hat=np.array(x0, float), P=np.eye(3) * 1e-4)
 
 
-def _predicted_vs(model: DiscreteModel, x: NdcState, I_next: float) -> float:
-    return float(model.step(x.as_array(), I_next - x.I)[1])
+def _predicted_vs(model: DiscreteModel, x: NdcState) -> float:
+    """Vs one step on, which no move changes (DiscreteModel.step)."""
+    return float(model.step(x.as_array(), 0.0)[1])
 
 
 def _current(u_prev: float, x: NdcState, du0: float) -> float:
@@ -86,12 +90,12 @@ def _current(u_prev: float, x: NdcState, du0: float) -> float:
 
 
 def _result(u_prev: float, x: NdcState, segment: int, du0: float | None,
-            region: int | None, iterations: int = 1) -> StepResult:
+            region: int | None) -> StepResult:
     """The step of the move du0, saturated; du0 None (no region holds
     theta, or no QP solution) is the fallback move du0 = 0."""
     I_next = _current(u_prev, x, 0.0 if du0 is None else du0)
     return StepResult(I_next, float(I_next - x.I), segment, region,
-                      du0 is None, iterations)
+                      du0 is None)
 
 
 def _finish(move_of_segment, model: DiscreteModel, table: SegmentTable,
@@ -101,7 +105,7 @@ def _finish(move_of_segment, model: DiscreteModel, table: SegmentTable,
     theta = assemble_theta(x, r, u_prev)
     si = select_segment(table, x.Vs)
     res = _result(u_prev, x, si, *move_of_segment(si, theta))
-    sj = select_segment(table, _predicted_vs(model, x, res.I_next))
+    sj = select_segment(table, _predicted_vs(model, x))
     if sj != si:  # the switch guard: the smaller current, si's on a tie
         res = min(res, _result(u_prev, x, sj, *move_of_segment(sj, theta)),
                   key=lambda s: s.I_next)
@@ -134,29 +138,15 @@ def online_mpc_step(problems: list[MpqpProblem], table: SegmentTable,
 
 def nmpc_step(params: NdcParams, model: DiscreteModel, table: SegmentTable,
               cfg: MpcConfig, u_prev: float, x: NdcState, r: float,
-              max_iters: int = NMPC_MAX_ITERS) -> StepResult:
-    """Iteratively relinearized MPC: linearize h and R0 at the current
-    (then predicted) Vs instead of at fixed table operating points, and
-    re-solve, warm-started from the last iterate, until du0 settles."""
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-    theta = assemble_theta(x, r, u_prev)
-    vs_lin = min(max(x.Vs, 0.0), 1.0)
-    du_last = z_last = None
-    for iters in range(1, max_iters + 1):
-        seg = _segment(params, 0, 0.0, 1.0, vs_lin, table.gamma1)
-        sol = solve_qp(build(model, seg, cfg).qp(theta), z0=z_last)
-        if sol.status != "optimal":
-            du0 = None
-            break
-        z_last = sol.z_star
-        du0 = float(sol.z_star[0])
-        if du_last is not None and abs(du0 - du_last) < 1e-6:
-            break
-        du_last = du0
-        vs_lin = min(max(
-            _predicted_vs(model, x, _current(u_prev, x, du0)), 0.0), 1.0)
-    return _result(u_prev, x, select_segment(table, x.Vs), du0, None, iters)
+              ) -> StepResult:
+    """Relinearized MPC: linearize h and R0 at the next step's Vs, which
+    the state alone fixes, instead of at the table's fixed operating
+    points, so the first step's V<= row is exact; then solve that one QP."""
+    vs_next = min(max(_predicted_vs(model, x), 0.0), 1.0)
+    seg = _segment(params, 0, 0.0, 1.0, vs_next, table.gamma1)
+    sol = solve_qp(build(model, seg, cfg).qp(assemble_theta(x, r, u_prev)))
+    du0 = float(sol.z_star[0]) if sol.status == "optimal" else None
+    return _result(u_prev, x, select_segment(table, x.Vs), du0, None)
 
 
 def ekf_step(params: NdcParams, model: DiscreteModel, ekf: EkfState,
@@ -243,7 +233,6 @@ class RunSetup:
     stop_at_target: bool = True
     noise: bool = False
     seed: int = 0
-    nmpc_max_iters: int = NMPC_MAX_ITERS
 
     def __post_init__(self) -> None:
         self.check(vars(self))
@@ -262,16 +251,15 @@ class RunSetup:
         starts at rest with Vb = Vs = soc_start, so both SoC values lie in
         [0, 1], the Vs range of the OCV map and of the segment table."""
         v = {k: run.get(k, getattr(cls, k)) for k in (
-            "controller", "feedback", "nmpc_max_iters", "seed",
-            "step_budget", "soc_start", "soc_target")}
-        if (v["controller"] not in CONTROLLERS or v["nmpc_max_iters"] < 1
+            "controller", "feedback", "seed", "step_budget", "soc_start",
+            "soc_target")}
+        if (v["controller"] not in CONTROLLERS
                 or v["feedback"] not in FEEDBACKS or v["seed"] < 0
                 or v["step_budget"] < 1 or not 0 <= v["soc_start"] <= 1
                 or not 0 <= v["soc_target"] <= 1):
             raise ValueError(f"need controller in {CONTROLLERS}, feedback in "
-                             f"{FEEDBACKS}, nmpc_max_iters >= 1, seed >= 0, "
-                             "step_budget >= 1 and soc_start, soc_target in "
-                             "[0, 1]")
+                             f"{FEEDBACKS}, seed >= 0, step_budget >= 1 and "
+                             "soc_start, soc_target in [0, 1]")
 
 
 def run_closed_loop(setup: RunSetup) -> SimTrace:
@@ -306,8 +294,7 @@ def run_closed_loop(setup: RunSetup) -> SimTrace:
                                   x_ctrl, setup.soc_target)
         else:  # "nmpc": RunSetup admits only CONTROLLERS
             res = nmpc_step(p, model, table, cfg, u_prev, x_ctrl,
-                            setup.soc_target,
-                            max_iters=setup.nmpc_max_iters)
+                            setup.soc_target)
         solver_ns = time.perf_counter_ns() - t0
         u_prev = res.du_applied
 

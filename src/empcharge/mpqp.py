@@ -17,8 +17,8 @@ theta-only quadratic term does not move the minimizer and is left out.
 and NMPC all call it.  Of its work, only the constraint rows' output maps
 belong to the segment.  The prediction maps, Sigma, F and the row plan
 depend on the model's matrices, the SoC row of C and the MpcConfig alone,
-and are memoized per those values, so an NMPC iteration, which condenses
-a fresh linearization, forms only its output rows.  Every array ``build``
+and are memoized per those values, so an NMPC step, which condenses a
+fresh linearization, forms only its output rows.  Every array ``build``
 returns is read-only, because Sigma and F are the memo's own.
 """
 

@@ -6,9 +6,9 @@ steps, and adds/removes constraints with deterministic lowest-index
 tie-breaking.  Problems here are tiny (a handful of variables, a few dozen
 rows), so dense factorizations are fine.  At that size numpy's fixed cost
 per call outweighs the arithmetic: ``DenseQp`` checks symmetry on Python
-floats with np.allclose's rule, and ``solve_qp`` without a start returns a
-feasible unconstrained minimizer at once, before any feasible-start search
-or KKT solve.
+floats with np.allclose's rule, and ``solve_qp`` returns a feasible
+unconstrained minimizer at once, before any feasible-start search or KKT
+solve.  Every solve is cold: no caller has a start worth passing.
 
 LP subproblems (phase-1 feasibility, Chebyshev centers) go through scipy's
 HiGHS linprog.  A call this small costs several times more in scipy's input
@@ -104,27 +104,28 @@ class QpSolution:
     status: str  # "optimal" or "infeasible"
 
 
-def _feasible_start(G: np.ndarray, w: np.ndarray,
-                    candidates) -> np.ndarray | None:
-    for z in candidates:
-        if z is not None and np.all(G @ z <= w + FEAS_TOL):
-            return np.asarray(z, dtype=float)
+def _feasible_start(G: np.ndarray, w: np.ndarray) -> np.ndarray | None:
+    """The origin when it meets every row, else a phase-1 LP's point; None
+    when there is none."""
     n = G.shape[1]
+    if np.all(w >= -FEAS_TOL):
+        return np.zeros(n)
     res = linprog(np.zeros(n), A_ub=G, b_ub=w, bounds=[(None, None)] * n,
                   method="highs")
     return res.x if res.success else None
 
 
-def solve_qp(qp: DenseQp, z0: np.ndarray | None = None) -> QpSolution:
+def solve_qp(qp: DenseQp) -> QpSolution:
     """Solve the QP; H must be positive definite.
 
     Rows of G that are (numerically) zero cannot become active: they are
     either trivially satisfied or make the problem infeasible outright.
-    Without a start z0, an unconstrained minimizer that meets every other
-    row is returned at once, with no active row: the loop, started there,
-    returns it after one KKT solve whose step is rounding error.
-    Otherwise the loop starts at the first feasible point of z0, the
-    unconstrained minimizer and the origin, or at a phase-1 LP's point.
+    An unconstrained minimizer that meets every other row is returned at
+    once, with no active row.  Otherwise the loop starts at the origin, or
+    at a phase-1 LP's point when the origin is infeasible.  A working set
+    of n rows admits no step, so there the loop reads the multipliers
+    alone: with large multipliers, the step the KKT solve returns can be
+    rounding noise above the step tolerance.
     """
     H, f, w = qp.H, np.asarray(qp.f, float), np.asarray(qp.w, float)
     n = H.shape[0]
@@ -141,9 +142,9 @@ def solve_qp(qp: DenseQp, z0: np.ndarray | None = None) -> QpSolution:
     idx_map = np.flatnonzero(nonzero)
 
     z_free = -np.linalg.solve(H, f)
-    if z0 is None and np.all(Gi @ z_free <= wi + FEAS_TOL):
+    if np.all(Gi @ z_free <= wi + FEAS_TOL):
         return QpSolution(z_free, (), np.zeros(0), "optimal")
-    z = _feasible_start(Gi, wi, [z0, z_free, np.zeros(n)])
+    z = _feasible_start(Gi, wi)
     if z is None:
         return QpSolution(None, (), np.zeros(0), "infeasible")
 
@@ -160,7 +161,7 @@ def solve_qp(qp: DenseQp, z0: np.ndarray | None = None) -> QpSolution:
             raise QpError("singular KKT system") from exc
         p, lam = sol[:n], sol[n:]
 
-        if np.linalg.norm(p) <= 1e-11:
+        if len(work) == n or np.linalg.norm(p) <= 1e-11:
             if np.all(lam >= -MULT_TOL):
                 order = np.argsort(work)
                 act = tuple(int(idx_map[work[i]]) for i in order)

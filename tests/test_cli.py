@@ -417,6 +417,27 @@ def test_run_values_checked_before_synthesis(tmp_path, monkeypatch, key,
     assert explored == []
 
 
+def test_removed_nmpc_max_iters_key_exits_3_before_tables(tmp_path,
+                                                         monkeypatch,
+                                                         tables_dir, capsys):
+    """An NMPC step solves one QP, so no scenario key sets a count of
+    them: nmpc_max_iters is an unknown key, rejected before any table is
+    read or synthesized."""
+    touched = []
+    monkeypatch.setattr(cli, "explore",
+                        lambda *a, **kw: touched.append(a) or None)
+    monkeypatch.setattr(cli, "import_table",
+                        lambda *a, **kw: touched.append(a) or None)
+    cfg = _write(tmp_path / "s.json", {
+        "version": 1, "controller": "empc", "tables_dir": str(tables_dir),
+        "nmpc_max_iters": 10})
+    assert main(["run", "--config", cfg,
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    assert "unknown keys ['nmpc_max_iters']" in capsys.readouterr().err
+    assert touched == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_bench_checks_every_scenario_before_charging(tmp_path, monkeypatch):
     charges = []
     monkeypatch.setattr(cli, "run_closed_loop",

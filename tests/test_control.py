@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from empcharge.control import (RunSetup, default_ekf, ekf_step, empc_step,
                                nmpc_step, online_mpc_step, run_closed_loop)
 from empcharge.model import NdcState
 from empcharge.mpqp import I_MAX, I_MIN
-from empcharge.qp import solve_qp
 
 
 def _setup(params, dmodel, table, cfg, problems, solutions, **kw):
@@ -63,33 +64,35 @@ def test_nmpc_step_converges(params, dmodel, table, cfg):
     res = nmpc_step(params, dmodel, table, cfg, 0.0,
                     NdcState(0.2, 0.2, 0.0), 0.9)
     assert not res.fallback
-    assert res.iterations <= 5
+    assert res.iterations == 1
     assert 0.0 <= res.I_next <= 3.0
-    with pytest.raises(ValueError):
-        nmpc_step(params, dmodel, table, cfg, 0.0,
-                  NdcState(0.2, 0.2, 0.0), 0.9, max_iters=0)
 
 
-def test_nmpc_warm_start_keeps_minimizer(params, dmodel, table, cfg,
-                                         monkeypatch):
-    # every warm-started re-solve must land on the cold-start minimizer
-    warm = []
+def test_nmpc_charge_solves_one_qp_per_step(params, dmodel, table, cfg,
+                                            monkeypatch):
+    """Each NMPC step condenses one linearization and solves one QP, and
+    the charge keeps the plant's terminal voltage at or below 4.2 V."""
+    calls, per_step = Counter(), []
+    for attr in ("build", "solve_qp"):
+        def counting(*args, _real=getattr(control, attr), _attr=attr):
+            calls[_attr] += 1
+            return _real(*args)
+        monkeypatch.setattr(control, attr, counting)
 
-    def checked(qp, z0=None):
-        sol = solve_qp(qp, z0=z0)
-        cold = solve_qp(qp)
-        assert sol.status == cold.status
-        if sol.status == "optimal":
-            assert np.allclose(sol.z_star, cold.z_star, rtol=0.0, atol=1e-10)
-        warm.append(z0 is not None)
-        return sol
+    def step(*args, _real=control.nmpc_step):
+        calls.clear()
+        res = _real(*args)
+        per_step.append(dict(calls))
+        return res
 
-    monkeypatch.setattr(control, "solve_qp", checked)
+    monkeypatch.setattr(control, "nmpc_step", step)
     trace = run_closed_loop(RunSetup(params=params, model=dmodel,
                                      table=table, cfg=cfg,
                                      controller="nmpc"))
     assert trace.completed
-    assert any(warm)
+    assert len(per_step) == trace.charging_steps
+    assert all(c == {"build": 1, "solve_qp": 1} for c in per_step)
+    assert max(r.V for r in trace.rows) <= 4.2 + 1e-9
 
 
 def test_ekf_exact_init_tracks(params, dmodel):

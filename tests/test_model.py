@@ -118,6 +118,19 @@ def test_augmented_shape(dmodel):
     assert np.allclose(dmodel.B_aug.ravel(), [0, 0, 1])
 
 
+@pytest.mark.parametrize("x", [[0.2, 0.2, 0.0], [0.31, 0.35, 2.7],
+                               [0.9, 0.93, 0.4]])
+def test_step_move_reaches_only_the_current(dmodel, x):
+    """Vb and Vs one step on do not depend on the move, to the bit: the
+    NMPC step and the switch guard read them from a zero move."""
+    x = np.array(x)
+    ref = dmodel.step(x, 0.0)
+    for du in (-3.0, -0.7, 1e-9, 0.25, 3.0):
+        nxt = dmodel.step(x, du)
+        assert nxt[:2].tobytes() == ref[:2].tobytes()
+        assert nxt[2] == ref[2] + du
+
+
 def test_step_equilibrium(params, dmodel):
     x0 = NdcState(0.4, 0.4, 0.0)
     x1, _ = mdl.step_nonlinear(params, dmodel, x0, 0.0)
