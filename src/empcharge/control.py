@@ -19,6 +19,16 @@ the law of the segment owning the predicted Vs and keeps the smaller
 current, preserving the conservatism of the upper-end R0 choice across
 switches.  The NMPC baseline linearizes h and R0 at that predicted Vs
 instead, and solves one QP per step.
+
+The online-QP controller solves the same mpQP per segment at each step, so
+the last step's active set, the critical region its theta was in, is a
+good guess for this step's: run_closed_loop passes it to solve_qp, which
+checks it with one KKT solve and needs no phase-1 LP when it holds.  The
+guess decides only how the optimum is found (see solve_qp).  NMPC solves
+cold: its QP is relinearized every step, so the last active set is a
+guess about a different mpQP.  It is also the cost baseline that
+acceptance criterion 09 holds the explicit law's step time against, so it
+stays the plain cold method.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ from .model import DiscreteModel, NdcParams, NdcState
 from .mpqp import I_MAX, I_MIN, MpcConfig, MpqpProblem, assemble_theta, build
 from .qp import load_scipy, solve_qp
 from .regions import ExplicitSolution, _atomic_write, locate
-from .segments import SegmentTable, select_segment, _segment
+from .segments import SegmentTable, relinearize, select_segment
 
 __all__ = [
     "EkfState",
@@ -67,6 +77,7 @@ class StepResult:
     region: int | None
     fallback: bool
     iterations: int = 1  # QPs solved; perfbench's nmpc_step note reads it
+    active_set: tuple[int, ...] = ()  # the online QP's, else ()
 
 
 @dataclass
@@ -90,18 +101,20 @@ def _current(u_prev: float, x: NdcState, du0: float) -> float:
 
 
 def _result(u_prev: float, x: NdcState, segment: int, du0: float | None,
-            region: int | None) -> StepResult:
+            region: int | None, active_set: tuple[int, ...] = (),
+            ) -> StepResult:
     """The step of the move du0, saturated; du0 None (no region holds
     theta, or no QP solution) is the fallback move du0 = 0."""
     I_next = _current(u_prev, x, 0.0 if du0 is None else du0)
     return StepResult(I_next, float(I_next - x.I), segment, region,
-                      du0 is None)
+                      du0 is None, active_set=active_set)
 
 
 def _finish(move_of_segment, model: DiscreteModel, table: SegmentTable,
             u_prev: float, x: NdcState, r: float) -> StepResult:
     """Shared part of the eMPC/online-QP steps: the governing segment's
-    move_of_segment(segment, theta) -> (du0, region), then the guard."""
+    move_of_segment(segment, theta) -> (du0, region[, active set]), then
+    the guard."""
     theta = assemble_theta(x, r, u_prev)
     si = select_segment(table, x.Vs)
     res = _result(u_prev, x, si, *move_of_segment(si, theta))
@@ -127,11 +140,14 @@ def empc_step(solutions: list[ExplicitSolution], table: SegmentTable,
 
 def online_mpc_step(problems: list[MpqpProblem], table: SegmentTable,
                     model: DiscreteModel, u_prev: float, x: NdcState,
-                    r: float) -> StepResult:
+                    r: float, guess: tuple[int, ...] = ()) -> StepResult:
+    """The online QP of each segment the step consults, warm-started from
+    guess, rows thought active (run_closed_loop passes the last step's
+    active set)."""
     def move(si: int, th: np.ndarray):
-        sol = solve_qp(problems[si].qp(th))
+        sol = solve_qp(problems[si].qp(th), guess)
         return (float(sol.z_star[0]) if sol.status == "optimal" else None,
-                None)
+                None, sol.active_set)
 
     return _finish(move, model, table, u_prev, x, r)
 
@@ -141,12 +157,14 @@ def nmpc_step(params: NdcParams, model: DiscreteModel, table: SegmentTable,
               ) -> StepResult:
     """Relinearized MPC: linearize h and R0 at the next step's Vs, which
     the state alone fixes, instead of at the table's fixed operating
-    points, so the first step's V<= row is exact; then solve that one QP."""
+    points, so the first step's V<= row is exact; then solve that one QP,
+    cold (see the module docstring)."""
+    si = select_segment(table, x.Vs)
     vs_next = min(max(_predicted_vs(model, x), 0.0), 1.0)
-    seg = _segment(params, 0, 0.0, 1.0, vs_next, table.gamma1)
+    seg = relinearize(params, table.segments[si], vs_next)
     sol = solve_qp(build(model, seg, cfg).qp(assemble_theta(x, r, u_prev)))
     du0 = float(sol.z_star[0]) if sol.status == "optimal" else None
-    return _result(u_prev, x, select_segment(table, x.Vs), du0, None)
+    return _result(u_prev, x, si, du0, None)
 
 
 def ekf_step(params: NdcParams, model: DiscreteModel, ekf: EkfState,
@@ -271,6 +289,7 @@ def run_closed_loop(setup: RunSetup) -> SimTrace:
     meas_sd, process_sd = np.sqrt(MEAS_VAR), np.sqrt(PROCESS_VAR)
     x = NdcState(Vb=setup.soc_start, Vs=setup.soc_start, I=0.0)
     u_prev = 0.0                        # the move applied on the last step
+    active: tuple[int, ...] = ()        # the last online QP's active set
     ekf = default_ekf(x.as_array()) if setup.feedback == "ekf" else None
     rows: list[TraceRow] = []
     completed = False
@@ -291,7 +310,8 @@ def run_closed_loop(setup: RunSetup) -> SimTrace:
                             setup.soc_target)
         elif setup.controller == "qp":
             res = online_mpc_step(setup.problems, table, model, u_prev,
-                                  x_ctrl, setup.soc_target)
+                                  x_ctrl, setup.soc_target, active)
+            active = res.active_set
         else:  # "nmpc": RunSetup admits only CONTROLLERS
             res = nmpc_step(p, model, table, cfg, u_prev, x_ctrl,
                             setup.soc_target)

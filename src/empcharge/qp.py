@@ -8,7 +8,10 @@ rows), so dense factorizations are fine.  At that size numpy's fixed cost
 per call outweighs the arithmetic: ``DenseQp`` checks symmetry on Python
 floats with np.allclose's rule, and ``solve_qp`` returns a feasible
 unconstrained minimizer at once, before any feasible-start search or KKT
-solve.  Every solve is cold: no caller has a start worth passing.
+solve.  A caller that solves a sequence of nearby QPs can pass a guess of
+the active set, such as the last QP's (the online active-set strategy of
+Ferreau, Bock & Diehl, IJRNC 2008): one KKT solve then checks it, and a
+guess that holds skips the phase-1 LP.  Without a guess a solve is cold.
 
 LP subproblems (phase-1 feasibility, Chebyshev centers) go through scipy's
 HiGHS linprog.  A call this small costs several times more in scipy's input
@@ -115,17 +118,58 @@ def _feasible_start(G: np.ndarray, w: np.ndarray) -> np.ndarray | None:
     return res.x if res.success else None
 
 
-def solve_qp(qp: DenseQp) -> QpSolution:
+def _kkt(H: np.ndarray, A: np.ndarray, g: np.ndarray, b: np.ndarray,
+         ) -> tuple[np.ndarray, np.ndarray]:
+    """(x, lam) with H x + A' lam = g and A x = b; LinAlgError when the
+    system is singular."""
+    n = H.shape[0]
+    K = np.zeros((n + len(A),) * 2)
+    K[:n, :n], K[:n, n:], K[n:, :n] = H, A.T, A
+    sol = np.linalg.solve(K, np.concatenate([g, b]))
+    return sol[:n], sol[n:]
+
+
+def _optimal(z: np.ndarray, work: list[int], lam: np.ndarray,
+             idx_map: np.ndarray) -> QpSolution:
+    order = np.argsort(work)
+    act = tuple(int(idx_map[work[i]]) for i in order)
+    return QpSolution(z, act, np.maximum(lam[order], 0.0), "optimal")
+
+
+def _guessed_rows(guess, nonzero: np.ndarray, Gi: np.ndarray) -> list[int]:
+    """The positions in Gi of the guessed rows of G when they make a usable
+    working set: at most n of them, each a nonzero row of G, and linearly
+    independent, with a condition number at most 1e10, the bound of the
+    rank test in regions.law_for_active_set.  An empty list otherwise."""
+    n = Gi.shape[1]
+    if not (len(guess) <= n
+            and all(0 <= i < len(nonzero) and nonzero[i] for i in guess)):
+        return []
+    work = np.searchsorted(np.flatnonzero(nonzero), guess).tolist()
+    if len(work) > 1 and np.linalg.cond(Gi[work]) > 1e10:
+        return []
+    return work
+
+
+def solve_qp(qp: DenseQp, guess: tuple[int, ...] = ()) -> QpSolution:
     """Solve the QP; H must be positive definite.
 
     Rows of G that are (numerically) zero cannot become active: they are
     either trivially satisfied or make the problem infeasible outright.
     An unconstrained minimizer that meets every other row is returned at
-    once, with no active row.  Otherwise the loop starts at the origin, or
-    at a phase-1 LP's point when the origin is infeasible.  A working set
-    of n rows admits no step, so there the loop reads the multipliers
-    alone: with large multipliers, the step the KKT solve returns can be
-    rounding noise above the step tolerance.
+    once, with no active row.  Otherwise a guess, rows of G thought active
+    at the optimum (such as the active set of a nearby QP), is tried next:
+    when its rows make a usable working set (_guessed_rows), the KKT
+    system on them gives a point and multipliers.  A point that meets
+    every row with multipliers >= -MULT_TOL passes the test the loop ends
+    on and is returned at once; a point that meets every row with a
+    negative multiplier starts the loop, with the guess as working set.
+    H is positive definite, so the optimum is unique, and a guess changes
+    how it is found, never which.  Else the loop starts cold, at the
+    origin, or at a phase-1 LP's point when the origin is infeasible.  A
+    working set of n rows admits no step, so there the loop reads the
+    multipliers alone: with large multipliers, the step the KKT solve
+    returns can be rounding noise above the step tolerance.
     """
     H, f, w = qp.H, np.asarray(qp.f, float), np.asarray(qp.w, float)
     n = H.shape[0]
@@ -144,29 +188,32 @@ def solve_qp(qp: DenseQp) -> QpSolution:
     z_free = -np.linalg.solve(H, f)
     if np.all(Gi @ z_free <= wi + FEAS_TOL):
         return QpSolution(z_free, (), np.zeros(0), "optimal")
-    z = _feasible_start(Gi, wi)
-    if z is None:
-        return QpSolution(None, (), np.zeros(0), "infeasible")
+    work = _guessed_rows(guess, nonzero, Gi) if guess else []
+    if work:
+        try:
+            z, lam = _kkt(H, Gi[work], -f, wi[work])
+        except np.linalg.LinAlgError:
+            work = []
+        else:
+            if not np.all(Gi @ z <= wi + FEAS_TOL):
+                work = []
+            elif np.all(lam >= -MULT_TOL):
+                return _optimal(z, work, lam, idx_map)
+    if not work:
+        z = _feasible_start(Gi, wi)
+        if z is None:
+            return QpSolution(None, (), np.zeros(0), "infeasible")
 
-    work: list[int] = []
     for _ in range(200 + 20 * len(G)):
         # equality-constrained Newton step on the working set
-        A = Gi[work]
-        K = np.zeros((n + len(work),) * 2)
-        K[:n, :n], K[:n, n:], K[n:, :n] = H, A.T, A
-        rhs = np.concatenate([-(H @ z + f), np.zeros(len(work))])
         try:
-            sol = np.linalg.solve(K, rhs)
+            p, lam = _kkt(H, Gi[work], -(H @ z + f), np.zeros(len(work)))
         except np.linalg.LinAlgError as exc:
             raise QpError("singular KKT system") from exc
-        p, lam = sol[:n], sol[n:]
 
         if len(work) == n or np.linalg.norm(p) <= 1e-11:
             if np.all(lam >= -MULT_TOL):
-                order = np.argsort(work)
-                act = tuple(int(idx_map[work[i]]) for i in order)
-                return QpSolution(z, act, np.maximum(lam[order], 0.0),
-                                  "optimal")
+                return _optimal(z, work, lam, idx_map)
             # drop the most negative multiplier, lowest index on ties
             work.pop(min(range(len(work)), key=lambda i: (lam[i], work[i])))
             continue

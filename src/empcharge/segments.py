@@ -18,6 +18,7 @@ __all__ = [
     "LinearSegment",
     "SegmentTable",
     "linearize_at",
+    "relinearize",
     "build_table",
     "select_segment",
     "default_breakpoints",
@@ -93,21 +94,30 @@ def linearize_at(params: NdcParams, vs_op: float,
 
 def _segment(params: NdcParams, index: int, vs_lo: float, vs_hi: float,
              vs_op: float, gamma1: float) -> LinearSegment:
-    lambda1, lambda2, r0c = linearize_at(params, vs_op)
     # SoC and eta are linear in (Vb, Vs): their rows are the model's maps
-    # at the unit vectors
+    # at the unit vectors; relinearize fills the V row and D
     unit = ((1.0, 0.0), (0.0, 1.0))
     C = np.array([
         [soc(params, *v) for v in unit] + [0.0],
         [0.0, 1.0, 0.0],
         [0.0, 0.0, 1.0],
-        [0.0, lambda1, r0c],
+        [0.0, 0.0, 0.0],
         [eta(params, gamma1, *v) for v in unit] + [0.0],
     ])
-    D = np.array([0.0, 0.0, 0.0, lambda2, 0.0])
-    return LinearSegment(index=index, vs_lo=vs_lo, vs_hi=vs_hi, vs_op=vs_op,
-                         lambda1=lambda1, lambda2=lambda2, r0_const=r0c,
-                         C_mat=C, D_vec=D)
+    return relinearize(params, LinearSegment(
+        index, vs_lo, vs_hi, vs_op, 0.0, 0.0, 0.0, C, np.zeros(5)), vs_op)
+
+
+def relinearize(params: NdcParams, segment: LinearSegment,
+                vs_op: float) -> LinearSegment:
+    """segment with h and R0 linearized at vs_op, its index and Vs range
+    kept.  Only the V row of C, [0, lambda1, r0], and the V entry of D,
+    lambda2, depend on vs_op; the other rows are copied."""
+    lambda1, lambda2, r0c = linearize_at(params, vs_op)
+    C, D = segment.C_mat.copy(), segment.D_vec.copy()
+    C[3, 1], C[3, 2], D[3] = lambda1, r0c, lambda2
+    return LinearSegment(segment.index, segment.vs_lo, segment.vs_hi, vs_op,
+                         lambda1, lambda2, r0c, C, D)
 
 
 def build_table(params: NdcParams, breakpoints, gamma1: float,

@@ -1,9 +1,10 @@
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from empcharge import control
+from empcharge import control, qp
 from empcharge import model as mdl
 from empcharge.control import (RunSetup, default_ekf, ekf_step, empc_step,
                                nmpc_step, online_mpc_step, run_closed_loop)
@@ -58,6 +59,38 @@ def test_single_step_agreement(params, dmodel, table, cfg, problems,
     assert ra.I_next == pytest.approx(rb.I_next, abs=1e-8)
     assert ra.segment == rb.segment
     assert not ra.fallback and not rb.fallback
+
+
+def test_online_qp_warm_start_keeps_the_charge(params, dmodel, table, cfg,
+                                               problems, monkeypatch):
+    """The online-QP charge of basic_case_qp, each QP warm-started from
+    the last step's active set, is the cold charge within 1e-12 in every
+    trace column, and it makes 3 phase-1 LPs where the cold charge makes
+    14."""
+    lps = []
+    monkeypatch.setattr(qp, "linprog",
+                        lambda *a, _real=qp.linprog, **k:
+                        lps.append(1) or _real(*a, **k))
+
+    def charge():
+        lps.clear()
+        trace = run_closed_loop(RunSetup(params=params, model=dmodel,
+                                         table=table, cfg=cfg,
+                                         problems=problems, controller="qp"))
+        return trace, len(lps)
+
+    warm, warm_lps = charge()
+    monkeypatch.setattr(control, "solve_qp",
+                        lambda q, *guess, _real=control.solve_qp: _real(q))
+    cold, cold_lps = charge()
+    assert (cold_lps, warm_lps) == (14, 3)
+    assert warm.completed and cold.completed
+    assert warm.charging_steps == cold.charging_steps == 67
+    for w, c in zip(warm.rows, cold.rows):
+        assert (w.segment, w.fallback_flag) == (c.segment, c.fallback_flag)
+        for f in fields(w):
+            if f.name != "solver_time_ns":
+                assert abs(getattr(w, f.name) - getattr(c, f.name)) <= 1e-12
 
 
 def test_nmpc_step_converges(params, dmodel, table, cfg):

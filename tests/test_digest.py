@@ -1,6 +1,7 @@
 """tools/digest.py, the identity check of synthesis and run outputs, is
 itself deterministic: two runs print the same lines."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -26,3 +27,28 @@ def test_digest_is_repeatable():
                  "basic_case/run/basic_case_trace.csv",
                  "basic_case/run/basic_case_summary.json"):
         assert name in names
+
+
+def test_diff_against_its_own_tree_prints_nothing():
+    out = subprocess.run([sys.executable, str(DIGEST), "--diff",
+                          str(DIGEST.parents[1]), "basic_case_qp"],
+                         capture_output=True, text=True)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "", "")
+
+
+def test_diff_reports_step_counts_and_column_differences():
+    spec = importlib.util.spec_from_file_location("digest", DIGEST)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    head = ["step", "V", "region"]
+    mine = {"a/run/a_trace.csv": ("x", [head, ["0", "4.0", "1"],
+                                        ["1", "4.1", "2"]]),
+            "a/run/a_summary.json": ("s", None)}
+    theirs = {"a/run/a_trace.csv": ("y", [head, ["0", "4.0", "1"],
+                                          ["1", "4.25", "2"],
+                                          ["2", "4.2", "3"]]),
+              "a/run/a_summary.json": ("s", None),
+              "b/run/b_summary.json": ("t", None)}
+    assert digest.diff_lines(mine, theirs) == [
+        "a/run/a_trace.csv differs", "  steps 3 -> 2", "  step 0",
+        "  V 0.15", "  region 0", "b/run/b_summary.json only in the other"]

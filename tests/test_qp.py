@@ -197,34 +197,92 @@ def test_vertex_optimum_with_large_multipliers():
     assert np.all(sol.multipliers > 1e6)
 
 
+def _random_qps():
+    """The 3000 random QPs of the probe below: n in 1..4, m in 1..11."""
+    rng = np.random.default_rng(1)
+    for _ in range(3000):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 12))
+        A = rng.standard_normal((n, n))
+        H = A @ A.T + 0.1 * np.eye(n)
+        yield (H, rng.standard_normal(n), rng.standard_normal((m, n)),
+               rng.standard_normal(m))
+
+
+def _check_solution(sol, H, f, G, w):
+    """Optimal with KKT residuals within 1e-10 scaled, or infeasible where
+    HiGHS agrees."""
+    n, m = G.shape[1], len(G)
+    if sol.status == "infeasible":
+        assert linprog(np.zeros(n), A_ub=G, b_ub=w,
+                       bounds=[(None, None)] * n,
+                       method="highs").status == 2
+        return
+    z, act = sol.z_star, list(sol.active_set)
+    lam = np.zeros(m)
+    lam[act] = sol.multipliers
+    assert np.all(sol.multipliers >= 0.0)
+    scale = 1.0 + np.max(np.abs(G.T) @ lam) + np.max(np.abs(H @ z))
+    assert np.max(np.abs(H @ z + f + G.T @ lam)) <= 1e-10 * scale
+    slack = G @ z - w
+    assert np.all(slack <= 1e-10 * (1.0 + np.max(np.abs(z))))
+    assert np.all(np.abs(slack[act]) <= 1e-10 * (1.0 + np.max(np.abs(z))))
+
+
 def test_random_qp_probe_solves_every_feasible_qp():
     """3000 random QPs, n in 1..4 and m in 1..11: each comes back optimal
     with small KKT residuals, or infeasible where HiGHS agrees; none
     raises.  Six of them end at a vertex, n rows active with multipliers
     up to 2e6, where a KKT step on the full working set is rounding
     noise."""
-    rng = np.random.default_rng(1)
-    for _ in range(3000):
-        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 12))
-        A = rng.standard_normal((n, n))
-        H = A @ A.T + 0.1 * np.eye(n)
-        f, G, w = (rng.standard_normal(n), rng.standard_normal((m, n)),
-                   rng.standard_normal(m))
-        sol = solve_qp(DenseQp(H, f, G, w))
-        if sol.status == "infeasible":
-            assert linprog(np.zeros(n), A_ub=G, b_ub=w,
-                           bounds=[(None, None)] * n,
-                           method="highs").status == 2
+    for H, f, G, w in _random_qps():
+        _check_solution(solve_qp(DenseQp(H, f, G, w)), H, f, G, w)
+
+
+def test_guess_of_the_optimal_active_set_is_accepted_at_once(monkeypatch):
+    """Guessing the active set a cold solve ends on returns the same
+    solution, within 1e-10 scaled, from one KKT solve: no feasible-start
+    search, so no phase-1 LP."""
+    cases = [(H, f, G, w, solve_qp(DenseQp(H, f, G, w)))
+             for H, f, G, w in _random_qps()]
+    starts = []
+    monkeypatch.setattr(qp, "_feasible_start",
+                        lambda *a: starts.append(a) or None)
+    guessed = 0
+    for H, f, G, w, cold in cases:
+        if cold.status != "optimal" or not cold.active_set:
             continue
-        z, act = sol.z_star, list(sol.active_set)
-        lam = np.zeros(m)
-        lam[act] = sol.multipliers
-        assert np.all(sol.multipliers >= 0.0)
-        scale = 1.0 + np.max(np.abs(G.T) @ lam) + np.max(np.abs(H @ z))
-        assert np.max(np.abs(H @ z + f + G.T @ lam)) <= 1e-10 * scale
-        slack = G @ z - w
-        assert np.all(slack <= 1e-10 * (1.0 + np.max(np.abs(z))))
-        assert np.all(np.abs(slack[act]) <= 1e-10 * (1.0 + np.max(np.abs(z))))
+        guessed += 1
+        warm = solve_qp(DenseQp(H, f, G, w), cold.active_set)
+        assert warm.status == "optimal"
+        assert warm.active_set == cold.active_set
+        assert (np.max(np.abs(warm.z_star - cold.z_star))
+                <= 1e-10 * (1.0 + np.max(np.abs(cold.z_star))))
+    assert starts == []
+    assert guessed > 1000
+
+
+def test_any_guess_gives_the_cold_status_and_a_kkt_point():
+    """A guess of random rows changes how a QP is solved, never whether it
+    is feasible, and never raises QpError.  The QPs of the probe get a
+    zero row and a row that is the sum of two others (with the sum of
+    their bounds, so it can be active with them), and the guesses include
+    no rows, more than n rows, repeated rows, the zero row and the sum row
+    together with its two terms."""
+    rng = np.random.default_rng(2)
+    for H, f, G, w in _random_qps():
+        n, m = G.shape[1], len(G)
+        a, b = rng.integers(0, m, 2)
+        G = np.vstack([G, np.zeros(n), G[a] + G[b]])
+        w = np.concatenate([w, [abs(rng.standard_normal()), w[a] + w[b]]])
+        if rng.random() < 0.25:
+            guess = (int(a), int(b), m + 1)
+        else:
+            guess = tuple(rng.integers(0, m + 2, rng.integers(0, n + 2))
+                          .tolist())
+        cold = solve_qp(DenseQp(H, f, G, w))
+        warm = solve_qp(DenseQp(H, f, G, w), guess)
+        assert warm.status == cold.status
+        _check_solution(warm, H, f, G, w)
 
 
 def test_deterministic():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from empcharge import model as mdl
-from empcharge.segments import (DEFAULT_BREAKPOINTS, build_table,
-                                default_table, linearize_at, select_segment)
+from empcharge.segments import (DEFAULT_BREAKPOINTS, _segment, build_table,
+                                default_table, linearize_at, relinearize,
+                                select_segment)
 
 # golden per-segment linearization values (vs_op, lambda1, lambda2, r0);
 # derived independently from the polynomial tangent and resistance formula
@@ -20,6 +21,22 @@ GOLDEN = [
     (0.87, 1.0002, 3.1544, 0.185),
     (0.90, 1.1123, 3.0551, 0.219),
 ]
+
+
+def test_relinearize_equals_a_fresh_segment(params, table):
+    """Relinearizing any segment at any Vs gives the bits of a segment
+    built there from scratch, with the index and Vs range kept."""
+    for seg in table.segments:
+        for vs_op in (0.0, 0.2, 0.39, 0.7312, 0.9, 1.0):
+            got = relinearize(params, seg, vs_op)
+            ref = _segment(params, seg.index, seg.vs_lo, seg.vs_hi, vs_op,
+                           table.gamma1)
+            assert got.C_mat.tobytes() == ref.C_mat.tobytes()
+            assert got.D_vec.tobytes() == ref.D_vec.tobytes()
+            scalars = ("index", "vs_lo", "vs_hi", "vs_op", "lambda1",
+                       "lambda2", "r0_const")
+            assert ([getattr(got, k) for k in scalars]
+                    == [getattr(ref, k) for k in scalars])
 
 
 def test_linearize_golden(params):

@@ -8,6 +8,15 @@ traces, so a change that claims identical outputs can be checked with
     python3 tools/digest.py > change.txt
     diff parent.txt change.txt
 
+and a change that claims outputs within a tolerance with
+
+    python3 tools/digest.py --diff PARENT
+
+which prints, for each artifact whose digest differs from PARENT's, its
+name, and for a run trace also both step counts and the largest absolute
+difference per column over the steps the traces share.  It prints nothing
+and exits 0 when every digest is equal, else it exits 1.
+
 The artifacts:
 
 - for each synthesis block under ``configs/`` (a synthesis config, or the
@@ -17,10 +26,11 @@ The artifacts:
 - for the scenarios in ``RUNS``: the trace CSV of ``run`` without its
   ``solver_time_ns`` column, and the summary without its ``step_ns_*``.
 
-Usage: ``python3 tools/digest.py [--root TREE] [NAME ...]``.  TREE is the
-checkout whose ``src/`` and ``configs/`` are used (default: the one this
-script is in); the NAMEs, config file stems such as ``synthesis_default``
-or ``basic_case``, limit the output to those configs.
+Usage: ``python3 tools/digest.py [--root TREE] [--diff OTHER] [NAME ...]``.
+TREE is the checkout whose ``src/`` and ``configs/`` are used (default: the
+one this script is in), and OTHER the checkout it is compared with; the
+NAMEs, config file stems such as ``synthesis_default`` or ``basic_case``,
+limit the output to those configs.
 """
 
 from __future__ import annotations
@@ -65,7 +75,7 @@ def _synthesis_lines(root, name: str, block: dict, tmp: pathlib.Path):
             for seg in report["segments"]:
                 seg.pop("wall_s")
             data = json.dumps(report, sort_keys=True).encode()
-        yield f"{name}/synthesize/{path.name}", _sha(data)
+        yield f"{name}/synthesize/{path.name}", _sha(data), None
 
 
 def _run_lines(root, name: str, tmp: pathlib.Path):
@@ -76,18 +86,21 @@ def _run_lines(root, name: str, tmp: pathlib.Path):
     rows = list(csv.reader(io.StringIO((out / f"{name}_trace.csv")
                                        .read_text())))
     drop = rows[0].index("solver_time_ns")
-    text = "\n".join(",".join(r[:drop] + r[drop + 1:]) for r in rows)
-    yield f"{name}/run/{name}_trace.csv", _sha(text.encode())
+    rows = [r[:drop] + r[drop + 1:] for r in rows]
+    text = "\n".join(",".join(r) for r in rows)
+    yield f"{name}/run/{name}_trace.csv", _sha(text.encode()), rows
     summary = {k: v for k, v in json.loads(
         (out / f"{name}_summary.json").read_text()).items()
         if not k.startswith("step_ns_")}
     yield (f"{name}/run/{name}_summary.json",
-           _sha(json.dumps(summary, sort_keys=True).encode()))
+           _sha(json.dumps(summary, sort_keys=True).encode()), None)
 
 
-def digest_lines(root: pathlib.Path, names=()) -> list[str]:
-    """The ``name sha256`` lines of the configs named (all when empty)."""
-    lines = []
+def digests(root: pathlib.Path, names=()) -> dict[str, tuple]:
+    """name -> (sha256, trace rows or None) for the artifacts of the
+    configs named (all when empty).  The trace rows, header first, are
+    those of a run trace, less its solver_time_ns column."""
+    out = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         for path in sorted((root / "configs").glob("*.json")):
@@ -97,10 +110,41 @@ def digest_lines(root: pathlib.Path, names=()) -> list[str]:
             doc = json.loads(path.read_text())
             if "scenarios" in doc:  # a bench config
                 continue
-            lines += [f"{k} {v}" for k, v in _synthesis_lines(
-                root, name, doc.get("synthesis", doc), tmp)]
+            found = list(_synthesis_lines(root, name,
+                                          doc.get("synthesis", doc), tmp))
             if name in RUNS:
-                lines += [f"{k} {v}" for k, v in _run_lines(root, name, tmp)]
+                found += _run_lines(root, name, tmp)
+            out.update((k, (sha, rows)) for k, sha, rows in found)
+    return out
+
+
+def _trace_diff(mine: list[list[str]], theirs: list[list[str]],
+                ) -> list[str]:
+    """Both step counts, then per column of mine that theirs has, the
+    largest absolute difference over the steps both traces have."""
+    lines = [f"  steps {len(theirs) - 1} -> {len(mine) - 1}"]
+    for col in mine[0]:
+        if col not in theirs[0]:
+            lines.append(f"  {col} only in this tree")
+            continue
+        i, j = mine[0].index(col), theirs[0].index(col)
+        worst = max((abs(float(a[i]) - float(b[j]))
+                     for a, b in zip(mine[1:], theirs[1:])), default=0.0)
+        lines.append(f"  {col} {worst:.3g}")
+    return lines
+
+
+def diff_lines(mine: dict, theirs: dict) -> list[str]:
+    """What differs between two digests() results, mine against theirs."""
+    lines = []
+    for name in sorted(mine.keys() | theirs.keys()):
+        if name not in theirs or name not in mine:
+            lines.append(f"{name} only in "
+                         f"{'this tree' if name in mine else 'the other'}")
+        elif mine[name][0] != theirs[name][0]:
+            lines.append(f"{name} differs")
+            if mine[name][1] is not None:
+                lines += _trace_diff(mine[name][1], theirs[name][1])
     return lines
 
 
@@ -109,11 +153,18 @@ def main(argv=None) -> int:
         "\n\n")[0])
     ap.add_argument("--root", type=pathlib.Path,
                     default=pathlib.Path(__file__).resolve().parents[1])
+    ap.add_argument("--diff", type=pathlib.Path, metavar="OTHER")
     ap.add_argument("names", nargs="*")
     args = ap.parse_args(argv)
-    for line in digest_lines(args.root.resolve(), set(args.names)):
+    mine = digests(args.root.resolve(), set(args.names))
+    if args.diff is None:
+        for name, (sha, _) in mine.items():
+            print(name, sha)
+        return 0
+    lines = diff_lines(mine, digests(args.diff.resolve(), set(args.names)))
+    for line in lines:
         print(line)
-    return 0
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":
