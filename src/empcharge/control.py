@@ -2,7 +2,7 @@
 baselines, EKF output feedback, and the simulation loop.
 
 Controller semantics per step, given state x = [Vb, Vs, I], target r and the
-previous move u_prev: pick the segment for x.Vs, evaluate the law at
+previous move u_prev: pick the segment, evaluate its law at
 theta = [Vb, Vs, I, r, u_prev] to get du0, and apply
 
     I_next = clip(u_prev + du0 + I, I_MIN, I_MAX),
@@ -12,12 +12,12 @@ step returns the move it applied, I_next - I, as the next step's u_prev.
 
 The move reaches the current only after the A_aug product
 (DiscreteModel.step), so the surface voltage one step on is fixed by the
-state alone.  Because the segment law is linearized at a fixed operating
-point, a step whose predicted surface voltage crosses into the next segment
-can slightly under-predict terminal voltage.  A switch guard re-evaluates
-the law of the segment owning the predicted Vs and keeps the smaller
-current, preserving the conservatism of the upper-end R0 choice across
-switches.  The NMPC baseline linearizes h and R0 at that predicted Vs
+state alone.  That is where the law's first V<= row is evaluated, so every
+controller applies the law of the segment owning it,
+select_segment(table, _predicted_vs(model, x)), and no step uses a
+linearization outside its own segment for that row.  The eMPC step looks
+theta up in that segment's table and the online-QP step solves that
+segment's QP; the NMPC baseline linearizes h and R0 at that predicted Vs
 instead, and solves one QP per step.
 
 The online-QP controller solves the same mpQP per segment at each step, so
@@ -110,46 +110,27 @@ def _result(u_prev: float, x: NdcState, segment: int, du0: float | None,
                       du0 is None, active_set=active_set)
 
 
-def _finish(move_of_segment, model: DiscreteModel, table: SegmentTable,
-            u_prev: float, x: NdcState, r: float) -> StepResult:
-    """Shared part of the eMPC/online-QP steps: the governing segment's
-    move_of_segment(segment, theta) -> (du0, region[, active set]), then
-    the guard."""
-    theta = assemble_theta(x, r, u_prev)
-    si = select_segment(table, x.Vs)
-    res = _result(u_prev, x, si, *move_of_segment(si, theta))
-    sj = select_segment(table, _predicted_vs(model, x))
-    if sj != si:  # the switch guard: the smaller current, si's on a tie
-        res = min(res, _result(u_prev, x, sj, *move_of_segment(sj, theta)),
-                  key=lambda s: s.I_next)
-    return res
-
-
 def empc_step(solutions: list[ExplicitSolution], table: SegmentTable,
               model: DiscreteModel, u_prev: float, x: NdcState,
               r: float) -> StepResult:
-    def move(si: int, th: np.ndarray):
-        idx = locate(solutions[si], th)
-        if idx is None:
-            return None, None
-        reg = solutions[si].regions[idx]
-        return float(reg.K[0] @ th + reg.g[0]), idx
-
-    return _finish(move, model, table, u_prev, x, r)
+    si = select_segment(table, _predicted_vs(model, x))
+    theta = assemble_theta(x, r, u_prev)
+    idx = locate(solutions[si], theta)
+    if idx is None:
+        return _result(u_prev, x, si, None, None)
+    reg = solutions[si].regions[idx]
+    return _result(u_prev, x, si, float(reg.K[0] @ theta + reg.g[0]), idx)
 
 
 def online_mpc_step(problems: list[MpqpProblem], table: SegmentTable,
                     model: DiscreteModel, u_prev: float, x: NdcState,
                     r: float, guess: tuple[int, ...] = ()) -> StepResult:
-    """The online QP of each segment the step consults, warm-started from
-    guess, rows thought active (run_closed_loop passes the last step's
-    active set)."""
-    def move(si: int, th: np.ndarray):
-        sol = solve_qp(problems[si].qp(th), guess)
-        return (float(sol.z_star[0]) if sol.status == "optimal" else None,
-                None, sol.active_set)
-
-    return _finish(move, model, table, u_prev, x, r)
+    """The segment's online QP, warm-started from guess, rows thought
+    active (run_closed_loop passes the last step's active set)."""
+    si = select_segment(table, _predicted_vs(model, x))
+    sol = solve_qp(problems[si].qp(assemble_theta(x, r, u_prev)), guess)
+    du0 = float(sol.z_star[0]) if sol.status == "optimal" else None
+    return _result(u_prev, x, si, du0, None, sol.active_set)
 
 
 def nmpc_step(params: NdcParams, model: DiscreteModel, table: SegmentTable,
@@ -159,9 +140,9 @@ def nmpc_step(params: NdcParams, model: DiscreteModel, table: SegmentTable,
     the state alone fixes, instead of at the table's fixed operating
     points, so the first step's V<= row is exact; then solve that one QP,
     cold (see the module docstring)."""
-    si = select_segment(table, x.Vs)
-    vs_next = min(max(_predicted_vs(model, x), 0.0), 1.0)
-    seg = relinearize(params, table.segments[si], vs_next)
+    vs_next = _predicted_vs(model, x)
+    si = select_segment(table, vs_next)
+    seg = relinearize(params, table.segments[si], min(max(vs_next, 0.0), 1.0))
     sol = solve_qp(build(model, seg, cfg).qp(assemble_theta(x, r, u_prev)))
     du0 = float(sol.z_star[0]) if sol.status == "optimal" else None
     return _result(u_prev, x, si, du0, None)

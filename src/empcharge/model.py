@@ -53,7 +53,6 @@ class NdcParams:
     beta2: float = 0.35
     beta3: float = 10.0
     Vs_max: float = 1.0
-    Vs_min: float = 0.0
 
     def __post_init__(self) -> None:
         if self.Cb <= 0 or self.Cs <= 0:
@@ -73,8 +72,7 @@ class NdcParams:
     @classmethod
     def from_dict(cls, d: dict) -> "NdcParams":
         """Build from a flat key-value mapping with alpha0..alpha5 keys."""
-        known = {"Cb", "Cs", "Rb", "Rs", "beta1", "beta2", "beta3",
-                 "Vs_max", "Vs_min"}
+        known = {"Cb", "Cs", "Rb", "Rs", "beta1", "beta2", "beta3", "Vs_max"}
         alpha_keys = {f"alpha{i}" for i in range(6)}
         unknown = set(d) - known - alpha_keys
         if unknown:

@@ -237,8 +237,8 @@ def explore(problem: MpqpProblem, theta_box: np.ndarray | None = None,
 def locate(solution: ExplicitSolution, theta: np.ndarray) -> int | None:
     """Index of the region whose largest violation at theta is smallest,
     None when it exceeds the table's locate_tol.  The answer does not
-    depend on region order: a tie goes to the smaller first move, as in the
-    segment-switch guard.
+    depend on region order: a tie goes to the smaller first move, the more
+    cautious current.
     """
     worst = (solution._E @ theta - solution._e).max(axis=1)
     best = worst.min(initial=np.inf)

@@ -229,6 +229,20 @@ def test_unknown_config_key(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("command", ["synthesize", "run"])
+def test_removed_vs_min_param_exits_3(tmp_path, capsys, command):
+    """No code reads a lower Vs bound from the parameters, so Vs_min is an
+    unknown parameter key, not one silently ignored."""
+    syn = {"version": 1, "params": {"Vs_min": 0.0}}
+    doc = syn if command == "synthesize" else {
+        "version": 1, "controller": "qp", "synthesis": syn}
+    cfg = _write(tmp_path / "s.json", doc)
+    assert main([command, "--config", cfg,
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    assert "unknown parameter keys: ['Vs_min']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_version(tmp_path):
     cfg = _write(tmp_path / "bad.json", {"version": 2})
     rc = main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")])

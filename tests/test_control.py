@@ -9,7 +9,9 @@ from empcharge import model as mdl
 from empcharge.control import (RunSetup, default_ekf, ekf_step, empc_step,
                                nmpc_step, online_mpc_step, run_closed_loop)
 from empcharge.model import NdcState
-from empcharge.mpqp import I_MAX, I_MIN
+from empcharge.mpqp import I_MAX, I_MIN, assemble_theta
+from empcharge.regions import DEFAULT_THETA_BOX, locate
+from empcharge.segments import select_segment
 
 
 def _setup(params, dmodel, table, cfg, problems, solutions, **kw):
@@ -239,3 +241,102 @@ def test_budget_exhaustion(params, dmodel, table, cfg, problems, solutions):
                                    solutions, step_budget=5))
     assert not trace.completed
     assert trace.charging_steps == 5
+
+
+def test_step_applies_the_law_of_next_steps_segment(params, dmodel, table,
+                                                    cfg, problems, solutions):
+    """Vs just below the 0.6 breakpoint, Vb < Vs and a large current: Vs
+    one step on lies in the next segment, and each controller applies that
+    segment's law.  (At 3 A every QP is infeasible here, through the
+    eta<= @k=1 row, so the step would be a fallback.)"""
+    x, r, u_prev = NdcState(Vb=0.594, Vs=0.599, I=2.5), 0.9, 0.0
+    here = select_segment(table, x.Vs)
+    nxt = select_segment(table, control._predicted_vs(dmodel, x))
+    assert nxt == here + 1
+    steps = (empc_step(solutions, table, dmodel, u_prev, x, r),
+             online_mpc_step(problems, table, dmodel, u_prev, x, r),
+             nmpc_step(params, dmodel, table, cfg, u_prev, x, r))
+    for res in steps:
+        assert res.segment == nxt
+        assert not res.fallback
+    theta = assemble_theta(x, r, u_prev)
+    region = locate(solutions[nxt], theta)
+    assert region is not None and steps[0].region == region
+    law = solutions[nxt].regions[region]
+    assert steps[0].I_next == control._current(
+        u_prev, x, float(law.K[0] @ theta + law.g[0]))
+
+
+def _guard(move, table, model, u_prev, x, r):
+    """The segment-switch guard this package once ran, as a reference: the
+    law of the segment owning Vs and that of the segment owning Vs one
+    step on, the smaller current kept, the first on a tie."""
+    theta = assemble_theta(x, r, u_prev)
+    si = select_segment(table, x.Vs)
+    res = control._result(u_prev, x, si, *move(si, theta))
+    sj = select_segment(table, control._predicted_vs(model, x))
+    if sj != si:
+        res = min(res, control._result(u_prev, x, sj, *move(sj, theta)),
+                  key=lambda s: s.I_next)
+    return res
+
+
+def _guarded_empc(solutions, table, model, u_prev, x, r):
+    def move(si, theta):
+        idx = locate(solutions[si], theta)
+        if idx is None:
+            return None, None
+        reg = solutions[si].regions[idx]
+        return float(reg.K[0] @ theta + reg.g[0]), idx
+
+    return _guard(move, table, model, u_prev, x, r)
+
+
+def _guarded_qp(problems, table, model, u_prev, x, r, guess=()):
+    def move(si, theta):
+        sol = qp.solve_qp(problems[si].qp(theta), guess)
+        return (float(sol.z_star[0]) if sol.status == "optimal" else None,
+                None, sol.active_set)
+
+    return _guard(move, table, model, u_prev, x, r)
+
+
+@pytest.mark.parametrize("controller, kw", [
+    ("empc", {}), ("qp", {})] + [
+    ("empc", dict(feedback="ekf", noise=True, seed=seed))
+    for seed in range(20)])
+def test_one_segment_rule_keeps_the_guards_currents(
+        params, dmodel, table, cfg, problems, solutions, monkeypatch,
+        controller, kw):
+    """Applying the law of the segment owning Vs one step on gives the
+    currents of the old switch guard, to the bit, on the basic eMPC and QP
+    charges and on noisy EKF charges."""
+    setup = _setup(params, dmodel, table, cfg, problems, solutions,
+                   controller=controller, **kw)
+    new = run_closed_loop(setup)
+    monkeypatch.setattr(control, "empc_step", _guarded_empc)
+    monkeypatch.setattr(control, "online_mpc_step", _guarded_qp)
+    ref = run_closed_loop(setup)
+    assert [row.I for row in new.rows] == [row.I for row in ref.rows]
+    assert new.fallback_count == ref.fallback_count
+
+
+def test_one_segment_rule_off_trajectory_keeps_voltage(params, dmodel, table,
+                                                       solutions):
+    """Over uniform theta in the default box, wherever the one-segment
+    eMPC step and the old guard apply different currents, the one-segment
+    move keeps the true terminal voltage one step on at or below 4.2 V."""
+    rng = np.random.default_rng(20)
+    box = DEFAULT_THETA_BOX
+    differ = 0
+    for theta in rng.uniform(box[:, 0], box[:, 1], (20000, len(box))):
+        x, r, u_prev = NdcState(*theta[:3].tolist()), theta[3], theta[4]
+        new = empc_step(solutions, table, dmodel, u_prev, x, r)
+        ref = _guarded_empc(solutions, table, dmodel, u_prev, x, r)
+        if (new.I_next, new.fallback) == (ref.I_next, ref.fallback):
+            continue
+        differ += 1
+        _, y = mdl.step_nonlinear(params, dmodel, x, new.du_applied,
+                                  table.gamma1)
+        assert y.V <= 4.2, (theta, new, ref)
+    assert differ > 0

@@ -1,15 +1,20 @@
 """The benchmark's hook points: every package attribute that
-``perfbench/layers.py`` wraps must exist and be callable, so a cleanup in
-``src/`` cannot silently break the traced benchmark run."""
+``perfbench/layers.py`` wraps must exist and be callable, and every name
+``perfbench/workloads.py`` calls untraced must keep the shape it uses, so a
+cleanup in ``src/`` cannot silently break the benchmark run."""
 
+import argparse
+import dataclasses
 import inspect
+import json
 import pathlib
 from collections import Counter
 
+import numpy as np
 import scipy.optimize._linprog as scipy_linprog
 
-from empcharge import control, qp, regions
-from empcharge.model import NdcState
+from empcharge import cli, control, qp, regions, segments
+from empcharge.model import NdcState, discretize
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -66,8 +71,8 @@ def test_controller_steps_call_hooked_names(monkeypatch, params, dmodel,
                                             table, cfg, problems, solutions):
     """Each controller step reaches the QP, point location, condensing and
     segment selection through the names ``layers.py`` wraps in
-    ``control``; a call routed around them would drop out of the traced
-    benchmark's spans."""
+    ``control``, once each: a call routed around them would drop out of
+    the traced benchmark's spans."""
     calls = Counter()
     for attr in ("solve_qp", "locate", "build", "select_segment"):
         def counting(*args, _real=getattr(control, attr), _attr=attr, **kw):
@@ -88,4 +93,52 @@ def test_controller_steps_call_hooked_names(monkeypatch, params, dmodel,
     for step, names in steps:
         calls.clear()
         step()
-        assert set(calls) == names
+        assert calls == dict.fromkeys(names, 1)
+
+
+def test_workload_names_keep_their_shape(tmp_path, solutions):
+    """The calls ``workloads.py`` makes outside the traced names, in the
+    shapes it makes them: the CLI's synthesis and scenario set-up, the box
+    halfspaces and the Chebyshev center of its warm-up solve, a table read
+    back from disk, and the ``RunSetup`` fields it replaces."""
+    configs = PERFBENCH.parent / "configs"
+    syn = json.loads((configs / "synthesis_default.json").read_text())
+    params, model, _, _, problems = cli._synthesis_objects(syn)
+    assert discretize(params, model.dt).dt == model.dt
+    box = cli._theta_box(syn)
+    assert box.shape == (5, 2)
+    assert [list(b) for b in segments.default_breakpoints()]
+
+    prob, theta = problems[0], box.mean(axis=1)
+    sol = qp.solve_qp(qp.DenseQp(prob.Sigma, prob.F @ theta, prob.G,
+                                 prob.S @ theta + prob.W))
+    assert sol.status == "optimal"
+    center, radius = qp.chebyshev_center(*regions.box_halfspaces(box))
+    assert radius > 0
+    assert np.all((box[:, 0] < center) & (center < box[:, 1]))
+
+    path = tmp_path / "table.json"
+    regions.export_table(solutions[0], path)
+    table0 = regions.import_table(str(path))
+    assert table0.n_regions == solutions[0].n_regions
+    assert table0.theta_box.shape == (5, 2) and table0.stored_reals > 0
+    assert (table0.segment_index, table0.locate_tol) == (
+        solutions[0].segment_index, solutions[0].locate_tol)
+    r = table0.regions[0]
+    assert (r.E.ndim, r.e.ndim, r.K.ndim, r.g.ndim) == (2, 1, 2, 1)
+    assert isinstance(r.active_set, tuple)
+
+    doc = json.loads((configs / "basic_case_qp.json").read_text())
+    run = cli._scenario_setup(doc, argparse.Namespace(
+        controller="qp", feedback=None, seed=None))
+    run = dataclasses.replace(run, controller="empc", solutions=solutions)
+    run = dataclasses.replace(run, seed=7)
+    assert (run.controller, run.seed) == ("empc", 7)
+
+
+def test_nmpc_step_reports_iterations(params, dmodel, table, cfg):
+    """``layers.py`` notes each traced ``nmpc_step`` with its result's
+    ``iterations``."""
+    res = control.nmpc_step(params, dmodel, table, cfg, 0.0,
+                            NdcState(0.3, 0.32, 2.0), 0.9)
+    assert res.iterations == 1
