@@ -247,8 +247,9 @@ class RunSetup:
         """ValueError unless the run values in run, RunSetup's defaults
         standing in for those it lacks, are in range.  It needs no tables,
         so a caller can check the values before it builds them.  A charge
-        starts at rest with Vb = Vs = soc_start, so both SoC values lie in
-        [0, 1], the Vs range of the OCV map and of the segment table."""
+        starts at rest with Vb = Vs = soc_start; both SoC values must lie in
+        [0, 1], the model's SoC range, not the table's (the default covers
+        [0.20, 0.90]): a Vs outside the table runs on an end segment's law."""
         v = {k: run.get(k, getattr(cls, k)) for k in (
             "controller", "feedback", "seed", "step_budget", "soc_start",
             "soc_target")}

@@ -5,13 +5,16 @@ constraints treated as equalities, moves along equality-constrained Newton
 steps, and adds/removes constraints with deterministic lowest-index
 tie-breaking.  Problems here are tiny (a handful of variables, a few dozen
 rows), so dense factorizations are fine.  At that size numpy's fixed cost
-per call outweighs the arithmetic: ``DenseQp`` checks symmetry on Python
-floats with np.allclose's rule, and ``solve_qp`` returns a feasible
-unconstrained minimizer at once, before any feasible-start search or KKT
-solve.  A caller that solves a sequence of nearby QPs can pass a guess of
-the active set, such as the last QP's (the online active-set strategy of
-Ferreau, Bock & Diehl, IJRNC 2008): one KKT solve then checks it, and a
-guess that holds skips the phase-1 LP.  Without a guess a solve is cold.
+per call outweighs the arithmetic, so ``DenseQp`` checks symmetry on
+Python floats with np.allclose's rule.
+
+One KKT solve (``_kkt``) and one rank rule (``independent_rows``) serve
+every working set, here and in the explorer's law for an active set, the
+same KKT system with theta's columns as right-hand sides.  ``solve_qp``
+has one early exit: the KKT point of no row, then of a guess of the
+active set such as the last QP's (the online active-set strategy of
+Ferreau, Bock & Diehl, IJRNC 2008), is returned when optimal, with no
+phase-1 LP.
 
 LP subproblems (phase-1 feasibility, Chebyshev centers) go through scipy's
 HiGHS linprog.  A call this small costs several times more in scipy's input
@@ -44,6 +47,7 @@ __all__ = [
     "QpSolution",
     "QpError",
     "solve_qp",
+    "independent_rows",
     "lp_feasible",
     "chebyshev_centers",
     "chebyshev_center",
@@ -120,13 +124,29 @@ def _feasible_start(G: np.ndarray, w: np.ndarray) -> np.ndarray | None:
 
 def _kkt(H: np.ndarray, A: np.ndarray, g: np.ndarray, b: np.ndarray,
          ) -> tuple[np.ndarray, np.ndarray]:
-    """(x, lam) with H x + A' lam = g and A x = b; LinAlgError when the
-    system is singular."""
+    """(x, lam) with H x + A' lam = g and A x = b, g and b vectors or
+    matrices of columns; LinAlgError when the system is singular, which it
+    is not for H positive definite and independent_rows A."""
     n = H.shape[0]
+    if not len(A):  # H alone, without the set-up of a bordered matrix
+        return np.linalg.solve(H, g), b
     K = np.zeros((n + len(A),) * 2)
     K[:n, :n], K[:n, n:], K[n:, :n] = H, A.T, A
     sol = np.linalg.solve(K, np.concatenate([g, b]))
     return sol[:n], sol[n:]
+
+
+def independent_rows(A: np.ndarray) -> bool:
+    """Whether the rows of A make a working set: at most n of them, with
+    the smallest singular value above 1e-10 times the largest, that is a
+    condition number at most 1e10.  A zero row is dependent.  The one rank
+    rule of the QP's guesses and the explorer's candidate active sets."""
+    if len(A) > A.shape[1]:
+        return False
+    if len(A) < 2:  # one row's singular value is its norm
+        return all(map(any, A.tolist()))
+    s = np.linalg.svd(A, compute_uv=False)
+    return bool(s[-1] > 1e-10 * s[0])
 
 
 def _optimal(z: np.ndarray, work: list[int], lam: np.ndarray,
@@ -137,18 +157,12 @@ def _optimal(z: np.ndarray, work: list[int], lam: np.ndarray,
 
 
 def _guessed_rows(guess, nonzero: np.ndarray, Gi: np.ndarray) -> list[int]:
-    """The positions in Gi of the guessed rows of G when they make a usable
-    working set: at most n of them, each a nonzero row of G, and linearly
-    independent, with a condition number at most 1e10, the bound of the
-    rank test in regions.law_for_active_set.  An empty list otherwise."""
-    n = Gi.shape[1]
-    if not (len(guess) <= n
-            and all(0 <= i < len(nonzero) and nonzero[i] for i in guess)):
+    """The positions in Gi of the guessed rows of G when they are nonzero
+    rows of G and independent_rows; an empty list otherwise."""
+    if not all(0 <= i < len(nonzero) and nonzero[i] for i in guess):
         return []
     work = np.searchsorted(np.flatnonzero(nonzero), guess).tolist()
-    if len(work) > 1 and np.linalg.cond(Gi[work]) > 1e10:
-        return []
-    return work
+    return work if independent_rows(Gi[work]) else []
 
 
 def solve_qp(qp: DenseQp, guess: tuple[int, ...] = ()) -> QpSolution:
@@ -156,20 +170,20 @@ def solve_qp(qp: DenseQp, guess: tuple[int, ...] = ()) -> QpSolution:
 
     Rows of G that are (numerically) zero cannot become active: they are
     either trivially satisfied or make the problem infeasible outright.
-    An unconstrained minimizer that meets every other row is returned at
-    once, with no active row.  Otherwise a guess, rows of G thought active
-    at the optimum (such as the active set of a nearby QP), is tried next:
-    when its rows make a usable working set (_guessed_rows), the KKT
-    system on them gives a point and multipliers.  A point that meets
-    every row with multipliers >= -MULT_TOL passes the test the loop ends
-    on and is returned at once; a point that meets every row with a
-    negative multiplier starts the loop, with the guess as working set.
-    H is positive definite, so the optimum is unique, and a guess changes
-    how it is found, never which.  Else the loop starts cold, at the
-    origin, or at a phase-1 LP's point when the origin is infeasible.  A
-    working set of n rows admits no step, so there the loop reads the
-    multipliers alone: with large multipliers, the step the KKT solve
-    returns can be rounding noise above the step tolerance.
+    One early-exit check then tries up to two working sets in turn: no
+    row, then the guess, rows of G thought active at the optimum (such as
+    the active set of a nearby QP), when they are nonzero rows that pass
+    the rank rule (_guessed_rows).  The KKT point of a working set that
+    meets every row with multipliers >= -MULT_TOL passes the test the loop
+    ends on and is returned at once; one that meets every row with a
+    negative multiplier starts the loop, with that working set.  H is
+    positive definite, so the optimum is unique, and a guess changes how
+    it is found, never which.  When neither point meets every row, the
+    loop starts cold, at the origin, or at a phase-1 LP's point when the
+    origin is infeasible.  A working set of n rows admits no step, so
+    there the loop reads the multipliers alone: with large multipliers,
+    the step the KKT solve returns can be rounding noise above the step
+    tolerance.
     """
     H, f, w = qp.H, np.asarray(qp.f, float), np.asarray(qp.w, float)
     n = H.shape[0]
@@ -185,22 +199,15 @@ def solve_qp(qp: DenseQp, guess: tuple[int, ...] = ()) -> QpSolution:
     Gi, wi = G[nonzero], w[nonzero]
     idx_map = np.flatnonzero(nonzero)
 
-    z_free = -np.linalg.solve(H, f)
-    if np.all(Gi @ z_free <= wi + FEAS_TOL):
-        return QpSolution(z_free, (), np.zeros(0), "optimal")
-    work = _guessed_rows(guess, nonzero, Gi) if guess else []
-    if work:
-        try:
-            z, lam = _kkt(H, Gi[work], -f, wi[work])
-        except np.linalg.LinAlgError:
-            work = []
-        else:
-            if not np.all(Gi @ z <= wi + FEAS_TOL):
-                work = []
-            elif np.all(lam >= -MULT_TOL):
+    guessed = _guessed_rows(guess, nonzero, Gi) if guess else []
+    for work in [[], guessed] if guessed else [[]]:
+        z, lam = _kkt(H, Gi[work], -f, wi[work])
+        if np.all(Gi @ z <= wi + FEAS_TOL):
+            if lam.min(initial=0.0) >= -MULT_TOL:
                 return _optimal(z, work, lam, idx_map)
-    if not work:
-        z = _feasible_start(Gi, wi)
+            break
+    else:
+        work, z = [], _feasible_start(Gi, wi)
         if z is None:
             return QpSolution(None, (), np.zeros(0), "infeasible")
 
@@ -212,7 +219,7 @@ def solve_qp(qp: DenseQp, guess: tuple[int, ...] = ()) -> QpSolution:
             raise QpError("singular KKT system") from exc
 
         if len(work) == n or np.linalg.norm(p) <= 1e-11:
-            if np.all(lam >= -MULT_TOL):
+            if lam.min(initial=0.0) >= -MULT_TOL:
                 return _optimal(z, work, lam, idx_map)
             # drop the most negative multiplier, lowest index on ties
             work.pop(min(range(len(work)), key=lambda i: (lam[i], work[i])))

@@ -22,8 +22,8 @@ from itertools import combinations
 import numpy as np
 
 from .mpqp import I_MAX, I_MIN, MpqpProblem, THETA_DIM
-from .qp import (ZERO_ROW_TOL, _CHEBYSHEV_BOX, chebyshev_centers, linprog,
-                 remove_redundant, solve_qp)
+from .qp import (ZERO_ROW_TOL, _CHEBYSHEV_BOX, _kkt, chebyshev_centers,
+                 independent_rows, linprog, remove_redundant, solve_qp)
 # not called here; perfbench/layers.py wraps this name in this module
 from .qp import chebyshev_center  # noqa: F401
 
@@ -113,27 +113,18 @@ def law_for_active_set(problem: MpqpProblem, active_set,
     """Affine optimizer and multipliers for a candidate active set.
 
     Returns (K, g, Lam, lam_c) with z*(theta) = K theta + g and
-    lambda(theta) = Lam theta + lam_c for the active rows.
+    lambda(theta) = Lam theta + lam_c for the active rows, from the online
+    QP's KKT system with theta's columns and the constant as right-hand
+    sides; DegenerateActiveSet when the rows fail qp.independent_rows.
     """
-    Sig, F = problem.Sigma, problem.F
-    Sig_inv = np.linalg.inv(Sig)
     A = list(active_set)
-    if not A:
-        return -Sig_inv @ F, np.zeros(Sig.shape[0]), \
-            np.zeros((0, THETA_DIM)), np.zeros(0)
     GA = problem.G[A]
-    SA = problem.S[A]
-    WA = problem.W[A]
-    M = GA @ Sig_inv @ GA.T
-    # the one rank test: a singular M has cond inf or ~1e16, never a warning
-    if np.linalg.cond(M) > 1e10:
+    if not independent_rows(GA):
         raise DegenerateActiveSet(str(active_set))
-    M_inv = np.linalg.inv(M)
-    Lam = -M_inv @ (SA + GA @ Sig_inv @ F)
-    lam_c = -M_inv @ WA
-    K = -Sig_inv @ (F + GA.T @ Lam)
-    g = -Sig_inv @ GA.T @ lam_c
-    return K, g, Lam, lam_c
+    z, lam = _kkt(problem.Sigma, GA,
+                  -np.hstack([problem.F, np.zeros((len(problem.F), 1))]),
+                  np.hstack([problem.S[A], problem.W[A][:, None]]))
+    return z[:, :-1], z[:, -1], lam[:, :-1], lam[:, -1]
 
 
 def _unreduced(problem: MpqpProblem, active_set: tuple[int, ...],
@@ -205,14 +196,15 @@ def explore(problem: MpqpProblem, theta_box: np.ndarray | None = None,
     """Every critical region with a nonempty interior in theta_box.
 
     Each set of at most Nu nonzero rows of G is a candidate active set.
-    Linearly dependent rows (a singular or ill-conditioned law_for_active_set
-    system) prune it without an LP.  One stacked Chebyshev LP per segment,
-    not per candidate, then finds every remaining candidate's region empty
-    or gives a point strictly inside it, and ``remove_redundant`` reduces
-    each kept region from that point without an LP.  ``stats`` counts the
-    candidates, split into pruned_rank, empty_interior and the regions, and
-    the chebyshev_lps (one per candidate that passes the rank test) and
-    chebyshev_lp_calls.  ``seed`` is unused and kept for existing callers.
+    One whose rows fail the rank rule, qp.independent_rows (a condition
+    number above 1e10), is pruned without an LP.  One stacked Chebyshev
+    LP per segment, not per candidate, then finds every remaining
+    candidate's region empty or gives a point strictly inside it, and
+    ``remove_redundant`` reduces each kept region from that point without
+    an LP.  ``stats`` counts the candidates, split into pruned_rank,
+    empty_interior and the regions, and the chebyshev_lps (one per
+    candidate that passes the rank rule) and chebyshev_lp_calls.  ``seed``
+    is unused and kept for existing callers.
     """
     theta_box = DEFAULT_THETA_BOX if theta_box is None else theta_box
     Nu = problem.Sigma.shape[0]

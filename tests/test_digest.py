@@ -52,3 +52,33 @@ def test_diff_reports_step_counts_and_column_differences():
     assert digest.diff_lines(mine, theirs) == [
         "a/run/a_trace.csv differs", "  steps 3 -> 2", "  step 0",
         "  V 0.15", "  region 0", "b/run/b_summary.json only in the other"]
+
+
+def test_diff_reports_region_counts_active_sets_and_array_differences():
+    spec = importlib.util.spec_from_file_location("digest", DIGEST)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+
+    def region(active, E, e, K, g):
+        return {"E": E, "e": e, "K": K, "g": g, "active_set": active}
+
+    name = "s/synthesize/table_seg1.json"
+    mine = {name: ("x", [region([], [[1.0, -0.0]], [0.5], [[2.0, 0.0]],
+                                [0.0]),
+                         region([1], [[0.0, 1.0]], [0.25], [[1.0, 3.0]],
+                                [-0.0])]),
+            "t/synthesize/table_seg1.json": ("z", [
+                region([], [[1.0]], [1.0], [[1.0]], [0.0])])}
+    theirs = {name: ("y", [region([], [[1.0, 0.0]], [0.5], [[2.0, 1e-12]],
+                                  [0.0]),
+                           region([1], [[0.0, 1.0]], [0.75], [[1.0, 3.0]],
+                                  [0.0])]),
+              "t/synthesize/table_seg1.json": ("w", [
+                  region([2], [[1.0, 2.0]], [1.0], [[1.0]], [0.0]),
+                  region([], [[1.0]], [1.0], [[1.0]], [0.0])])}
+    assert digest.diff_lines(mine, theirs) == [
+        "s/synthesize/table_seg1.json differs", "  regions 2 -> 2",
+        "  active sets equal", "  E 0", "  e 0.5", "  K 1e-12", "  g 0",
+        "t/synthesize/table_seg1.json differs", "  regions 2 -> 1",
+        "  active sets differ", "  E shapes differ", "  e 0", "  K 0",
+        "  g 0"]

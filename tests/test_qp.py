@@ -10,6 +10,7 @@ from scipy.optimize import linprog
 
 from empcharge import qp, regions
 from empcharge.cli import _synthesis_objects, _theta_box
+from empcharge.mpqp import MpqpProblem
 from empcharge.qp import (DenseQp, QpError, chebyshev_center,
                           chebyshev_centers, lp_feasible, remove_redundant,
                           solve_qp)
@@ -283,6 +284,58 @@ def test_any_guess_gives_the_cold_status_and_a_kkt_point():
         warm = solve_qp(DenseQp(H, f, G, w), guess)
         assert warm.status == cold.status
         _check_solution(warm, H, f, G, w)
+
+
+def _rank_case_problem():
+    """min 0.5 |z|^2 - 5 (z1 + z2), so the unconstrained minimizer (5, 5)
+    breaks the rows below, all but the first tight at the optimum (1, 1):
+    0 a zero row, 1 z1 <= 1, 2 its double, 3 z2 <= 1, 4 row 1 tilted by
+    2e-11 (condition number about 1e11 with row 1), 5 z1 + z2 <= 2.  Its
+    parameter theta = (-5, -5, 0, 0, 0) gives that QP."""
+    eps = 2e-11
+    F = np.zeros((2, 5))
+    F[0, 0] = F[1, 1] = 1.0
+    G = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0],
+                  [1.0, eps], [1.0, 1.0]])
+    W = np.array([1.0, 1.0, 2.0, 1.0, 1.0 + eps, 2.0])
+    return MpqpProblem(Sigma=np.eye(2), F=F, G=G, S=np.zeros((6, 5)), W=W,
+                       segment_index=1, labels=tuple("abcdef"))
+
+
+# the rows of each rejected working set: a zero row, two parallel rows,
+# n + 1 rows, and a pair with a condition number about 1e11
+RANK_REJECTED = [(0,), (1, 2), (1, 3, 5), (1, 4)]
+
+
+def test_rank_rule_of_the_explorer_and_the_guess(monkeypatch):
+    """qp.independent_rows decides for both callers: law_for_active_set
+    raises DegenerateActiveSet and solve_qp starts cold on each rejected
+    set, and both accept the well-conditioned pair (1, 3), whose KKT
+    point (1, 1) is the optimum."""
+    p = _rank_case_problem()
+    theta = np.array([-5.0, -5.0, 0.0, 0.0, 0.0])
+    assert 1e10 < np.linalg.cond(p.G[[1, 4]]) < 1e12
+    starts = []
+    feasible_start = qp._feasible_start
+    monkeypatch.setattr(qp, "_feasible_start",
+                        lambda *a: starts.append(1) or feasible_start(*a))
+    for rows in RANK_REJECTED:
+        assert not qp.independent_rows(p.G[list(rows)])
+        with pytest.raises(regions.DegenerateActiveSet):
+            regions.law_for_active_set(p, rows)
+        starts.clear()
+        sol = solve_qp(p.qp(theta), rows)
+        assert starts == [1], rows
+        assert np.allclose(sol.z_star, [1.0, 1.0], atol=1e-9)
+    assert qp.independent_rows(p.G[[1, 3]])
+    K, g, Lam, lam_c = regions.law_for_active_set(p, (1, 3))
+    assert np.allclose(K @ theta + g, [1.0, 1.0])
+    assert np.allclose(Lam @ theta + lam_c, [4.0, 4.0])
+    starts.clear()
+    sol = solve_qp(p.qp(theta), (1, 3))
+    assert starts == []
+    assert (sol.active_set, sol.z_star.tolist()) == ((1, 3), [1.0, 1.0])
+    assert np.allclose(sol.multipliers, [4.0, 4.0])
 
 
 def test_deterministic():

@@ -69,6 +69,81 @@ def test_unconstrained_law(problems):
     assert Lam.shape == (0, 5)
 
 
+def _law_reference(problem, active_set):
+    """The closed form the explorer used before its law became one KKT
+    solve: Sigma^-1, M = G_A Sigma^-1 G_A' and M^-1, with the rank test
+    cond(M) > 1e10."""
+    Sig_inv = np.linalg.inv(problem.Sigma)
+    A = list(active_set)
+    if not A:
+        return (-Sig_inv @ problem.F, np.zeros(len(Sig_inv)),
+                np.zeros((0, THETA_DIM)), np.zeros(0))
+    GA, SA, WA = problem.G[A], problem.S[A], problem.W[A]
+    M = GA @ Sig_inv @ GA.T
+    if np.linalg.cond(M) > 1e10:
+        raise DegenerateActiveSet(str(active_set))
+    M_inv = np.linalg.inv(M)
+    Lam = -M_inv @ (SA + GA @ Sig_inv @ problem.F)
+    lam_c = -M_inv @ WA
+    return (-Sig_inv @ (problem.F + GA.T @ Lam), -Sig_inv @ GA.T @ lam_c,
+            Lam, lam_c)
+
+
+def _candidates(problem):
+    """Every candidate active set of explore, in its order."""
+    rows = np.flatnonzero(np.linalg.norm(problem.G, axis=1) > ZERO_ROW_TOL)
+    Nu = problem.Sigma.shape[0]
+    for size in range(min(Nu, len(rows)) + 1):
+        yield from combinations(rows.tolist(), size)
+
+
+@pytest.mark.parametrize("config", ["synthesis_default.json",
+                                    "horizon_Nc_eta9.json",
+                                    "horizon_N90.json"])
+def test_law_matches_the_closed_form_reference(config):
+    """Over every candidate active set of every segment, the KKT law gives
+    the reference's rank verdict and its K, g, Lam and lam_c within
+    1e-9 (1 + |ref|), and solves its KKT system to 1e-12 of the scale of
+    the data."""
+    doc = json.loads((CONFIGS / config).read_text())
+    *_, problems = _synthesis_objects(doc.get("synthesis", doc))
+    n_laws = 0
+    for p in problems:
+        Nu = p.Sigma.shape[0]
+        for A in _candidates(p):
+            try:
+                ref = _law_reference(p, A)
+            except DegenerateActiveSet:
+                with pytest.raises(DegenerateActiveSet):
+                    law_for_active_set(p, A)
+                continue
+            got = law_for_active_set(p, A)
+            n_laws += 1
+            for a, b in zip(got, ref):
+                assert a.shape == b.shape
+                assert np.all(np.abs(a - b) <= 1e-9 * (1.0 + np.abs(b)))
+            K, g, Lam, lam_c = got
+            GA, SA, WA = p.G[list(A)], p.S[list(A)], p.W[list(A)]
+            z = np.hstack([K, g[:, None]])
+            lam = np.hstack([Lam, lam_c[:, None]])
+            F1 = np.hstack([p.F, np.zeros((Nu, 1))])
+            residual = max(
+                np.abs(p.Sigma @ z + F1 + GA.T @ lam).max(),
+                np.abs(GA @ z - np.hstack([SA, WA[:, None]])).max(initial=0))
+            scale = 1.0 + max(np.abs(a).max(initial=0.0)
+                              for a in (p.Sigma, GA, p.F, SA, WA))
+            assert residual <= 1e-12 * scale
+    assert n_laws > 0
+
+
+def test_zero_row_is_a_degenerate_active_set(problems):
+    """Segment 1's Vs<= row at k=1 is zero: a rank verdict, not a
+    LinAlgError from the KKT solve."""
+    assert not problems[0].G[0].any()
+    with pytest.raises(DegenerateActiveSet):
+        law_for_active_set(problems[0], (0,))
+
+
 def test_region_for_matches_qp(problems):
     p = problems[0]
     theta0 = np.array([0.25, 0.25, 0.5, 0.9, 0.0])

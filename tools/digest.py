@@ -13,9 +13,13 @@ and a change that claims outputs within a tolerance with
     python3 tools/digest.py --diff PARENT
 
 which prints, for each artifact whose digest differs from PARENT's, its
-name, and for a run trace also both step counts and the largest absolute
-difference per column over the steps the traces share.  It prints nothing
-and exits 0 when every digest is equal, else it exits 1.
+name; for a run trace also both step counts and the largest absolute
+difference per column over the steps the traces share; and for a JSON
+region table also both region counts, whether the active sets are equal
+in order, and the largest absolute difference in each of E, e, K and g
+over the regions the tables share.  Differences are taken between
+numbers, so -0.0 against 0.0 is 0.  It prints nothing and exits 0 when
+every digest is equal, else it exits 1.
 
 The artifacts:
 
@@ -46,6 +50,8 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
+
 RUNS = ("basic_case", "basic_case_qp", "ekf_case", "nmpc_case")
 
 
@@ -75,7 +81,9 @@ def _synthesis_lines(root, name: str, block: dict, tmp: pathlib.Path):
             for seg in report["segments"]:
                 seg.pop("wall_s")
             data = json.dumps(report, sort_keys=True).encode()
-        yield f"{name}/synthesize/{path.name}", _sha(data), None
+        table = (json.loads(data)["regions"]
+                 if path.match("table_seg*.json") else None)
+        yield f"{name}/synthesize/{path.name}", _sha(data), table
 
 
 def _run_lines(root, name: str, tmp: pathlib.Path):
@@ -97,9 +105,10 @@ def _run_lines(root, name: str, tmp: pathlib.Path):
 
 
 def digests(root: pathlib.Path, names=()) -> dict[str, tuple]:
-    """name -> (sha256, trace rows or None) for the artifacts of the
-    configs named (all when empty).  The trace rows, header first, are
-    those of a run trace, less its solver_time_ns column."""
+    """name -> (sha256, content or None) for the artifacts of the configs
+    named (all when empty).  The content of a run trace is its rows,
+    header first, less its solver_time_ns column; that of a JSON region
+    table is its list of regions."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
@@ -134,6 +143,26 @@ def _trace_diff(mine: list[list[str]], theirs: list[list[str]],
     return lines
 
 
+def _table_diff(mine: list[dict], theirs: list[dict]) -> list[str]:
+    """Both region counts, whether the active sets are equal in order,
+    then per array the largest absolute difference over the regions both
+    tables have ("shapes differ" when a pair of them cannot be compared)."""
+    same = [r["active_set"] for r in mine] == [r["active_set"]
+                                               for r in theirs]
+    lines = [f"  regions {len(theirs)} -> {len(mine)}",
+             f"  active sets {'equal' if same else 'differ'}"]
+    for key in ("E", "e", "K", "g"):
+        pairs = [(np.array(a[key], float), np.array(b[key], float))
+                 for a, b in zip(mine, theirs)]
+        if any(a.shape != b.shape for a, b in pairs):
+            lines.append(f"  {key} shapes differ")
+            continue
+        worst = max((np.abs(a - b).max(initial=0.0) for a, b in pairs),
+                    default=0.0)
+        lines.append(f"  {key} {worst:.3g}")
+    return lines
+
+
 def diff_lines(mine: dict, theirs: dict) -> list[str]:
     """What differs between two digests() results, mine against theirs."""
     lines = []
@@ -143,8 +172,10 @@ def diff_lines(mine: dict, theirs: dict) -> list[str]:
                          f"{'this tree' if name in mine else 'the other'}")
         elif mine[name][0] != theirs[name][0]:
             lines.append(f"{name} differs")
-            if mine[name][1] is not None:
+            if name.endswith(".csv"):
                 lines += _trace_diff(mine[name][1], theirs[name][1])
+            elif mine[name][1] is not None:
+                lines += _table_diff(mine[name][1], theirs[name][1])
     return lines
 
 
