@@ -236,9 +236,11 @@ def locate(solution: ExplicitSolution, theta: np.ndarray) -> int | None:
     best = worst.min(initial=np.inf)
     if not best <= solution.locate_tol:
         return None
+    ties = np.flatnonzero(worst == best)
+    if len(ties) == 1:
+        return int(ties[0])
     regs = solution.regions
-    return int(min(np.flatnonzero(worst == best),
-                   key=lambda k: regs[k].K[0] @ theta + regs[k].g[0]))
+    return int(min(ties, key=lambda k: regs[k].K[0] @ theta + regs[k].g[0]))
 
 
 def coverage_check(solution: ExplicitSolution, problem: MpqpProblem,
@@ -246,19 +248,22 @@ def coverage_check(solution: ExplicitSolution, problem: MpqpProblem,
     """Fraction of random feasible theta in the box covered by some region,
     within the table's locate_tol.
 
-    Sampling is vectorized over the stacked region halfspaces.  A miss may
-    simply be an infeasible parameter: misses that break a theta-only row
-    (a zero row of G) are dropped at once, the rest are feasible when the
-    QP's feasible set there has an interior (Chebyshev radius above
-    1e-12), found for all of them by one stacked LP.
+    Each region tests every sample in one product with the samples as
+    columns, E @ thetas.T, reduced over its p rows along the long axis.  A
+    miss may simply be an infeasible parameter: misses that break a
+    theta-only row (a zero row of G) are dropped at once, the rest are
+    feasible when the QP's feasible set there has an interior (Chebyshev
+    radius above 1e-12), found for all of them by one stacked LP.
     """
     rng = np.random.default_rng(seed)
     box = solution.theta_box
     thetas = rng.uniform(box[:, 0], box[:, 1], size=(n_samples, THETA_DIM))
     covered = np.zeros(n_samples, dtype=bool)
     for r in solution.regions:
-        covered |= np.all(thetas @ r.E.T <= r.e + solution.locate_tol,
-                          axis=1)
+        # thetas.T is a view; reducing along the long sample axis is about
+        # 3x faster than np.all(thetas @ E.T <= e, axis=1) over p entries
+        covered |= np.logical_and.reduce(
+            r.E @ thetas.T <= (r.e + solution.locate_tol)[:, None], axis=0)
     n_covered = int(covered.sum())
     rhs = thetas[~covered] @ problem.S.T + problem.W
     # chebyshev_centers' zero-row rule, vectorized over the misses, not a
@@ -296,10 +301,12 @@ def _shapes(p: int, Nu: int) -> tuple[tuple[int, ...], ...]:
 def _round(a: np.ndarray, decimals: int) -> np.ndarray:
     """a rounded to decimals.  An entry whose rounding overflows (|a| times
     10**decimals past the float range) is kept: a float has no digits that
-    far right of the point, so it is its own rounding."""
+    far right of the point, so it is its own rounding.  Adding 0.0 turns
+    -0.0 into 0.0, so the bytes do not depend on the sign of noise below
+    the decimals."""
     with np.errstate(over="ignore"):
         r = np.round(a, decimals)
-    return np.where(np.isfinite(r), r, a)
+    return np.where(np.isfinite(r), r, a) + 0.0
 
 
 def rounded(solution: ExplicitSolution, decimals: int | None,

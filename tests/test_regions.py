@@ -266,6 +266,36 @@ def test_coverage_of_table_with_hole_in_one_lp(monkeypatch, problems,
     assert len(calls) == 1
 
 
+def _explored(config, segment, decimals=None):
+    """The explored table and the problem of one segment of a config."""
+    doc = json.loads((CONFIGS / config).read_text())
+    doc = doc.get("synthesis", doc)
+    *_, problems = _synthesis_objects(doc)
+    problem = problems[segment]
+    return rounded(explore(problem, _theta_box(doc)), decimals), problem
+
+
+def _holed(config, segment):
+    """A table with its first region deleted, so misses reach the LP."""
+    sol, problem = _explored(config, segment)
+    return ExplicitSolution(sol.regions[1:], sol.segment_index, sol.theta_box,
+                            sol.Nu, sol.locate_tol), problem
+
+
+@pytest.mark.parametrize("case, n_samples", [
+    (lambda: _explored("synthesis_default.json", 4), 20000),
+    (lambda: _explored("synthesis_default.json", 4, decimals=3), 20000),
+    (lambda: _explored("horizon_Nc_eta5.json", 0), 20000),
+    (lambda: _holed("synthesis_default.json", 4), 2000),
+], ids=["default", "rounded3", "Nc_eta5_9_rows", "holed"])
+def test_coverage_matches_per_sample_reference(case, n_samples):
+    """The samples-as-columns check gives exactly the coverage of testing
+    each sample against each region on its own."""
+    sol, problem = case()
+    assert coverage_check(sol, problem, n_samples, seed=7) == \
+        _coverage_reference(sol, problem, n_samples, seed=7)
+
+
 def _explore_reference(problem, theta_box):
     """explore with one Chebyshev LP and one redundancy pass per
     candidate, as each candidate's region was built before the LPs were
@@ -381,6 +411,19 @@ def test_rounded_at_308_decimals_stays_finite():
         assert np.array_equal(getattr(r, k), getattr(region, k))
 
 
+def test_rounded_table_has_no_negative_zero(solutions):
+    """Zeros of a rounded table are 0.0, whatever the sign of the noise
+    that rounded to them, so its bytes are canonical."""
+    n_zeros = 0
+    for sol in solutions:
+        for r in rounded(sol, 3).regions:
+            for k in "EeKg":
+                a = getattr(r, k)
+                n_zeros += int(np.count_nonzero(a == 0.0))
+                assert not np.signbit(a[a == 0.0]).any()
+    assert n_zeros > 0
+
+
 def test_rounded_law_still_close(problems, solutions):
     rng = np.random.default_rng(17)
     for si in (0, 4, 8):
@@ -424,6 +467,29 @@ def test_locate_ignores_region_order(solutions):
                 segment_index=r3.segment_index, theta_box=r3.theta_box,
                 Nu=r3.Nu, locate_tol=r3.locate_tol)
             assert laws(shuffled) == expect
+
+
+def test_locate_misses_nan_theta_and_empty_table(solutions):
+    sol = solutions[0]
+    assert locate(sol, np.full(THETA_DIM, np.nan)) is None
+    empty = ExplicitSolution([], sol.segment_index, sol.theta_box, sol.Nu)
+    assert locate(empty, sol.theta_box.mean(axis=1)) is None
+
+
+def test_locate_tie_goes_to_smaller_first_move():
+    """Two regions on the same polytope tie on every theta; the one with
+    the smaller first move wins in either order, and a lone winner is
+    returned as it is."""
+    E, e = box_halfspaces(DEFAULT_THETA_BOX)
+    low, high = (CriticalRegion(E=E, e=e, K=np.zeros((1, THETA_DIM)),
+                                g=np.array([g0]), active_set=())
+                 for g0 in (-1.0, 1.0))
+    theta = DEFAULT_THETA_BOX.mean(axis=1)
+    for regs in ([low, high], [high, low]):
+        sol = ExplicitSolution(regs, 1, DEFAULT_THETA_BOX.copy(), 1)
+        assert sol.regions[locate(sol, theta)] is low
+    assert locate(ExplicitSolution([high], 1, DEFAULT_THETA_BOX.copy(), 1),
+                  theta) == 0
 
 
 def test_stored_reals_accounting():
