@@ -239,8 +239,8 @@ def _scenario_setup(doc: dict, args) -> RunSetup:
     run = {k: doc[k] for k in _RUN_FIELDS if k in doc}
     run.update({k: getattr(args, k) for k in ("controller", "feedback", "seed")
                 if getattr(args, k) is not None})
-    try:
-        RunSetup.check(run)  # before any table is read or synthesized
+    try:  # before any region table is read or synthesized
+        RunSetup.check(run, params, table)
     except ValueError as exc:
         raise ConfigError(f"scenario config: {exc}") from exc
     solutions = None

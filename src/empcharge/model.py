@@ -63,6 +63,8 @@ class NdcParams:
             raise ValueError("beta coefficients must be positive")
         if self.Cb <= self.Cs:
             raise ValueError("expected Cb > Cs")
+        if self.Vs_max <= 0:
+            raise ValueError("Vs_max must be positive")
 
     @property
     def capacity(self) -> float:

@@ -16,10 +16,11 @@ theta-only quadratic term does not move the minimizer and is left out.
 ``build`` is the one condensing path: synthesis, the online-QP controller
 and NMPC all call it.  Of its work, only the constraint rows' output maps
 belong to the segment.  The prediction maps, Sigma, F and the row plan
-depend on the model's matrices, the SoC row of C and the MpcConfig alone,
-and are memoized per those values, so an NMPC step, which condenses a
-fresh linearization, forms only its output rows.  Every array ``build``
-returns is read-only, because Sigma and F are the memo's own.
+depend on the model's matrices, the SoC row of C and the MpcConfig alone.
+The last condensing is kept, keyed by those values, so an NMPC step,
+which condenses a fresh linearization with the same SoC row, forms only
+its output rows.  Every array ``build`` returns is read-only, because Sigma
+and F are the memo's own, shared by every segment problem it serves.
 """
 
 from __future__ import annotations
@@ -128,18 +129,18 @@ class _Condensing:
     labels: tuple[str, ...]
 
 
-# _Condensing per (A_aug, B_aug, SoC row of C, MpcConfig), by value; the
-# oldest entry goes when it is full
-_CONDENSED: dict[tuple, _Condensing] = {}
-_CONDENSED_SIZE = 16
+# the last (key, _Condensing), its key (A_aug, B_aug, SoC row of C,
+# MpcConfig) by value
+_CONDENSED: tuple[tuple, _Condensing] | None = None
 
 
 def _condensing(model: DiscreteModel, c_soc: np.ndarray,
                 cfg: MpcConfig) -> _Condensing:
+    global _CONDENSED
     key = (model.A_aug.tobytes(), model.B_aug.tobytes(), c_soc.tobytes(),
            cfg)
-    if key in _CONDENSED:
-        return _CONDENSED[key]
+    if _CONDENSED is not None and _CONDENSED[0] == key:
+        return _CONDENSED[1]
     N, Nu = cfg.N, cfg.Nu
     Xx, Xu, Xz = _prediction_maps(model, N, Nu)
 
@@ -165,12 +166,11 @@ def _condensing(model: DiscreteModel, c_soc: np.ndarray,
         for k in range(1, max(cfg.Nc_eta, cfg.Nc_other) + 1)
         for row, sg, bound, name, last in bounds if k <= last))
     ks = np.array(ks)
-    if len(_CONDENSED) >= _CONDENSED_SIZE:
-        del _CONDENSED[next(iter(_CONDENSED))]
-    out = _CONDENSED[key] = _Condensing(
+    out = _Condensing(
         *_read_only(Sigma, F, np.array(rows), np.array(sign),
                     np.array(signed_bound), Xz[ks], Xx[ks], Xu[ks]),
         labels=labels)
+    _CONDENSED = (key, out)
     return out
 
 

@@ -10,11 +10,12 @@ Python floats with np.allclose's rule.
 
 One KKT solve (``_kkt``) and one rank rule (``independent_rows``) serve
 every working set, here and in the explorer's law for an active set, the
-same KKT system with theta's columns as right-hand sides.  ``solve_qp``
-has one early exit: the KKT point of no row, then of a guess of the
-active set such as the last QP's (the online active-set strategy of
-Ferreau, Bock & Diehl, IJRNC 2008), is returned when optimal, with no
-phase-1 LP.
+same KKT system with theta's columns as right-hand sides.  A working set,
+like a stored active set, names rows of G in G's own numbering, and a
+zero row never enters one.  ``solve_qp`` has one early exit: the KKT
+point of no row, then of a guess of the active set such as the last QP's
+(the online active-set strategy of Ferreau, Bock & Diehl, IJRNC 2008),
+is returned when optimal, with no phase-1 LP.
 
 LP subproblems (phase-1 feasibility, Chebyshev centers) go through scipy's
 HiGHS linprog.  A call this small costs several times more in scipy's input
@@ -149,41 +150,32 @@ def independent_rows(A: np.ndarray) -> bool:
     return bool(s[-1] > 1e-10 * s[0])
 
 
-def _optimal(z: np.ndarray, work: list[int], lam: np.ndarray,
-             idx_map: np.ndarray) -> QpSolution:
+def _optimal(z: np.ndarray, work: list[int], lam: np.ndarray) -> QpSolution:
     order = np.argsort(work)
-    act = tuple(int(idx_map[work[i]]) for i in order)
+    act = tuple(int(work[i]) for i in order)
     return QpSolution(z, act, np.maximum(lam[order], 0.0), "optimal")
-
-
-def _guessed_rows(guess, nonzero: np.ndarray, Gi: np.ndarray) -> list[int]:
-    """The positions in Gi of the guessed rows of G when they are nonzero
-    rows of G and independent_rows; an empty list otherwise."""
-    if not all(0 <= i < len(nonzero) and nonzero[i] for i in guess):
-        return []
-    work = np.searchsorted(np.flatnonzero(nonzero), guess).tolist()
-    return work if independent_rows(Gi[work]) else []
 
 
 def solve_qp(qp: DenseQp, guess: tuple[int, ...] = ()) -> QpSolution:
     """Solve the QP; H must be positive definite.
 
-    Rows of G that are (numerically) zero cannot become active: they are
-    either trivially satisfied or make the problem infeasible outright.
+    Working sets, the guess and the returned active set are rows of G.
+    Rows of G that are (numerically) zero never enter a working set: they
+    are either trivially satisfied or make the problem infeasible outright.
     One early-exit check then tries up to two working sets in turn: no
     row, then the guess, rows of G thought active at the optimum (such as
     the active set of a nearby QP), when they are nonzero rows that pass
-    the rank rule (_guessed_rows).  The KKT point of a working set that
+    the rank rule (independent_rows).  The KKT point of a working set that
     meets every row with multipliers >= -MULT_TOL passes the test the loop
     ends on and is returned at once; one that meets every row with a
     negative multiplier starts the loop, with that working set.  H is
     positive definite, so the optimum is unique, and a guess changes how
     it is found, never which.  When neither point meets every row, the
-    loop starts cold, at the origin, or at a phase-1 LP's point when the
-    origin is infeasible.  A working set of n rows admits no step, so
-    there the loop reads the multipliers alone: with large multipliers,
-    the step the KKT solve returns can be rounding noise above the step
-    tolerance.
+    loop starts cold, at the origin, or at a phase-1 LP's point over the
+    nonzero rows when the origin is infeasible.  A working set of n rows
+    admits no step, so there the loop reads the multipliers alone: with
+    large multipliers, the step the KKT solve returns can be rounding
+    noise above the step tolerance.
     """
     H, f, w = qp.H, np.asarray(qp.f, float), np.asarray(qp.w, float)
     n = H.shape[0]
@@ -193,44 +185,43 @@ def solve_qp(qp: DenseQp, guess: tuple[int, ...] = ()) -> QpSolution:
         raise QpError("H is not positive definite") from exc
     G = np.asarray(qp.G, float).reshape(-1, n)
 
-    nonzero = np.linalg.norm(G, axis=1) > ZERO_ROW_TOL
-    if np.any(w[~nonzero] < -FEAS_TOL):
+    zero = np.linalg.norm(G, axis=1) <= ZERO_ROW_TOL
+    if np.any(w[zero] < -FEAS_TOL):
         return QpSolution(None, (), np.zeros(0), "infeasible")
-    Gi, wi = G[nonzero], w[nonzero]
-    idx_map = np.flatnonzero(nonzero)
 
-    guessed = _guessed_rows(guess, nonzero, Gi) if guess else []
+    ok = guess and all(0 <= i < len(G) and not zero[i] for i in guess)
+    guessed = list(guess) if ok and independent_rows(G[list(guess)]) else []
     for work in [[], guessed] if guessed else [[]]:
-        z, lam = _kkt(H, Gi[work], -f, wi[work])
-        if np.all(Gi @ z <= wi + FEAS_TOL):
+        z, lam = _kkt(H, G[work], -f, w[work])
+        if np.all((G @ z <= w + FEAS_TOL) | zero):
             if lam.min(initial=0.0) >= -MULT_TOL:
-                return _optimal(z, work, lam, idx_map)
+                return _optimal(z, work, lam)
             break
     else:
-        work, z = [], _feasible_start(Gi, wi)
+        work, z = [], _feasible_start(G[~zero], w[~zero])
         if z is None:
             return QpSolution(None, (), np.zeros(0), "infeasible")
 
     for _ in range(200 + 20 * len(G)):
         # equality-constrained Newton step on the working set
         try:
-            p, lam = _kkt(H, Gi[work], -(H @ z + f), np.zeros(len(work)))
+            p, lam = _kkt(H, G[work], -(H @ z + f), np.zeros(len(work)))
         except np.linalg.LinAlgError as exc:
             raise QpError("singular KKT system") from exc
 
         if len(work) == n or np.linalg.norm(p) <= 1e-11:
             if lam.min(initial=0.0) >= -MULT_TOL:
-                return _optimal(z, work, lam, idx_map)
+                return _optimal(z, work, lam)
             # drop the most negative multiplier, lowest index on ties
             work.pop(min(range(len(work)), key=lambda i: (lam[i], work[i])))
             continue
 
-        # ratio test over constraints not in the working set
+        # ratio test over the nonzero rows not in the working set
         alpha, blocker = 1.0, None
-        gp = Gi @ p
-        slack = wi - Gi @ z
-        for i in range(Gi.shape[0]):
-            if i in work or gp[i] <= 1e-12:
+        gp = G @ p
+        slack = w - G @ z
+        for i in range(len(G)):
+            if i in work or zero[i] or gp[i] <= 1e-12:
                 continue
             a = slack[i] / gp[i]
             if a < alpha - 1e-12:

@@ -404,7 +404,7 @@ def test_invalid_synthesis_block(tmp_path, command):
 
 @pytest.mark.parametrize("key, value", [
     ("feedback", "foo"), ("controller", "foo"), ("nmpc_max_iters", 0),
-    ("step_budget", "abc")])
+    ("step_budget", "abc"), ("soc_target", 0.93)])
 def test_invalid_run_value(tmp_path, key, value):
     cfg = _write(tmp_path / "s.json", {"version": 1, "controller": "qp",
                                        key: value})
@@ -416,7 +416,7 @@ def test_invalid_run_value(tmp_path, key, value):
 @pytest.mark.parametrize("key, value", [
     ("feedback", "foo"), ("nmpc_max_iters", 0), ("step_budget", 0),
     ("seed", -1), ("soc_start", 1e300), ("soc_start", -5.0),
-    ("soc_target", 1.5)])
+    ("soc_target", 1.5), ("soc_target", 0.93)])
 def test_run_values_checked_before_synthesis(tmp_path, monkeypatch, key,
                                              value):
     """An eMPC scenario without tables_dir synthesizes its tables in
@@ -522,6 +522,8 @@ BAD_INPUTS = {
     "soc_target_-0.1": ("run", _scenario(soc_target=-0.1), []),
     "gamma1_string": ("synthesize", _synth(gamma1="-0.04"), []),
     "params_string": ("synthesize", _synth(params={"Cb": "9913"}), []),
+    "params_Vs_max_0": ("synthesize", _synth(params={"Vs_max": 0.0}), []),
+    "params_Vs_max_-1": ("synthesize", _synth(params={"Vs_max": -1.0}), []),
     "mpc_Nc_eta_true": ("synthesize", _synth(mpc={"Nc_eta": True}), []),
     "gamma2_NaN": ("synthesize", _with_literal(_synth(), "gamma2", "NaN"),
                    []),

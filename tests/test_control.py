@@ -213,6 +213,9 @@ def test_run_setup_validation(params, dmodel, table, cfg, problems):
     with pytest.raises(ValueError):
         RunSetup(params=params, model=dmodel, table=table, cfg=cfg,
                  controller="bogus", problems=problems)
+    with pytest.raises(ValueError, match="vs_hi"):  # past the table's 0.90
+        RunSetup(params=params, model=dmodel, table=table, cfg=cfg,
+                 controller="qp", problems=problems, soc_target=0.93)
 
 
 @pytest.mark.parametrize("step_budget", [0, -3])

@@ -1,5 +1,6 @@
-"""tools/digest.py, the identity check of synthesis and run outputs, is
-itself deterministic: two runs print the same lines."""
+"""tools/digest.py, the identity check of synthesis and run outputs and
+of the online QP, is itself deterministic: two runs print the same lines.
+Its --diff report is checked on synthetic digests."""
 
 import importlib.util
 import subprocess
@@ -7,6 +8,13 @@ import sys
 from pathlib import Path
 
 DIGEST = Path(__file__).resolve().parents[1] / "tools" / "digest.py"
+
+
+def _module():
+    spec = importlib.util.spec_from_file_location("digest", DIGEST)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    return digest
 
 
 def _digest(*names: str) -> list[str]:
@@ -29,6 +37,13 @@ def test_digest_is_repeatable():
         assert name in names
 
 
+def test_qp_probe_is_repeatable():
+    first = _digest("qp")
+    assert first == _digest("qp")
+    [(name, sha)] = [line.split() for line in first]
+    assert name == "qp/probe" and len(sha) == 64
+
+
 def test_diff_against_its_own_tree_prints_nothing():
     out = subprocess.run([sys.executable, str(DIGEST), "--diff",
                           str(DIGEST.parents[1]), "basic_case_qp"],
@@ -37,9 +52,7 @@ def test_diff_against_its_own_tree_prints_nothing():
 
 
 def test_diff_reports_step_counts_and_column_differences():
-    spec = importlib.util.spec_from_file_location("digest", DIGEST)
-    digest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digest)
+    digest = _module()
     head = ["step", "V", "region"]
     mine = {"a/run/a_trace.csv": ("x", [head, ["0", "4.0", "1"],
                                         ["1", "4.1", "2"]]),
@@ -55,9 +68,7 @@ def test_diff_reports_step_counts_and_column_differences():
 
 
 def test_diff_reports_region_counts_active_sets_and_array_differences():
-    spec = importlib.util.spec_from_file_location("digest", DIGEST)
-    digest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digest)
+    digest = _module()
 
     def region(active, E, e, K, g):
         return {"E": E, "e": e, "K": K, "g": g, "active_set": active}
@@ -82,3 +93,21 @@ def test_diff_reports_region_counts_active_sets_and_array_differences():
         "t/synthesize/table_seg1.json differs", "  regions 2 -> 1",
         "  active sets differ", "  E shapes differ", "  e 0", "  K 0",
         "  g 0"]
+
+
+def test_diff_reports_probe_statuses_active_sets_and_z():
+    digest = _module()
+    one, two = (1.0).hex(), (2.0).hex()
+    mine = {digest.PROBE: ("x", [["optimal", [0], [one, two]],
+                                 ["optimal", [], [one, two]],
+                                 ["infeasible", [], None],
+                                 ["optimal", [1], [one, (2.5).hex()]]])}
+    theirs = {digest.PROBE: ("y", [["optimal", [0], [one, (-0.0).hex()]],
+                                   ["optimal", [1], [one, two]],
+                                   ["optimal", [], [one, two]],
+                                   ["optimal", [1], [one, two]],
+                                   ["optimal", [], [one]]])}
+    assert digest.diff_lines(mine, theirs) == [
+        "qp/probe differs", "  solves 5 -> 4", "  statuses differ 1",
+        "  active sets differ 1", "  z 2"]
+    assert digest.diff_lines(mine, {digest.PROBE: ("x", [])}) == []

@@ -189,6 +189,14 @@ def test_params_validation():
         NdcParams(Cb=100.0, Cs=200.0)
 
 
+@pytest.mark.parametrize("vs_max", [0.0, -1.0])
+def test_params_reject_nonpositive_vs_max(vs_max):
+    """SoC divides by Vs_max: 0 divides by zero and a negative value
+    negates the SoC row."""
+    with pytest.raises(ValueError, match="Vs_max"):
+        NdcParams(Vs_max=vs_max)
+
+
 def test_params_from_dict_rejects_unknown():
     with pytest.raises(ValueError):
         NdcParams.from_dict({"Cb": 9913.0, "bogus": 1.0})

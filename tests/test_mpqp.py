@@ -1,10 +1,11 @@
+import argparse
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from empcharge import mpqp
+from empcharge import cli, control, mpqp
 from empcharge.model import NdcParams, NdcState, discretize
 from empcharge.mpqp import MpcConfig, _prediction_maps, assemble_theta, build
 from empcharge.qp import DenseQp, solve_qp
@@ -335,13 +336,28 @@ def test_build_memo_serves_no_stale_entry(params, dmodel, table, cfg):
     assert not np.array_equal(sigmas[0], sigmas[3])
 
 
-def test_build_memo_stays_bounded(dmodel, table):
-    seg = table.segments[0]
-    for q in range(3 * mpqp._CONDENSED_SIZE):
-        build(dmodel, seg, MpcConfig(Q=1.0 + q))
-    assert len(mpqp._CONDENSED) <= mpqp._CONDENSED_SIZE
-    p = build(dmodel, seg, MpcConfig(Q=1.0))  # evicted, so computed again
-    _assert_same_problem(p, _uncached_build(dmodel, seg, MpcConfig(Q=1.0)))
+def test_nmpc_charge_condenses_nothing_after_setup(monkeypatch):
+    """An NMPC step condenses a fresh linearization, which changes its V
+    rows but not the SoC row the memo is keyed by: after set-up, every
+    build of a charge is served by the kept condensing."""
+    doc = json.loads((CONFIGS / "nmpc_case.json").read_text())
+    setup = cli._scenario_setup(doc, argparse.Namespace(
+        controller=None, feedback=None, seed=None))
+    calls = {"build": 0, "maps": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(control, "build", counted("build", control.build))
+    monkeypatch.setattr(mpqp, "_prediction_maps",
+                        counted("maps", mpqp._prediction_maps))
+    trace = control.run_closed_loop(setup)
+    assert setup.controller == "nmpc" and trace.completed
+    assert calls == {"build": trace.charging_steps, "maps": 0}
+    assert trace.charging_steps == 65
 
 
 @pytest.mark.parametrize("name", ["Sigma", "F", "G", "S", "W"])

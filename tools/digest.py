@@ -17,9 +17,11 @@ name; for a run trace also both step counts and the largest absolute
 difference per column over the steps the traces share; and for a JSON
 region table also both region counts, whether the active sets are equal
 in order, and the largest absolute difference in each of E, e, K and g
-over the regions the tables share.  Differences are taken between
-numbers, so -0.0 against 0.0 is 0.  It prints nothing and exits 0 when
-every digest is equal, else it exits 1.
+over the regions the tables share; and for the QP probe both solve
+counts, how many statuses and how many active sets differ, and the
+largest absolute difference in z, over the solves both probes have.
+Differences are taken between numbers, so -0.0 against 0.0 is 0.  It
+prints nothing and exits 0 when every digest is equal, else it exits 1.
 
 The artifacts:
 
@@ -28,13 +30,20 @@ The artifacts:
   ``segments.json`` that ``synthesize`` writes, and its
   ``synthesis_report.json`` without ``wall_s`` and ``wall_time_s``;
 - for the scenarios in ``RUNS``: the trace CSV of ``run`` without its
-  ``solver_time_ns`` column, and the summary without its ``step_ns_*``.
+  ``solver_time_ns`` column, and the summary without its ``step_ns_*``;
+- ``qp/probe``: the status, active set and bits of z of each solve of the
+  online QP, ``solve_qp``, on a fixed, seeded set of QPs (``probe``).
+  Random dense QPs, some with a zero row or no feasible point, are each
+  solved cold and with a random guess of rows, some of them zero or out
+  of range.  Then, for every segment of each config in
+  ``PROBE_CONFIGS``, QPs at theta drawn from its theta box, feasible or
+  not, are each solved cold and warm from the last theta's active set.
 
 Usage: ``python3 tools/digest.py [--root TREE] [--diff OTHER] [NAME ...]``.
 TREE is the checkout whose ``src/`` and ``configs/`` are used (default: the
 one this script is in), and OTHER the checkout it is compared with; the
 NAMEs, config file stems such as ``synthesis_default`` or ``basic_case``,
-limit the output to those configs.
+or ``qp`` for the QP probe, limit the output to those artifacts.
 """
 
 from __future__ import annotations
@@ -52,7 +61,12 @@ import tempfile
 
 import numpy as np
 
+HERE = pathlib.Path(__file__).resolve().parent
 RUNS = ("basic_case", "basic_case_qp", "ekf_case", "nmpc_case")
+PROBE = "qp/probe"
+PROBE_CONFIGS = ("synthesis_default", "horizon_Nc_eta9")
+PROBE_RANDOM = 600      # random dense QPs
+PROBE_THETAS = 60       # theta per segment
 
 
 def _sha(data: bytes) -> str:
@@ -104,11 +118,67 @@ def _run_lines(root, name: str, tmp: pathlib.Path):
            _sha(json.dumps(summary, sort_keys=True).encode()), None)
 
 
+def probe(root: str) -> None:
+    """Print, as JSON, [status, active set, z as float.hex strings or None]
+    per solve of the QP probe (module docstring), solved by the empcharge
+    that sys.path finds; a QpError's status is its message."""
+    from empcharge import cli
+    from empcharge.qp import DenseQp, QpError, solve_qp
+
+    def record(qp, guess=()):
+        try:
+            sol = solve_qp(qp, guess)
+        except QpError as exc:
+            return [f"QpError: {exc}", [], None]
+        return [sol.status, list(sol.active_set), None if sol.z_star is None
+                else [float(x).hex() for x in sol.z_star]]
+
+    rng = np.random.default_rng(2301)
+    out = []
+    for _ in range(PROBE_RANDOM):
+        n, m = int(rng.integers(1, 6)), int(rng.integers(0, 13))
+        M = rng.normal(size=(n, n))
+        H = M @ M.T + 0.1 * np.eye(n)
+        G, w = rng.normal(size=(m, n)), rng.normal(0.5, 1.0, m)
+        if m and rng.random() < 0.2:
+            G[rng.integers(m)] = 0.0
+        qp = DenseQp(0.5 * (H + H.T), rng.normal(size=n), G, w)
+        guess = rng.choice(m + 1, int(rng.integers(0, min(n, m) + 1)),
+                           replace=False)
+        out += [record(qp), record(qp, tuple(sorted(guess.tolist())))]
+    for name in PROBE_CONFIGS:
+        doc = json.loads((pathlib.Path(root) / "configs" / f"{name}.json")
+                         .read_text())
+        syn = doc.get("synthesis", doc)
+        problems, box = cli._synthesis_objects(syn)[-1], cli._theta_box(syn)
+        for prob in problems:
+            last = ()
+            for theta in rng.uniform(box[:, 0], box[:, 1],
+                                     (PROBE_THETAS, len(box))):
+                cold = record(prob.qp(theta))
+                out += [cold, record(prob.qp(theta), last)]
+                last = tuple(cold[1])
+    print(json.dumps(out))
+
+
+def _probe(root: pathlib.Path) -> tuple[str, list]:
+    """(sha256, records) of the probe, run in a child process on root's
+    src/."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = (f"import sys; sys.path.insert(0, {str(HERE)!r}); import digest; "
+            f"digest.probe({str(root)!r})")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    if proc.returncode:
+        sys.exit(f"QP probe: exit {proc.returncode}\n{proc.stderr}")
+    return _sha(proc.stdout.encode()), json.loads(proc.stdout)
+
+
 def digests(root: pathlib.Path, names=()) -> dict[str, tuple]:
     """name -> (sha256, content or None) for the artifacts of the configs
     named (all when empty).  The content of a run trace is its rows,
     header first, less its solver_time_ns column; that of a JSON region
-    table is its list of regions."""
+    table is its list of regions; that of the QP probe is its records."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
@@ -124,6 +194,8 @@ def digests(root: pathlib.Path, names=()) -> dict[str, tuple]:
             if name in RUNS:
                 found += _run_lines(root, name, tmp)
             out.update((k, (sha, rows)) for k, sha, rows in found)
+    if not names or "qp" in names:
+        out[PROBE] = _probe(root)
     return out
 
 
@@ -163,6 +235,20 @@ def _table_diff(mine: list[dict], theirs: list[dict]) -> list[str]:
     return lines
 
 
+def _probe_diff(mine: list[list], theirs: list[list]) -> list[str]:
+    """Both solve counts, then over the solves both probes have, how many
+    statuses and how many active sets differ, and the largest absolute
+    difference in z where both solves have one of the same size."""
+    pairs = list(zip(mine, theirs))
+    dz = max((abs(float.fromhex(x) - float.fromhex(y))
+              for a, b in pairs if a[2] and b[2] and len(a[2]) == len(b[2])
+              for x, y in zip(a[2], b[2])), default=0.0)
+    return [f"  solves {len(theirs)} -> {len(mine)}",
+            f"  statuses differ {sum(a[0] != b[0] for a, b in pairs)}",
+            f"  active sets differ {sum(a[1] != b[1] for a, b in pairs)}",
+            f"  z {dz:.3g}"]
+
+
 def diff_lines(mine: dict, theirs: dict) -> list[str]:
     """What differs between two digests() results, mine against theirs."""
     lines = []
@@ -174,6 +260,8 @@ def diff_lines(mine: dict, theirs: dict) -> list[str]:
             lines.append(f"{name} differs")
             if name.endswith(".csv"):
                 lines += _trace_diff(mine[name][1], theirs[name][1])
+            elif name == PROBE:
+                lines += _probe_diff(mine[name][1], theirs[name][1])
             elif mine[name][1] is not None:
                 lines += _table_diff(mine[name][1], theirs[name][1])
     return lines
