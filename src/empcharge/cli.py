@@ -172,10 +172,12 @@ def _table_path(tables_dir, seg, fmt: str = "json") -> str:
     return os.path.join(tables_dir, f"table_seg{seg.index}.{fmt}")
 
 
-def _load_tables(tables_dir, table, problems) -> list[ExplicitSolution]:
+def _load_tables(tables_dir, table, problems, box=None,
+                 ) -> list[ExplicitSolution]:
     """Each segment's JSON table; ConfigError for one that is missing,
     malformed, built for another segment or Nu, or with an active-set row
-    past the segment problem's constraint rows."""
+    past the segment problem's constraint rows, or, when box is given,
+    explored on another theta box."""
     sols = []
     for seg, prob in zip(table.segments, problems):
         path = _table_path(tables_dir, seg)
@@ -185,6 +187,9 @@ def _load_tables(tables_dir, table, problems) -> list[ExplicitSolution]:
             raise ConfigError(f"{path}: segment {sol.segment_index}, Nu="
                               f"{sol.Nu}; expected segment {seg.index}, Nu="
                               f"{Nu}")
+        if box is not None and not np.array_equal(sol.theta_box, box):
+            raise ConfigError(f"{path}: theta box {sol.theta_box.tolist()}; "
+                              f"the config's is {box.tolist()}")
         rows = [i for r in sol.regions for i in r.active_set if i >= m]
         if rows:
             raise ConfigError(f"{path}: active-set row {rows[0]}; the "
@@ -240,15 +245,15 @@ def _scenario_setup(doc: dict, args) -> RunSetup:
     run.update({k: getattr(args, k) for k in ("controller", "feedback", "seed")
                 if getattr(args, k) is not None})
     try:  # before any region table is read or synthesized
-        RunSetup.check(run, params, table)
+        RunSetup.check(run, table)
     except ValueError as exc:
         raise ConfigError(f"scenario config: {exc}") from exc
     solutions = None
     if run.get("controller", RunSetup.controller) == "empc":
+        box = _theta_box(syn)
         if doc.get("tables_dir"):
-            solutions = _load_tables(doc["tables_dir"], table, problems)
+            solutions = _load_tables(doc["tables_dir"], table, problems, box)
         else:  # as synthesize builds the tables it writes
-            box = _theta_box(syn)
             solutions = [rounded(explore(p, theta_box=box),
                                  syn.get("round_decimals")) for p in problems]
     try:

@@ -234,25 +234,30 @@ class RunSetup:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self.check(vars(self), self.params, self.table)
+        self.check(vars(self), self.table)
         if self.controller == "empc" and not self.solutions:
             raise ValueError("empc controller needs explicit solutions")
         if self.controller == "qp" and not self.problems:
             raise ValueError("qp controller needs condensed problems")
+        segments = [s.index for s in self.table.segments]
+        for name in ("solutions", "problems"):
+            got = [x.segment_index for x in getattr(self, name) or ()]
+            if got and got != segments:  # a step indexes them by position
+                raise ValueError(f"{name} for segments {got}; the table has "
+                                 f"segments {segments}")
         if self.controller != "empc":  # its QPs' phase-1 LPs go to scipy
             load_scipy()
 
     @classmethod
-    def check(cls, run: dict, params: NdcParams, table: SegmentTable,
-              ) -> None:
+    def check(cls, run: dict, table: SegmentTable) -> None:
         """ValueError unless the run values in run, RunSetup's defaults
         standing in for those it lacks, are in range.  It reads no region
         table or problem, so a caller can check the values before it
         builds them.  A charge starts at rest with Vb = Vs = soc_start.
-        Both SoC values must lie in [0, 1], and soc_target * Vs_max, the
-        Vs of a charge at rest at soc_target, within the table's last
-        vs_hi (0.90 by default), past which the last segment's tangent
-        under-predicts V."""
+        Both SoC values must lie in [0, 1], and soc_target, the Vs of a
+        charge at rest at that SoC, within the table's last vs_hi (0.90
+        by default), past which the last segment's tangent under-predicts
+        V."""
         v = {k: run.get(k, getattr(cls, k)) for k in (
             "controller", "feedback", "seed", "step_budget", "soc_start",
             "soc_target")}
@@ -263,11 +268,10 @@ class RunSetup:
             raise ValueError(f"need controller in {CONTROLLERS}, feedback in "
                              f"{FEEDBACKS}, seed >= 0, step_budget >= 1 and "
                              "soc_start, soc_target in [0, 1]")
-        vs_target, vs_hi = v["soc_target"] * params.Vs_max, table.coverage[1]
-        if vs_target > vs_hi:
+        if v["soc_target"] > table.coverage[1]:
             raise ValueError(f"soc_target {v['soc_target']}: a charge at rest "
-                             f"there has Vs {vs_target}, past the segment "
-                             f"table's last vs_hi {vs_hi}")
+                             "there has Vs past the segment table's last "
+                             f"vs_hi {table.coverage[1]}")
 
 
 def run_closed_loop(setup: RunSetup) -> SimTrace:

@@ -52,7 +52,6 @@ class NdcParams:
     beta1: float = 0.09
     beta2: float = 0.35
     beta3: float = 10.0
-    Vs_max: float = 1.0
 
     def __post_init__(self) -> None:
         if self.Cb <= 0 or self.Cs <= 0:
@@ -63,18 +62,16 @@ class NdcParams:
             raise ValueError("beta coefficients must be positive")
         if self.Cb <= self.Cs:
             raise ValueError("expected Cb > Cs")
-        if self.Vs_max <= 0:
-            raise ValueError("Vs_max must be positive")
 
     @property
     def capacity(self) -> float:
-        """Total charge capacity in coulombs, (Cb + Cs) * Vs_max."""
-        return (self.Cb + self.Cs) * self.Vs_max
+        """Total charge capacity in coulombs; full charge is Vb = Vs = 1."""
+        return self.Cb + self.Cs
 
     @classmethod
     def from_dict(cls, d: dict) -> "NdcParams":
         """Build from a flat key-value mapping with alpha0..alpha5 keys."""
-        known = {"Cb", "Cs", "Rb", "Rs", "beta1", "beta2", "beta3", "Vs_max"}
+        known = {"Cb", "Cs", "Rb", "Rs", "beta1", "beta2", "beta3"}
         alpha_keys = {f"alpha{i}" for i in range(6)}
         unknown = set(d) - known - alpha_keys
         if unknown:
@@ -108,21 +105,19 @@ class OutputVector:
 
 @dataclass(frozen=True)
 class DiscreteModel:
-    """Exact zero-order-hold discretization plus the augmented form.
+    """Exact zero-order-hold discretization in augmented form.
 
-    A_aug = [[A_d, B_d], [0, 0, 1]], B_aug = [0, 0, 1]^T.  The augmented
-    input is the current increment du_k = I_{k+1} - I_k.
+    A_aug = [[A_d, B_d], [0, 0, 1]] with the voltage subsystem's A_d, B_d.
+    The augmented input, the current increment du_k = I_{k+1} - I_k,
+    enters the current entry alone: its input map is the unit vector e_2,
+    in the plant's step and in the MPC predictor (mpqp._prediction_maps).
     """
 
-    A_d: np.ndarray
-    B_d: np.ndarray
     A_aug: np.ndarray
-    B_aug: np.ndarray
     dt: float
 
     def step(self, x: np.ndarray, du: float) -> np.ndarray:
-        """Augmented state one step on: A_aug x + B_aug du.  B_aug is the
-        unit vector e_2, so du is added to the current entry alone."""
+        """Augmented state one step on: A_aug x + e_2 du."""
         x = self.A_aug @ x
         x[2] += du
         return x
@@ -167,8 +162,7 @@ def r0_slope(params: NdcParams, Vs: float | np.ndarray) -> float | np.ndarray:
 
 def soc(params: NdcParams, Vb: float, Vs: float) -> float:
     """State of charge, capacity-weighted average of the two voltages."""
-    return (params.Cb * Vb + params.Cs * Vs) / ((params.Cb + params.Cs)
-                                                * params.Vs_max)
+    return (params.Cb * Vb + params.Cs * Vs) / (params.Cb + params.Cs)
 
 
 def eta(params: NdcParams, gamma1: float, Vb: float, Vs: float) -> float:
@@ -228,14 +222,13 @@ def discretize(params: NdcParams, dt: float) -> DiscreteModel:
     A_aug[:2, :2] = A_d
     A_aug[:2, 2:] = B_d
     A_aug[2, 2] = 1.0
-    B_aug = np.array([[0.0], [0.0], [1.0]])
-    return DiscreteModel(A_d=A_d, B_d=B_d, A_aug=A_aug, B_aug=B_aug, dt=dt)
+    return DiscreteModel(A_aug=A_aug, dt=dt)
 
 
 def step_nonlinear(params: NdcParams, model: DiscreteModel, state: NdcState,
                    du: float, gamma1: float = GAMMA1,
                    ) -> tuple[NdcState, OutputVector]:
-    """One discrete step x+ = A_aug x + B_aug du; output is evaluated
+    """One discrete step x+ = A_aug x + e_2 du; output is evaluated
     through the nonlinear map at the new state."""
     x = model.step(state.as_array(), du)
     new = NdcState(Vb=float(x[0]), Vs=float(x[1]), I=float(x[2]))

@@ -92,15 +92,16 @@ def _prediction_maps(model: DiscreteModel, N: int, Nu: int):
         Xx[k] = A^k,  Xu[k] = sum_{m<k} A^m B,
         Xz[k][:, j] = Xu[k-j] for j < k, else 0,
 
-    with shapes Xx (N+1, 3, 3), Xu (N+1, 3) and Xz (N+1, 3, Nu).
+    with shapes Xx (N+1, 3, 3), Xu (N+1, 3) and Xz (N+1, 3, Nu).  B is
+    the model's input map e_2, so A^m B is column 2 of A^m.
     """
-    A, B = model.A_aug, model.B_aug
+    A = model.A_aug
     Xx = np.empty((N + 1, 3, 3))
     Xx[0] = np.eye(3)
     for k in range(N):
         Xx[k + 1] = A @ Xx[k]
     Xu = np.zeros((N + 1, 3))
-    np.cumsum((Xx[:N] @ B)[:, :, 0], axis=0, out=Xu[1:])
+    np.cumsum(Xx[:N, :, 2], axis=0, out=Xu[1:])
     # Xu[0] = 0, so clipping k-j at 0 zeroes the moves not yet taken
     lag = np.arange(N + 1)[:, None] - np.arange(Nu)[None, :]
     Xz = Xu[np.maximum(lag, 0)].transpose(0, 2, 1)
@@ -129,16 +130,15 @@ class _Condensing:
     labels: tuple[str, ...]
 
 
-# the last (key, _Condensing), its key (A_aug, B_aug, SoC row of C,
-# MpcConfig) by value
+# the last (key, _Condensing), its key (A_aug, SoC row of C, MpcConfig)
+# by value
 _CONDENSED: tuple[tuple, _Condensing] | None = None
 
 
 def _condensing(model: DiscreteModel, c_soc: np.ndarray,
                 cfg: MpcConfig) -> _Condensing:
     global _CONDENSED
-    key = (model.A_aug.tobytes(), model.B_aug.tobytes(), c_soc.tobytes(),
-           cfg)
+    key = (model.A_aug.tobytes(), c_soc.tobytes(), cfg)
     if _CONDENSED is not None and _CONDENSED[0] == key:
         return _CONDENSED[1]
     N, Nu = cfg.N, cfg.Nu

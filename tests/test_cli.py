@@ -352,6 +352,31 @@ def test_tables_for_another_nu(tmp_path, synth_config, nu5_tables, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_tables_for_another_theta_box(tmp_path, capsys):
+    """Tables explored on a narrower theta box than the scenario's leave
+    part of its box uncovered: run and bench refuse them before any
+    charge."""
+    narrow = tmp_path / "narrow"
+    synth = _write(tmp_path / "synth.json", {
+        "version": 1, "breakpoints": TWO_SEGMENTS, "coverage_samples": 200,
+        "theta_box": [[0, 1], [0, 1], [0, 3], [0.2, 1], [-1, 1]]})
+    assert main(["synthesize", "--config", synth,
+                 "--out-dir", str(narrow)]) == 0
+    scenario = _write(tmp_path / "s.json", {
+        "version": 1, "name": "box", "controller": "empc",
+        "synthesis": {"version": 1, "breakpoints": TWO_SEGMENTS},
+        "tables_dir": str(narrow),
+    })
+    bench = _write(tmp_path / "bench.json", {
+        "version": 1, "scenarios": [scenario], "repeats": 1})
+    for command, config in (("run", scenario), ("bench", bench)):
+        assert main([command, "--config", config,
+                     "--out-dir", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert f"{narrow / 'table_seg1.json'}: theta box" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_tables_with_a_row_past_the_config(tmp_path, synth_config,
                                            tables_dir, capsys):
     """A stored active set may name only rows the config's problem has."""

@@ -203,7 +203,8 @@ def test_trace_csv_format(params, dmodel, table, cfg, problems, solutions,
         assert values[10] == row.du
 
 
-def test_run_setup_validation(params, dmodel, table, cfg, problems):
+def test_run_setup_validation(params, dmodel, table, cfg, problems,
+                              solutions):
     with pytest.raises(ValueError):
         RunSetup(params=params, model=dmodel, table=table, cfg=cfg,
                  controller="empc")
@@ -216,6 +217,15 @@ def test_run_setup_validation(params, dmodel, table, cfg, problems):
     with pytest.raises(ValueError, match="vs_hi"):  # past the table's 0.90
         RunSetup(params=params, model=dmodel, table=table, cfg=cfg,
                  controller="qp", problems=problems, soc_target=0.93)
+    # a step indexes the per-segment lists by the segment's position, so a
+    # list that is not the table's segments in order is refused at once
+    for bad in (solutions[::-1], solutions[:1]):
+        with pytest.raises(ValueError, match="solutions for segments"):
+            _setup(params, dmodel, table, cfg, problems, bad)
+    for bad in (problems[::-1], problems[:1]):
+        with pytest.raises(ValueError, match="problems for segments"):
+            RunSetup(params=params, model=dmodel, table=table, cfg=cfg,
+                     controller="qp", problems=bad)
 
 
 @pytest.mark.parametrize("step_budget", [0, -3])

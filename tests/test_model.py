@@ -86,14 +86,14 @@ def test_terminal_voltage(params):
 
 def test_discretize_identity_limit(params):
     m = mdl.discretize(params, 1e-9)
-    assert np.allclose(m.A_d, np.eye(2), atol=1e-6)
-    assert np.allclose(m.B_d, 0.0, atol=1e-6)
+    assert np.allclose(m.A_aug[:2, :2], np.eye(2), atol=1e-6)
+    assert np.allclose(m.A_aug[:2, 2], 0.0, atol=1e-6)
 
 
 def test_discretize_eigenvalues(params, dmodel):
     # mu = -10800/(9913*887*0.025) = -0.0491307...
     mu = -10800.0 / (9913.0 * 887.0 * 0.025)
-    ev = np.sort(np.linalg.eigvals(dmodel.A_d))
+    ev = np.sort(np.linalg.eigvals(dmodel.A_aug[:2, :2]))
     assert ev[0] == pytest.approx(np.exp(60 * mu), abs=1e-10)
     assert ev[1] == pytest.approx(1.0, abs=1e-10)
     assert np.exp(60 * mu) == pytest.approx(0.0524, abs=1e-3)
@@ -102,7 +102,7 @@ def test_discretize_eigenvalues(params, dmodel):
 def test_discretize_row_sums(params):
     for dt in (1.0, 60.0, 3600.0):
         m = mdl.discretize(params, dt)
-        assert np.allclose(m.A_d.sum(axis=1), 1.0, atol=1e-12)
+        assert np.allclose(m.A_aug[:2, :2].sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_discretize_rejects_bad_dt(params):
@@ -112,10 +112,7 @@ def test_discretize_rejects_bad_dt(params):
 
 def test_augmented_shape(dmodel):
     assert dmodel.A_aug.shape == (3, 3)
-    assert np.allclose(dmodel.A_aug[:2, :2], dmodel.A_d)
-    assert np.allclose(dmodel.A_aug[:2, 2], dmodel.B_d.ravel())
     assert np.allclose(dmodel.A_aug[2], [0, 0, 1])
-    assert np.allclose(dmodel.B_aug.ravel(), [0, 0, 1])
 
 
 @pytest.mark.parametrize("x", [[0.2, 0.2, 0.0], [0.31, 0.35, 2.7],
@@ -189,17 +186,11 @@ def test_params_validation():
         NdcParams(Cb=100.0, Cs=200.0)
 
 
-@pytest.mark.parametrize("vs_max", [0.0, -1.0])
-def test_params_reject_nonpositive_vs_max(vs_max):
-    """SoC divides by Vs_max: 0 divides by zero and a negative value
-    negates the SoC row."""
-    with pytest.raises(ValueError, match="Vs_max"):
-        NdcParams(Vs_max=vs_max)
-
-
 def test_params_from_dict_rejects_unknown():
-    with pytest.raises(ValueError):
-        NdcParams.from_dict({"Cb": 9913.0, "bogus": 1.0})
+    # no Vs_max either: full charge is Vb = Vs = 1 throughout the model
+    for key in ("bogus", "Vs_max"):
+        with pytest.raises(ValueError, match="unknown parameter keys"):
+            NdcParams.from_dict({"Cb": 9913.0, key: 1.0})
 
 
 def test_params_from_dict_alpha_keys():
@@ -250,6 +241,6 @@ def test_step_equals_augmented_product(dmodel):
     rng = np.random.default_rng(7)
     for _ in range(200):
         x, du = rng.uniform(-1.0, 3.0, 3), float(rng.uniform(-3.0, 3.0))
-        ref = dmodel.A_aug @ x + dmodel.B_aug.ravel() * du
+        ref = dmodel.A_aug @ x + np.array([0.0, 0.0, 1.0]) * du
         assert np.array_equal(dmodel.step(x, du), ref)
         assert np.array_equal(dmodel.step(x.tolist(), du), ref)

@@ -35,7 +35,7 @@ def _increment(cfg, theta, z, k):
 
 
 def _simulate_cost(model, seg, cfg, theta, z):
-    """Condensed cost recomputed by rolling the augmented model forward."""
+    """Condensed cost recomputed by rolling the plant's own step forward."""
     x = np.array([theta[0], theta[1], theta[2]])
     r = theta[3]
     cost = 0.0
@@ -43,19 +43,17 @@ def _simulate_cost(model, seg, cfg, theta, z):
     for k in range(cfg.N):
         soc_k = float(c_soc @ x)
         cost += 0.5 * cfg.Q * (soc_k - r) ** 2
-        x = (model.A_aug @ x
-             + model.B_aug.ravel() * _increment(cfg, theta, z, k))
+        x = model.step(x, _increment(cfg, theta, z, k))
     cost += 0.5 * cfg.R * float(z @ z)
     return cost
 
 
 def _theta_map(model, seg, cfg, theta, z):
-    """Outputs y_k for k = 1..N via direct simulation."""
+    """Outputs y_k for k = 1..N via the plant's own step."""
     x = np.array([theta[0], theta[1], theta[2]])
     ys = []
     for k in range(cfg.N):
-        x = (model.A_aug @ x
-             + model.B_aug.ravel() * _increment(cfg, theta, z, k))
+        x = model.step(x, _increment(cfg, theta, z, k))
         ys.append(seg.C_mat @ x + seg.D_vec)
     return ys
 
@@ -159,8 +157,9 @@ def test_constraint_oracle_horizons(dmodel, table, name):
 
 def _loop_prediction_maps(model, N, Nu):
     """The condensing maps summed term by term:
-    Xz[k][:, j] = sum_{i=j}^{k-1} A^(k-1-i) B."""
-    A, B = model.A_aug, model.B_aug
+    Xz[k][:, j] = sum_{i=j}^{k-1} A^(k-1-i) B, with the input column B
+    written out here rather than read from the model."""
+    A, B = model.A_aug, np.array([0.0, 0.0, 1.0])
     powers = [np.eye(3)]
     for _ in range(N):
         powers.append(A @ powers[-1])
@@ -170,7 +169,7 @@ def _loop_prediction_maps(model, N, Nu):
         acc = np.zeros(3)
         M = np.zeros((3, Nu))
         for i in range(k):
-            col = (powers[k - 1 - i] @ B).ravel()
+            col = powers[k - 1 - i] @ B
             acc += col
             for j in range(min(i + 1, Nu)):
                 M[:, j] += col

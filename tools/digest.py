@@ -29,8 +29,9 @@ The artifacts:
   ``synthesis`` block of a scenario config): every ``table_seg*`` file and
   ``segments.json`` that ``synthesize`` writes, and its
   ``synthesis_report.json`` without ``wall_s`` and ``wall_time_s``;
-- for the scenarios in ``RUNS``: the trace CSV of ``run`` without its
-  ``solver_time_ns`` column, and the summary without its ``step_ns_*``;
+- for each scenario config under ``configs/`` (one with a ``synthesis``
+  block): the trace CSV of ``run`` without its ``solver_time_ns`` column,
+  and the summary without its ``step_ns_*``;
 - ``qp/probe``: the status, active set and bits of z of each solve of the
   online QP, ``solve_qp``, on a fixed, seeded set of QPs (``probe``).
   Random dense QPs, some with a zero row or no feasible point, are each
@@ -62,7 +63,6 @@ import tempfile
 import numpy as np
 
 HERE = pathlib.Path(__file__).resolve().parent
-RUNS = ("basic_case", "basic_case_qp", "ekf_case", "nmpc_case")
 PROBE = "qp/probe"
 PROBE_CONFIGS = ("synthesis_default", "horizon_Nc_eta9")
 PROBE_RANDOM = 600      # random dense QPs
@@ -191,7 +191,7 @@ def digests(root: pathlib.Path, names=()) -> dict[str, tuple]:
                 continue
             found = list(_synthesis_lines(root, name,
                                           doc.get("synthesis", doc), tmp))
-            if name in RUNS:
+            if "synthesis" in doc:  # a scenario config
                 found += _run_lines(root, name, tmp)
             out.update((k, (sha, rows)) for k, sha, rows in found)
     if not names or "qp" in names:
