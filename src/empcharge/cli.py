@@ -8,6 +8,7 @@ config, value or table, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -20,7 +21,7 @@ import numpy as np
 from . import model as mdl
 from .control import CONTROLLERS, FEEDBACKS, RunSetup, run_closed_loop
 from .mpqp import MpcConfig, build
-from .qp import load_scipy, solve_qp
+from .qp import QpError, load_scipy, solve_qp
 from .regions import (DEFAULT_THETA_BOX, ExplicitSolution, coverage_check,
                       explore, export_table, import_table, locate, rounded,
                       _atomic_write)
@@ -198,6 +199,16 @@ def _load_tables(tables_dir, table, problems, box=None,
     return sols
 
 
+@contextlib.contextmanager
+def _segment_lps(seg):
+    """ConfigError naming seg for a QpError of its synthesis, such as an LP
+    that HiGHS rejects on a config whose numbers are degenerate."""
+    try:
+        yield
+    except QpError as exc:
+        raise ConfigError(f"segment {seg.index}: {exc}") from exc
+
+
 def cmd_synthesize(args) -> int:
     doc = _load(args.config, "synthesis config", _SYNTH_KINDS)
     params, model, table, cfg, problems = _synthesis_objects(doc)
@@ -212,8 +223,9 @@ def cmd_synthesize(args) -> int:
     t0 = time.perf_counter()
     for seg, prob in zip(table.segments, problems):
         t_seg = time.perf_counter()
-        sol = rounded(explore(prob, theta_box=box), decimals)
-        cov = coverage_check(sol, prob, n_samples=n_cov, seed=seed + 1)
+        with _segment_lps(seg):
+            sol = rounded(explore(prob, theta_box=box), decimals)
+            cov = coverage_check(sol, prob, n_samples=n_cov, seed=seed + 1)
         for fmt in ("json", "bin"):
             export_table(sol, _table_path(args.out_dir, seg, fmt), fmt=fmt)
         report["segments"].append({
@@ -254,8 +266,11 @@ def _scenario_setup(doc: dict, args) -> RunSetup:
         if doc.get("tables_dir"):
             solutions = _load_tables(doc["tables_dir"], table, problems, box)
         else:  # as synthesize builds the tables it writes
-            solutions = [rounded(explore(p, theta_box=box),
-                                 syn.get("round_decimals")) for p in problems]
+            solutions = []
+            for seg, p in zip(table.segments, problems):
+                with _segment_lps(seg):
+                    solutions.append(rounded(explore(p, theta_box=box),
+                                             syn.get("round_decimals")))
     try:
         return RunSetup(params=params, model=model, table=table, cfg=cfg,
                         problems=problems, solutions=solutions, **run)

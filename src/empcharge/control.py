@@ -95,17 +95,13 @@ def _predicted_vs(model: DiscreteModel, x: NdcState) -> float:
     return float(model.step(x.as_array(), 0.0)[1])
 
 
-def _current(u_prev: float, x: NdcState, du0: float) -> float:
-    """Saturated next current for the move du0."""
-    return min(max(u_prev + du0 + x.I, I_MIN), I_MAX)
-
-
 def _result(u_prev: float, x: NdcState, segment: int, du0: float | None,
             region: int | None, active_set: tuple[int, ...] = (),
             ) -> StepResult:
     """The step of the move du0, saturated; du0 None (no region holds
     theta, or no QP solution) is the fallback move du0 = 0."""
-    I_next = _current(u_prev, x, 0.0 if du0 is None else du0)
+    du = 0.0 if du0 is None else du0
+    I_next = min(max(u_prev + du + x.I, I_MIN), I_MAX)
     return StepResult(I_next, float(I_next - x.I), segment, region,
                       du0 is None, active_set=active_set)
 

@@ -19,7 +19,6 @@ __all__ = [
     "NdcState",
     "OutputVector",
     "DiscreteModel",
-    "default_params",
     "ocv",
     "ocv_slope",
     "r0",
@@ -121,10 +120,6 @@ class DiscreteModel:
         x = self.A_aug @ x
         x[2] += du
         return x
-
-
-def default_params() -> NdcParams:
-    return NdcParams()
 
 
 # The four maps below take Vs as a float or an array: a scalar gives a

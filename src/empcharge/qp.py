@@ -49,7 +49,6 @@ __all__ = [
     "QpError",
     "solve_qp",
     "independent_rows",
-    "lp_feasible",
     "chebyshev_centers",
     "chebyshev_center",
     "remove_redundant",
@@ -345,5 +344,7 @@ def remove_redundant(G: np.ndarray, w: np.ndarray, center: np.ndarray,
                                    np.asarray(center, float))
     except QhullError as exc:
         raise QpError(f"halfspace intersection: {exc}") from exc
-    kept = sorted(rows[hs.dual_vertices].tolist())
+    # the dual hull's vertices, from its facets: dual_vertices fails when a
+    # facet has more than n vertices (more than n facets meet at a vertex)
+    kept = rows[sorted({i for f in hs.dual_facets for i in f})].tolist()
     return G[kept], w[kept], kept

@@ -32,7 +32,6 @@ __all__ = [
     "ExplicitSolution",
     "DEFAULT_THETA_BOX",
     "DegenerateActiveSet",
-    "region_for",
     "explore",
     "locate",
     "coverage_check",
@@ -65,9 +64,6 @@ class CriticalRegion:
     g: np.ndarray            # Nu
     active_set: tuple[int, ...]
 
-    def stored_reals(self) -> int:
-        return self.E.size + self.e.size + self.K.size + self.g.size
-
 
 @dataclass
 class ExplicitSolution:
@@ -97,7 +93,8 @@ class ExplicitSolution:
 
     @property
     def stored_reals(self) -> int:
-        return sum(r.stored_reals() for r in self.regions)
+        return sum(r.E.size + r.e.size + r.K.size + r.g.size
+                   for r in self.regions)
 
 
 def box_halfspaces(theta_box: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -155,10 +155,7 @@ def select_segment(table: SegmentTable, Vs: float) -> int:
     Segments are half-open [vs_lo, vs_hi); the final segment is closed.
     Vs outside the covered range clamps to the nearest end segment.
     """
-    segs = table.segments
-    if Vs < segs[0].vs_lo:
-        return 0
-    for i, s in enumerate(segs):
+    for i, s in enumerate(table.segments):
         if Vs < s.vs_hi:
             return i
-    return len(segs) - 1
+    return len(table.segments) - 1

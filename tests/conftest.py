@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from empcharge import (MpcConfig, build, default_params, default_table,
+from empcharge import (MpcConfig, NdcParams, build, default_table,
                        discretize, explore)
 
 
 @pytest.fixture(scope="session")
 def params():
-    return default_params()
+    return NdcParams()
 
 
 @pytest.fixture(scope="session")

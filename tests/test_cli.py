@@ -635,6 +635,76 @@ def test_unwritable_output_exits_3(tmp_path, tables_dir, capsys, command):
     assert blocker.read_text() == "kept"
 
 
+def _default_synth(**values):
+    """configs/synthesis_default.json with values, those under mpc merged
+    into its mpc block."""
+    doc = json.loads((CONFIGS / "synthesis_default.json").read_text())
+    doc["mpc"].update(values.pop("mpc", {}))
+    return {**doc, **values}
+
+
+# synthesis configs at the edge of what the value rules accept
+EDGE_CONFIGS = {
+    "Q_0": _default_synth(mpc={"Q": 0}),
+    "N_2": _default_synth(mpc={"N": 2}),
+    "dt_1e-9": _default_synth(dt=1e-9),
+    "dt_1e7": _default_synth(dt=1e7),
+    "R_1e-12": _default_synth(mpc={"R": 1e-12}),
+    "u_prev_2e-9_wide": _default_synth(theta_box=[
+        [0, 1], [0, 1], [0, 3], [0.2, 1], [0, 2e-9]]),
+    "gamma2_-1": _default_synth(gamma2=-1),
+}
+
+
+@pytest.mark.parametrize("case", list(EDGE_CONFIGS))
+def test_edge_config_ends_without_traceback(tmp_path, capsys, case):
+    cfg = _write(tmp_path / "c.json", EDGE_CONFIGS[case])
+    assert main(["synthesize", "--config", cfg,
+                 "--out-dir", str(tmp_path / "out")]) in (0, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mpc", [{"Q": 0}, {"N": 2}])
+def test_regions_with_non_simple_vertices_synthesize(tmp_path, mpc):
+    """With Q 0, or N 2, some regions have a vertex where more than 5
+    facets meet, which remove_redundant must handle."""
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "c.json", _default_synth(mpc=mpc))
+    assert main(["synthesize", "--config", cfg, "--out-dir", str(out)]) == 0
+    report = json.loads((out / "synthesis_report.json").read_text())
+    assert len(report["segments"]) == 9
+    assert all(s["coverage"] == 1.0 for s in report["segments"])
+
+
+def test_run_without_tracking_cost_is_incomplete(tmp_path):
+    """Q 0 leaves only the move cost, so the eMPC law synthesized in
+    process keeps the current at 0 and the charge never completes."""
+    scenario = _write(tmp_path / "s.json", {
+        "version": 1, "name": "q0", "controller": "empc",
+        "synthesis": _default_synth(mpc={"Q": 0})})
+    out = tmp_path / "out"
+    assert main(["run", "--config", scenario, "--out-dir", str(out)]) == 2
+    assert json.loads((out / "q0_summary.json").read_text())[
+        "final_soc"] == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize("command", ["synthesize", "run", "bench"])
+def test_segment_lps_highs_rejects_exit_3(tmp_path, capsys, command):
+    """dt 1e-9 leaves a row of G just above the zero-row tolerance, and
+    HiGHS rejects segment 1's stacked Chebyshev LP."""
+    syn = _default_synth(dt=1e-9)
+    configs = {"synthesize": syn,
+               "run": {"version": 1, "controller": "empc", "synthesis": syn}}
+    configs["bench"] = {"version": 1, "repeats": 1,
+                        "scenarios": [_write(tmp_path / "s.json",
+                                             configs["run"])]}
+    cfg = _write(tmp_path / "c.json", configs[command])
+    assert main([command, "--config", cfg,
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    assert ("config error: segment 1: stacked Chebyshev LP"
+            in capsys.readouterr().err)
+
+
 def _trace_without_times(path) -> list[dict]:
     with open(path) as f:
         rows = list(csv.DictReader(f))

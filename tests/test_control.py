@@ -240,12 +240,12 @@ def test_run_setup_rejects_no_steps(params, dmodel, table, cfg, problems,
     I_MIN - 1.0, I_MIN - 1e-12, I_MIN, I_MIN + 1e-12, 1.5,
     I_MAX - 1e-12, I_MAX, I_MAX + 1e-12, I_MAX + 1.0])
 def test_current_equals_clip(total):
-    """_current saturates as np.clip does, at, inside and beyond both
-    current bounds."""
+    """_result saturates the current as np.clip does, at, inside and
+    beyond both current bounds."""
     for I, u_prev in [(0.0, 0.0), (1.2, -0.4), (2.9, 0.3)]:
         x = NdcState(Vb=0.5, Vs=0.5, I=I)
         du0 = total - I - u_prev
-        assert control._current(u_prev, x, du0) == float(
+        assert control._result(u_prev, x, 0, du0, None).I_next == float(
             np.clip(u_prev + du0 + x.I, I_MIN, I_MAX))
 
 
@@ -276,8 +276,8 @@ def test_step_applies_the_law_of_next_steps_segment(params, dmodel, table,
     region = locate(solutions[nxt], theta)
     assert region is not None and steps[0].region == region
     law = solutions[nxt].regions[region]
-    assert steps[0].I_next == control._current(
-        u_prev, x, float(law.K[0] @ theta + law.g[0]))
+    assert steps[0].I_next == control._result(
+        u_prev, x, nxt, float(law.K[0] @ theta + law.g[0]), region).I_next
 
 
 def _guard(move, table, model, u_prev, x, r):

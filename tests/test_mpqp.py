@@ -77,9 +77,9 @@ def test_row_count_default(problems, cfg):
 
 def test_trivial_horizon():
     # N=1, Nu=1, Q=0: cost reduces to 0.5*R*du^2 so Sigma = [[R]], F = 0
-    from empcharge.model import default_params, discretize
+    from empcharge.model import NdcParams, discretize
     from empcharge.segments import default_table
-    model = discretize(default_params(), 60.0)
+    model = discretize(NdcParams(), 60.0)
     seg = default_table().segments[0]
     cfg = MpcConfig(N=1, Nu=1, Nc_eta=1, Nc_other=1, Q=0.0, R=0.1)
     p = build(model, seg, cfg)

@@ -588,6 +588,22 @@ def test_remove_redundant_shaved_vertex(n):
     assert _remove_redundant_reference(G, w) == list(range(2 * n))
 
 
+def test_remove_redundant_square_pyramid():
+    """Four facets meet at the apex of a square pyramid, more than n = 3,
+    so one facet of qhull's dual hull has four vertices.  Every row is a
+    facet, and a redundant copy of the base, looser by 1, is dropped."""
+    G = np.array([[0.0, 0.0, -1.0], [1.0, 0.0, 1.0], [-1.0, 0.0, 1.0],
+                  [0.0, 1.0, 1.0], [0.0, -1.0, 1.0]])
+    w = np.array([0.0, 1.0, 1.0, 1.0, 1.0])
+    center = np.array([0.0, 0.0, 0.2])
+    Gr, wr, kept = remove_redundant(G, w, center)
+    assert kept == [0, 1, 2, 3, 4] == _remove_redundant_reference(G, w)
+    assert np.array_equal(Gr, G) and np.array_equal(wr, w)
+    kept = remove_redundant(np.vstack([G, G[:1]]), np.append(w, 1.0),
+                            center)[2]
+    assert kept == [0, 1, 2, 3, 4]
+
+
 def test_remove_redundant_matches_per_row_lps_on_default_regions(
         monkeypatch):
     """Every region the explorer keeps on the 9 default segments and on

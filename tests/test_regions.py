@@ -496,7 +496,8 @@ def test_stored_reals_accounting():
     reg = CriticalRegion(E=np.zeros((4, 5)), e=np.zeros(4),
                          K=np.zeros((2, 5)), g=np.zeros(2),
                          active_set=())
-    assert reg.stored_reals() == 20 + 4 + 10 + 2
+    sol = ExplicitSolution([reg], 1, DEFAULT_THETA_BOX.copy(), 2)
+    assert sol.stored_reals == 20 + 4 + 10 + 2
 
 
 @pytest.mark.xfail(
