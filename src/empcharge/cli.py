@@ -225,6 +225,10 @@ def cmd_synthesize(args) -> int:
         t_seg = time.perf_counter()
         with _segment_lps(seg):
             sol = rounded(explore(prob, theta_box=box), decimals)
+            if not sol.regions:
+                print(f"segment {seg.index}: no critical region in the "
+                      "theta box", file=sys.stderr)
+                return EXIT_VERIFY
             cov = coverage_check(sol, prob, n_samples=n_cov, seed=seed + 1)
         for fmt in ("json", "bin"):
             export_table(sol, _table_path(args.out_dir, seg, fmt), fmt=fmt)

@@ -38,7 +38,6 @@ clocks start, so no time the program reports includes the import.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,8 +230,7 @@ def solve_qp(qp: DenseQp, guess: tuple[int, ...] = ()) -> QpSolution:
     raise QpError("active-set iteration limit exceeded")
 
 
-def chebyshev_centers(polys, *, counts: Counter | None = None,
-                      ) -> list[tuple[np.ndarray, float] | None]:
+def chebyshev_centers(polys) -> list[tuple[np.ndarray, float] | None]:
     """Largest inscribed ball of each polyhedron {z: Gz <= w} in polys, a
     list of (G, w), from one linprog over the block-diagonal stack of their
     Chebyshev LPs; None for an empty polyhedron.
@@ -242,8 +240,7 @@ def chebyshev_centers(polys, *, counts: Counter | None = None,
     every block is feasible and an empty polyhedron cannot make the stack
     infeasible: its largest radius is negative.  A zero row of G with w < 0
     shows emptiness without an LP, and a polyhedron with no other rows is
-    all of space, centered at the origin.  ``counts``, when given, tallies
-    chebyshev_lps (polyhedra) and chebyshev_lp_calls (linprog calls).
+    all of space, centered at the origin.
     """
     out: list[tuple[np.ndarray, float] | None] = []
     blocks, b, solve = [], [], []
@@ -258,9 +255,6 @@ def chebyshev_centers(polys, *, counts: Counter | None = None,
             blocks.append(np.hstack([G[keep], norms[keep, None]]))
             b.append(w[keep])
             solve.append(len(out) - 1)
-    if counts is not None:
-        counts["chebyshev_lps"] += len(out)
-        counts["chebyshev_lp_calls"] += bool(blocks)
     if not blocks:
         return out
     from scipy.sparse import block_diag

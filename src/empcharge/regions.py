@@ -15,8 +15,7 @@ import math
 import os
 import struct
 import tempfile
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
@@ -141,11 +140,11 @@ def _unreduced(problem: MpqpProblem, active_set: tuple[int, ...],
     return K, g, E, e
 
 
-def _critical_regions(laws, counts: Counter) -> list[CriticalRegion]:
+def _critical_regions(laws) -> list[CriticalRegion]:
     """The critical regions, in order, of the laws (active set, K, g, E, e)
     whose region has an interior: one stacked Chebyshev LP over all of
     them, then remove_redundant on each region kept, from its center."""
-    balls = chebyshev_centers([(E, e) for *_, E, e in laws], counts=counts)
+    balls = chebyshev_centers([(E, e) for *_, E, e in laws])
     out = []
     for (A, K, g, E, e), ball in zip(laws, balls):
         if ball is not None and ball[1] > _MIN_RADIUS:
@@ -164,7 +163,7 @@ def region_for(problem: MpqpProblem, theta0: np.ndarray,
         raise ValueError(f"QP {sol.status} at theta0 {theta0}")
     law = (sol.active_set,
            *_unreduced(problem, sol.active_set, theta_box))
-    regions = _critical_regions([law], Counter())
+    regions = _critical_regions([law])
     if not regions:
         raise DegenerateActiveSet(f"region around {theta0} has no interior")
     return regions[0]
@@ -207,20 +206,20 @@ def explore(problem: MpqpProblem, theta_box: np.ndarray | None = None,
     Nu = problem.Sigma.shape[0]
     rows = np.flatnonzero(
         np.linalg.norm(problem.G, axis=1) > ZERO_ROW_TOL).tolist()
-    counts = Counter(candidates=0, pruned_rank=0, empty_interior=0,
-                     chebyshev_lps=0, chebyshev_lp_calls=0)
-    laws = []
+    candidates, laws = 0, []
     for size in range(min(Nu, len(rows)) + 1):
         for A in combinations(rows, size):
-            counts["candidates"] += 1
+            candidates += 1
             try:
                 laws.append((A, *_unreduced(problem, A, theta_box)))
-            except DegenerateActiveSet:
-                counts["pruned_rank"] += 1
-    regions = _critical_regions(laws, counts)
-    counts["empty_interior"] = len(laws) - len(regions)
+            except DegenerateActiveSet:  # counted in pruned_rank
+                pass
+    regions = _critical_regions(laws)
+    stats = dict(candidates=candidates, pruned_rank=candidates - len(laws),
+                 empty_interior=len(laws) - len(regions),
+                 chebyshev_lps=len(laws), chebyshev_lp_calls=int(bool(laws)))
     return ExplicitSolution(regions, problem.segment_index, theta_box, Nu,
-                            stats=dict(counts))
+                            stats=stats)
 
 
 def locate(solution: ExplicitSolution, theta: np.ndarray) -> int | None:
@@ -250,7 +249,9 @@ def coverage_check(solution: ExplicitSolution, problem: MpqpProblem,
     miss may simply be an infeasible parameter: misses that break a
     theta-only row (a zero row of G) are dropped at once, the rest are
     feasible when the QP's feasible set there has an interior (Chebyshev
-    radius above 1e-12), found for all of them by one stacked LP.
+    radius above 1e-12), found for all of them by one stacked LP.  With
+    no sample covered and no feasible miss (0/0) it reads 1.0, also for
+    a table of no region.
     """
     rng = np.random.default_rng(seed)
     box = solution.theta_box
@@ -318,11 +319,8 @@ def rounded(solution: ExplicitSolution, decimals: int | None,
     # worst-case facet shift: |dE . theta| + |de| over the theta box
     span = np.abs(solution.theta_box).max(axis=1).sum()
     tol = 0.5 * 10.0 ** (-decimals) * (span + 1.0)
-    return ExplicitSolution(regions=regs,
-                            segment_index=solution.segment_index,
-                            theta_box=solution.theta_box, Nu=solution.Nu,
-                            locate_tol=max(solution.locate_tol, tol),
-                            stats=solution.stats)
+    return replace(solution, regions=regs,
+                   locate_tol=max(solution.locate_tol, tol))
 
 
 def _atomic_write(path, data: bytes) -> None:

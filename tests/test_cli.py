@@ -643,25 +643,37 @@ def _default_synth(**values):
     return {**doc, **values}
 
 
-# synthesis configs at the edge of what the value rules accept
+# synthesis configs at the edge of what the value rules accept, each with
+# its exit code: 3 for LPs HiGHS rejects, 4 for a segment with no region
 EDGE_CONFIGS = {
-    "Q_0": _default_synth(mpc={"Q": 0}),
-    "N_2": _default_synth(mpc={"N": 2}),
-    "dt_1e-9": _default_synth(dt=1e-9),
-    "dt_1e7": _default_synth(dt=1e7),
-    "R_1e-12": _default_synth(mpc={"R": 1e-12}),
-    "u_prev_2e-9_wide": _default_synth(theta_box=[
-        [0, 1], [0, 1], [0, 3], [0.2, 1], [0, 2e-9]]),
-    "gamma2_-1": _default_synth(gamma2=-1),
+    "Q_0": (_default_synth(mpc={"Q": 0}), 0),
+    "N_2": (_default_synth(mpc={"N": 2}), 0),
+    "dt_1e-9": (_default_synth(dt=1e-9), 3),
+    "dt_1e7": (_default_synth(dt=1e7), 0),
+    "R_1e-12": (_default_synth(mpc={"R": 1e-12}), 0),
+    "u_prev_2e-9_wide": (_default_synth(theta_box=[
+        [0, 1], [0, 1], [0, 3], [0.2, 1], [0, 2e-9]]), 4),
+    "gamma2_-1": (_default_synth(gamma2=-1), 4),
+    "alpha0_1e6": (_default_synth(params={"alpha0": 1e6}), 4),
+    "box_VbVs_5_6": (_default_synth(theta_box=[
+        [5, 6], [5, 6], [0, 3], [0.2, 1], [-3, 3]]), 4),
 }
 
 
 @pytest.mark.parametrize("case", list(EDGE_CONFIGS))
 def test_edge_config_ends_without_traceback(tmp_path, capsys, case):
-    cfg = _write(tmp_path / "c.json", EDGE_CONFIGS[case])
-    assert main(["synthesize", "--config", cfg,
-                 "--out-dir", str(tmp_path / "out")]) in (0, 3)
-    assert "Traceback" not in capsys.readouterr().err
+    """An empty law (exit 4) is found in segment 1, before its tables or
+    the report are written."""
+    doc, code = EDGE_CONFIGS[case]
+    cfg = _write(tmp_path / "c.json", doc)
+    out = tmp_path / "out"
+    assert main(["synthesize", "--config", cfg, "--out-dir", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 4:
+        assert "segment 1: no critical region in the theta box" in err
+        assert not (out / "synthesis_report.json").exists()
+        assert not list(out.glob("table_seg*"))
 
 
 @pytest.mark.parametrize("mpc", [{"Q": 0}, {"N": 2}])
