@@ -34,7 +34,7 @@ stays the plain cold method.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -83,11 +83,7 @@ class StepResult:
 @dataclass
 class EkfState:
     x_hat: np.ndarray
-    P: np.ndarray
-
-
-def default_ekf(x0: np.ndarray) -> EkfState:
-    return EkfState(x_hat=np.array(x0, float), P=np.eye(3) * 1e-4)
+    P: np.ndarray = field(default_factory=lambda: np.eye(3) * 1e-4)
 
 
 def _predicted_vs(model: DiscreteModel, x: NdcState) -> float:
@@ -241,6 +237,11 @@ class RunSetup:
             if got and got != segments:  # a step indexes them by position
                 raise ValueError(f"{name} for segments {got}; the table has "
                                  f"segments {segments}")
+        empty = [x.segment_index for x in self.solutions or ()
+                 if not x.regions]
+        if self.controller == "empc" and empty:
+            raise ValueError(f"segment {empty[0]}: its region table has no "
+                             "region, so the law is defined nowhere there")
         if self.controller != "empc":  # its QPs' phase-1 LPs go to scipy
             load_scipy()
 
@@ -280,7 +281,7 @@ def run_closed_loop(setup: RunSetup) -> SimTrace:
     x = NdcState(Vb=setup.soc_start, Vs=setup.soc_start, I=0.0)
     u_prev = 0.0                        # the move applied on the last step
     active: tuple[int, ...] = ()        # the last online QP's active set
-    ekf = default_ekf(x.as_array()) if setup.feedback == "ekf" else None
+    ekf = EkfState(x.as_array()) if setup.feedback == "ekf" else None
     rows: list[TraceRow] = []
     completed = False
     for k in range(setup.step_budget):

@@ -10,7 +10,7 @@ polynomial and Vs-dependent series resistance) is nonlinear.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -70,7 +70,7 @@ class NdcParams:
     @classmethod
     def from_dict(cls, d: dict) -> "NdcParams":
         """Build from a flat key-value mapping with alpha0..alpha5 keys."""
-        known = {"Cb", "Cs", "Rb", "Rs", "beta1", "beta2", "beta3"}
+        known = {f.name for f in fields(cls)} - {"alpha"}
         alpha_keys = {f"alpha{i}" for i in range(6)}
         unknown = set(d) - known - alpha_keys
         if unknown:

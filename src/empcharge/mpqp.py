@@ -25,6 +25,7 @@ and F are the memo's own, shared by every segment problem it serves.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +83,7 @@ def assemble_theta(x: NdcState, r: float, u_prev: float) -> np.ndarray:
     return np.array([x.Vb, x.Vs, x.I, r, u_prev])
 
 
-def _prediction_maps(model: DiscreteModel, N: int, Nu: int):
+def _prediction_maps(A: np.ndarray, N: int, Nu: int):
     """x_k as an affine map of theta and z, stacked over k = 0..N.
 
     The plant input at step i is u_i = u_prev + sum_{j<=i} du_j with
@@ -92,10 +93,9 @@ def _prediction_maps(model: DiscreteModel, N: int, Nu: int):
         Xx[k] = A^k,  Xu[k] = sum_{m<k} A^m B,
         Xz[k][:, j] = Xu[k-j] for j < k, else 0,
 
-    with shapes Xx (N+1, 3, 3), Xu (N+1, 3) and Xz (N+1, 3, Nu).  B is
-    the model's input map e_2, so A^m B is column 2 of A^m.
+    with shapes Xx (N+1, 3, 3), Xu (N+1, 3) and Xz (N+1, 3, Nu).  A is
+    the model's A_aug and B its input map e_2, so A^m B is column 2 of A^m.
     """
-    A = model.A_aug
     Xx = np.empty((N + 1, 3, 3))
     Xx[0] = np.eye(3)
     for k in range(N):
@@ -130,19 +130,13 @@ class _Condensing:
     labels: tuple[str, ...]
 
 
-# the last (key, _Condensing), its key (A_aug, SoC row of C, MpcConfig)
-# by value
-_CONDENSED: tuple[tuple, _Condensing] | None = None
-
-
-def _condensing(model: DiscreteModel, c_soc: np.ndarray,
-                cfg: MpcConfig) -> _Condensing:
-    global _CONDENSED
-    key = (model.A_aug.tobytes(), c_soc.tobytes(), cfg)
-    if _CONDENSED is not None and _CONDENSED[0] == key:
-        return _CONDENSED[1]
+@functools.lru_cache(maxsize=1)
+def _condensing(A_aug: bytes, c_soc: bytes, cfg: MpcConfig) -> _Condensing:
+    """The _Condensing of the model matrix A_aug and the SoC row of C, both
+    as float64 bytes, so that the cache keys on their values."""
+    c_soc = np.frombuffer(c_soc)
     N, Nu = cfg.N, cfg.Nu
-    Xx, Xu, Xz = _prediction_maps(model, N, Nu)
+    Xx, Xu, Xz = _prediction_maps(np.frombuffer(A_aug).reshape(3, 3), N, Nu)
 
     # SoC_k - r = a[k] z + lin[k] theta for k = 0..N-1
     a = c_soc @ Xz[:N]
@@ -166,12 +160,10 @@ def _condensing(model: DiscreteModel, c_soc: np.ndarray,
         for k in range(1, max(cfg.Nc_eta, cfg.Nc_other) + 1)
         for row, sg, bound, name, last in bounds if k <= last))
     ks = np.array(ks)
-    out = _Condensing(
+    return _Condensing(
         *_read_only(Sigma, F, np.array(rows), np.array(sign),
                     np.array(signed_bound), Xz[ks], Xx[ks], Xu[ks]),
         labels=labels)
-    _CONDENSED = (key, out)
-    return out
 
 
 def build(model: DiscreteModel, segment: LinearSegment,
@@ -183,7 +175,7 @@ def build(model: DiscreteModel, segment: LinearSegment,
     first shows up in the step-1 outputs).  Everything but the segment's
     output rows of C and offsets D comes memoized from _condensing.
     """
-    c = _condensing(model, segment.C_mat[0], cfg)
+    c = _condensing(model.A_aug.tobytes(), segment.C_mat[0].tobytes(), cfg)
     Cs = c.sign[:, None] * segment.C_mat[c.rows]    # output rows, signed
     G = np.einsum("ri,rij->rj", Cs, c.Xz)
     S = np.zeros((len(c.rows), THETA_DIM))

@@ -23,7 +23,9 @@ handling than in HiGHS, so ``chebyshev_centers`` stacks the Chebyshev LPs
 of many polytopes block-diagonally into one call; ``chebyshev_center`` is
 its one-element call.  Redundancy removal makes no LP: ``remove_redundant``
 reads a polytope's facets from qhull's halfspace intersection (Barber,
-Dobkin & Huhdanpaa, ACM TOMS 1996) around an interior point.
+Dobkin & Huhdanpaa, ACM TOMS 1996) around an interior point.  Only
+HiGHS's infeasible status makes a QP "infeasible": a phase-1 LP that
+fails any other way raises QpError.
 
 No module imports scipy at module level: the online law needs numpy alone,
 and importing scipy.optimize costs about 0.6 s of a fresh process.  scipy
@@ -112,13 +114,17 @@ class QpSolution:
 
 def _feasible_start(G: np.ndarray, w: np.ndarray) -> np.ndarray | None:
     """The origin when it meets every row, else a phase-1 LP's point; None
-    when there is none."""
+    when HiGHS finds the rows infeasible.  QpError on any other failure."""
     n = G.shape[1]
     if np.all(w >= -FEAS_TOL):
         return np.zeros(n)
     res = linprog(np.zeros(n), A_ub=G, b_ub=w, bounds=[(None, None)] * n,
                   method="highs")
-    return res.x if res.success else None
+    if res.status == 2:
+        return None
+    if not res.success:
+        raise QpError(f"phase-1 LP: {res.message}")
+    return res.x
 
 
 def _kkt(H: np.ndarray, A: np.ndarray, g: np.ndarray, b: np.ndarray,

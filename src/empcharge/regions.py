@@ -92,8 +92,7 @@ class ExplicitSolution:
 
     @property
     def stored_reals(self) -> int:
-        return sum(r.E.size + r.e.size + r.K.size + r.g.size
-                   for r in self.regions)
+        return sum(getattr(r, k).size for r in self.regions for k in _ARRAYS)
 
 
 def box_halfspaces(theta_box: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,7 @@ Each segment then has a linear output map y = C x + D over x = [Vb, Vs, I].
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -67,17 +67,8 @@ class SegmentTable:
     def to_json(self) -> str:
         """The table's segments.json text: gamma1, gamma2 and each
         segment's linearization."""
-        rows = []
-        for s in self.segments:
-            rows.append({
-                "index": s.index,
-                "vs_lo": s.vs_lo,
-                "vs_hi": s.vs_hi,
-                "vs_op": s.vs_op,
-                "lambda1": s.lambda1,
-                "lambda2": s.lambda2,
-                "r0_const": s.r0_const,
-            })
+        rows = [{f.name: getattr(s, f.name) for f in fields(s)
+                 if f.name not in ("C_mat", "D_vec")} for s in self.segments]
         return json.dumps({"gamma1": self.gamma1, "gamma2": self.gamma2,
                            "segments": rows}, indent=2)
 

@@ -1,15 +1,17 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from empcharge import cli
 from empcharge.cli import _synthesis_objects, main
-from empcharge.regions import coverage_check, import_table
+from empcharge.regions import coverage_check, export_table, import_table
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -477,6 +479,24 @@ def test_removed_nmpc_max_iters_key_exits_3_before_tables(tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+def _basic_case(**synthesis):
+    """configs/basic_case.json with values merged into its synthesis block."""
+    doc = json.loads((CONFIGS / "basic_case.json").read_text())
+    doc["synthesis"].update(synthesis)
+    return doc
+
+
+# eMPC scenarios whose law has no region in segment 1, the EDGE_CONFIGS
+# that synthesize refuses with exit 4
+EMPTY_LAW_SCENARIOS = {
+    "gamma2_-1": _basic_case(gamma2=-1),
+    "alpha0_1e6": _basic_case(params={"alpha0": 1e6}),
+    "u_prev_2e-9_wide": _basic_case(theta_box=[
+        [0, 1], [0, 1], [0, 3], [0.2, 1], [0, 2e-9]]),
+}
+NO_REGION = "scenario config: segment 1: its region table has no region"
+
+
 def test_bench_checks_every_scenario_before_charging(tmp_path, monkeypatch):
     charges = []
     monkeypatch.setattr(cli, "run_closed_loop",
@@ -490,6 +510,23 @@ def test_bench_checks_every_scenario_before_charging(tmp_path, monkeypatch):
     assert main(["bench", "--config", cfg,
                  "--out-dir", str(tmp_path / "out")]) == 3
     assert charges == []
+
+
+def test_bench_refuses_an_empty_law(tmp_path, monkeypatch, capsys):
+    charges = []
+    monkeypatch.setattr(cli, "run_closed_loop",
+                        lambda setup: charges.append(setup))
+    good = _write(tmp_path / "good.json", {"version": 1, "controller": "qp",
+                                           "step_budget": 3})
+    empty = _write(tmp_path / "empty.json", EMPTY_LAW_SCENARIOS["gamma2_-1"])
+    cfg = _write(tmp_path / "bench.json", {"version": 1, "repeats": 1,
+                                           "scenarios": [good, empty]})
+    before = sorted(tmp_path.iterdir())
+    assert main(["bench", "--config", cfg,
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    assert NO_REGION in capsys.readouterr().err
+    assert charges == []
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("repeats", [0, -1])
@@ -674,6 +711,35 @@ def test_edge_config_ends_without_traceback(tmp_path, capsys, case):
         assert "segment 1: no critical region in the theta box" in err
         assert not (out / "synthesis_report.json").exists()
         assert not list(out.glob("table_seg*"))
+
+
+@pytest.mark.parametrize("case", list(EMPTY_LAW_SCENARIOS))
+def test_run_refuses_an_empty_law(tmp_path, capsys, case):
+    """run exits 3 before a charge on a law with no region in a segment,
+    and creates no out-dir."""
+    cfg = _write(tmp_path / "s.json", EMPTY_LAW_SCENARIOS[case])
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 3
+    assert f"config error: {NO_REGION}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_refuses_a_stored_table_with_no_region(tmp_path, tables_dir,
+                                                   capsys):
+    stored = tmp_path / "tables"
+    shutil.copytree(tables_dir, stored)
+    path = str(stored / "table_seg2.json")
+    export_table(replace(import_table(path), regions=()), path)
+    scenario = _write(tmp_path / "s.json", {
+        "version": 1, "name": "empty", "controller": "empc",
+        "synthesis": {"version": 1, "breakpoints": TWO_SEGMENTS},
+        "tables_dir": str(stored),
+    })
+    assert main(["run", "--config", scenario,
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    assert ("segment 2: its region table has no region"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("mpc", [{"Q": 0}, {"N": 2}])

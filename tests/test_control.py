@@ -1,12 +1,12 @@
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from empcharge import control, qp
 from empcharge import model as mdl
-from empcharge.control import (RunSetup, default_ekf, ekf_step, empc_step,
+from empcharge.control import (EkfState, RunSetup, ekf_step, empc_step,
                                nmpc_step, online_mpc_step, run_closed_loop)
 from empcharge.model import NdcState
 from empcharge.mpqp import I_MAX, I_MIN, assemble_theta
@@ -134,7 +134,7 @@ def test_ekf_exact_init_tracks(params, dmodel):
     # no noise and exact initialization: the filter must follow the plant
     # to machine precision
     x = NdcState(0.25, 0.25, 0.0)
-    ekf = default_ekf(x.as_array())
+    ekf = EkfState(x.as_array())
     du = 0.8
     for _ in range(40):
         x, y = mdl.step_nonlinear(params, dmodel, x, du)
@@ -148,7 +148,7 @@ def test_ekf_recovers_from_vb_offset(params, dmodel):
     # steps of voltage-only measurement
     x = NdcState(0.30, 0.30, 0.0)
     x0_hat = x.as_array() + np.array([0.05, 0.0, 0.0])
-    ekf = default_ekf(x0_hat)
+    ekf = EkfState(x0_hat)
     du = 1.0
     for _ in range(30):
         x, y = mdl.step_nonlinear(params, dmodel, x, du)
@@ -226,6 +226,12 @@ def test_run_setup_validation(params, dmodel, table, cfg, problems,
         with pytest.raises(ValueError, match="problems for segments"):
             RunSetup(params=params, model=dmodel, table=table, cfg=cfg,
                      controller="qp", problems=bad)
+    # a law with no region in a segment would charge on fallbacks alone
+    empty = list(solutions)
+    empty[2] = replace(empty[2], regions=())
+    with pytest.raises(ValueError, match="segment 3: its region table has no "
+                                         "region"):
+        _setup(params, dmodel, table, cfg, problems, empty)
 
 
 @pytest.mark.parametrize("step_budget", [0, -3])

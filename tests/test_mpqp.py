@@ -90,7 +90,7 @@ def test_trivial_horizon():
 def _theta_cost(dmodel, seg, cfg):
     """Y of the cost's theta-only term 0.5 theta'Y theta, which build
     leaves out: the tracking errors SoC_k - r at z = 0 are lin @ theta."""
-    Xx, Xu, _ = _prediction_maps(dmodel, cfg.N, cfg.Nu)
+    Xx, Xu, _ = _prediction_maps(dmodel.A_aug, cfg.N, cfg.Nu)
     c_soc = seg.C_mat[0]
     lin = np.column_stack([c_soc @ Xx[:cfg.N], -np.ones(cfg.N),
                            Xu[:cfg.N] @ c_soc])
@@ -180,7 +180,7 @@ def _loop_prediction_maps(model, N, Nu):
 
 def test_prediction_maps_closed_form(dmodel):
     N, Nu = 90, 9
-    got = _prediction_maps(dmodel, N, Nu)
+    got = _prediction_maps(dmodel.A_aug, N, Nu)
     want = _loop_prediction_maps(dmodel, N, Nu)
     for g, w, shape in zip(got, want, [(N + 1, 3, 3), (N + 1, 3),
                                        (N + 1, 3, Nu)]):
@@ -258,7 +258,7 @@ def _uncached_build(model, seg, cfg):
     """build with nothing memoized: the whole condensing, in the order of
     operations build keeps, for one segment."""
     N, Nu = cfg.N, cfg.Nu
-    Xx, Xu, Xz = _prediction_maps(model, N, Nu)
+    Xx, Xu, Xz = _prediction_maps(model.A_aug, N, Nu)
     C, D = seg.C_mat, seg.D_vec
     c_soc = C[0]
     a = c_soc @ Xz[:N]

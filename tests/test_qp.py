@@ -1,6 +1,7 @@
 import json
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -55,6 +56,30 @@ def test_infeasible():
     sol = solve_qp(qp)
     assert sol.status == "infeasible"
     assert sol.z_star is None
+
+
+# z >= 1: the origin breaks the row, so a solve makes a phase-1 LP
+_NEEDS_PHASE1 = DenseQp(np.eye(1), np.zeros(1), np.array([[-1.0]]),
+                        np.array([-1.0]))
+
+
+def _phase1_returns(monkeypatch, status):
+    """Every LP fails with HiGHS's status code status."""
+    monkeypatch.setattr(qp, "linprog", lambda *a, **k: SimpleNamespace(
+        status=status, success=False, x=None, message=f"status {status}"))
+
+
+def test_phase1_infeasible_status_gives_infeasible(monkeypatch):
+    _phase1_returns(monkeypatch, 2)
+    assert solve_qp(_NEEDS_PHASE1).status == "infeasible"
+
+
+def test_phase1_other_failure_raises(monkeypatch):
+    """A phase-1 LP that fails for a reason other than infeasibility, here
+    HiGHS's numerical difficulties, is an error, not an infeasible QP."""
+    _phase1_returns(monkeypatch, 4)
+    with pytest.raises(QpError, match="phase-1 LP: status 4"):
+        solve_qp(_NEEDS_PHASE1)
 
 
 def test_zero_row_infeasible():
