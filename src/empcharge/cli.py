@@ -361,7 +361,7 @@ def cmd_export_table(args) -> int:
     if os.path.isdir(args.out) or not os.path.isdir(out_dir):
         raise ConfigError(f"--out {args.out}: not a file in an existing "
                           "directory")
-    fmt = args.format or ("bin" if args.out.endswith(".bin") else "json")
+    fmt = "bin" if args.out.endswith(".bin") else "json"
     export_table(sol, args.out, fmt=fmt)
     print(f"wrote {args.out} ({fmt}, {sol.n_regions} regions)")
     return EXIT_OK
@@ -435,7 +435,6 @@ def main(argv=None) -> int:
     p["bench"].add_argument("--repeats", type=int)
     p["export-table"].add_argument("table")
     p["export-table"].add_argument("--out", required=True)
-    p["export-table"].add_argument("--format", choices=["json", "bin"])
     p["export-table"].add_argument("--round-decimals", type=int)
     p["verify"].add_argument("--tables", required=True)
     p["verify"].add_argument("--samples", type=int, default=1000)

@@ -237,12 +237,28 @@ class RunSetup:
             if got and got != segments:  # a step indexes them by position
                 raise ValueError(f"{name} for segments {got}; the table has "
                                  f"segments {segments}")
-        empty = [x.segment_index for x in self.solutions or ()
-                 if not x.regions]
-        if self.controller == "empc" and empty:
-            raise ValueError(f"segment {empty[0]}: its region table has no "
-                             "region, so the law is defined nowhere there")
-        if self.controller != "empc":  # its QPs' phase-1 LPs go to scipy
+        if self.controller == "empc":
+            empty = [x.segment_index for x in self.solutions if not x.regions]
+            if empty:
+                raise ValueError(f"segment {empty[0]}: its region table has "
+                                 "no region, so the law is defined nowhere "
+                                 "there")
+            # the law is defined in its theta box only, which must hold the
+            # charge's first theta and every current the law may command
+            theta0 = assemble_theta(NdcState(
+                self.soc_start, self.soc_start, 0.0), self.soc_target, 0.0)
+            need = np.column_stack([theta0, theta0])
+            need[2] = I_MIN, I_MAX  # theta0's current, 0, lies within
+            boxes = np.array([s.theta_box for s in self.solutions])
+            short = np.flatnonzero(((boxes[..., 0] > need[:, 0])
+                                    | (boxes[..., 1] < need[:, 1])).any(1))
+            if short.size:
+                s = self.solutions[short[0]]
+                raise ValueError(
+                    f"segment {s.segment_index}: its theta box "
+                    f"{s.theta_box.tolist()} leaves out the first theta "
+                    f"{theta0.tolist()} or currents in [{I_MIN}, {I_MAX}]")
+        else:  # its QPs' phase-1 LPs go to scipy
             load_scipy()
 
     @classmethod

@@ -47,7 +47,6 @@ class MpcConfig:
     N: int = 10
     Nu: int = 2
     Nc_eta: int = 2
-    Nc_other: int = 1
     Q: float = 1.0
     R: float = 0.1
     gamma2: float = GAMMA2
@@ -55,10 +54,8 @@ class MpcConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.Nu <= self.N:
             raise ValueError("need 1 <= Nu <= N")
-        if self.Nc_eta < 1 or self.Nc_other < 1:
-            raise ValueError("constraint horizons must be >= 1")
-        if max(self.Nc_eta, self.Nc_other) > self.N:
-            raise ValueError("constraint horizon exceeds N")
+        if not 1 <= self.Nc_eta <= self.N:
+            raise ValueError("need 1 <= Nc_eta <= N")
         if self.Q < 0 or self.R <= 0:
             raise ValueError("need Q >= 0 and R > 0")
 
@@ -150,14 +147,14 @@ def _condensing(A_aug: bytes, c_soc: bytes, cfg: MpcConfig) -> _Condensing:
     # sign * y_k[row] <= sign * bound for k = 1..last, over the output rows
     # [SoC, Vs, I, V, eta] of C; stored active sets index the rows in this
     # order within each k
-    bounds = ((1, 1.0, 0.95, "Vs<=", cfg.Nc_other),
-              (2, 1.0, I_MAX, "I<=", cfg.Nc_other),
-              (2, -1.0, I_MIN, "I>=", cfg.Nc_other),
-              (3, 1.0, 4.2, "V<=", cfg.Nc_other),
+    bounds = ((1, 1.0, 0.95, "Vs<=", 1),
+              (2, 1.0, I_MAX, "I<=", 1),
+              (2, -1.0, I_MIN, "I>=", 1),
+              (3, 1.0, 4.2, "V<=", 1),
               (4, 1.0, cfg.gamma2, "eta<=", cfg.Nc_eta))
     ks, rows, sign, signed_bound, labels = zip(*(
         (k, row, sg, sg * bound, f"{name} @k={k}")
-        for k in range(1, max(cfg.Nc_eta, cfg.Nc_other) + 1)
+        for k in range(1, cfg.Nc_eta + 1)
         for row, sg, bound, name, last in bounds if k <= last))
     ks = np.array(ks)
     return _Condensing(
@@ -171,9 +168,9 @@ def build(model: DiscreteModel, segment: LinearSegment,
     """Condense the tracking MPC for one segment into parametric form.
 
     The SoC tracking error is penalized at k = 0..N-1; constraints are
-    imposed at k = 1..Nc per row family (the input increment decided now
-    first shows up in the step-1 outputs).  Everything but the segment's
-    output rows of C and offsets D comes memoized from _condensing.
+    imposed at k = 1 for Vs, I and V, k = 1..Nc_eta for eta (a move decided
+    now first shows up in the step-1 outputs).  The rest, all but the
+    segment's output rows of C and offsets D, comes memoized from _condensing.
     """
     c = _condensing(model.A_aug.tobytes(), segment.C_mat[0].tobytes(), cfg)
     Cs = c.sign[:, None] * segment.C_mat[c.rows]    # output rows, signed

@@ -21,10 +21,10 @@ from itertools import combinations
 import numpy as np
 
 from .mpqp import I_MAX, I_MIN, MpqpProblem, THETA_DIM
-from .qp import (ZERO_ROW_TOL, _CHEBYSHEV_BOX, _kkt, chebyshev_centers,
-                 independent_rows, linprog, remove_redundant, solve_qp)
-# not called here; perfbench/layers.py wraps this name in this module
-from .qp import chebyshev_center  # noqa: F401
+from .qp import (ZERO_ROW_TOL, _kkt, chebyshev_centers, independent_rows,
+                 remove_redundant, solve_qp)
+# not called here; perfbench/layers.py wraps these names in this module
+from .qp import chebyshev_center, linprog  # noqa: F401
 
 __all__ = [
     "CriticalRegion",
@@ -170,20 +170,15 @@ def region_for(problem: MpqpProblem, theta0: np.ndarray,
 
 def _facet_center(E: np.ndarray, e: np.ndarray, i: int,
                   ) -> np.ndarray | None:
-    """Chebyshev center of facet i (largest ball within the facet)."""
-    n = E.shape[1]
+    """Chebyshev center of facet i (largest ball within the facet), found
+    in its plane x0 + N y; None for a radius at most _MIN_RADIUS."""
     rows = [j for j in range(E.shape[0]) if j != i]
-    norms = np.linalg.norm(E[rows], axis=1)
-    A_ub = np.hstack([E[rows], norms[:, None]])
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    res = linprog(c, A_ub=A_ub, b_ub=e[rows],
-                  A_eq=np.hstack([E[i:i + 1], [[0.0]]]), b_eq=[e[i]],
-                  bounds=[(-_CHEBYSHEV_BOX, _CHEBYSHEV_BOX)] * n
-                  + [(0.0, _CHEBYSHEV_BOX)], method="highs")
-    if not res.success or res.x[n] <= 1e-10:
+    x0 = E[i] * e[i] / (E[i] @ E[i])
+    N = np.linalg.svd(E[i:i + 1])[2][1:].T
+    ball = chebyshev_centers([(E[rows] @ N, e[rows] - E[rows] @ x0)])[0]
+    if ball is None or ball[1] <= _MIN_RADIUS:
         return None
-    return res.x[:n]
+    return x0 + N @ ball[0]
 
 
 def explore(problem: MpqpProblem, theta_box: np.ndarray | None = None,

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+from argparse import Namespace
 from dataclasses import replace
 from pathlib import Path
 
@@ -116,6 +117,44 @@ def test_verify_tables(tmp_path, synth_config, tables_dir, capsys):
     assert last == f"verify ok: 100 points, worst error {max(worst):.3e}"
 
 
+def _edited_tables(tmp_path, tables_dir, edit) -> Path:
+    """A copy of tables_dir with edit applied to segment 1's JSON table."""
+    out = tmp_path / "tables"
+    shutil.copytree(tables_dir, out)
+    path = out / "table_seg1.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return out
+
+
+def test_verify_finds_a_missing_region(tmp_path, synth_config, tables_dir,
+                                       capsys):
+    """A table with any one region deleted leaves theta that no region
+    holds: verify exits 4 naming one."""
+    n = import_table(tables_dir / "table_seg1.json").n_regions
+    for k in range(n):
+        tables = _edited_tables(tmp_path / str(k), tables_dir,
+                                lambda doc: doc["regions"].pop(k))
+        assert main(["verify", "--config", synth_config,
+                     "--tables", str(tables)]) == 4
+        assert ("segment 1: no region for theta="
+                in capsys.readouterr().err)
+
+
+def test_verify_finds_a_law_mismatch(tmp_path, synth_config, tables_dir,
+                                     capsys):
+    def shift(doc):
+        for r in doc["regions"]:
+            r["g"][0] += 1e-3
+
+    tables = _edited_tables(tmp_path, tables_dir, shift)
+    assert main(["verify", "--config", synth_config,
+                 "--tables", str(tables), "--samples", "50"]) == 4
+    assert "segment 1: law mismatch 1.000e-03 at theta=" in (
+        capsys.readouterr().err)
+
+
 def test_verify_gives_up_on_infeasible_box(tmp_path, tables_dir, capsys):
     cfg = _write(tmp_path / "synth.json", {
         "version": 1,
@@ -224,11 +263,31 @@ def test_export_table_round_trip(tmp_path, tables_dir):
     assert doc["locate_tol"] >= 0.5e-3
 
 
-def test_unknown_config_key(tmp_path):
-    cfg = _write(tmp_path / "bad.json", {"version": 1, "bogus": 1})
-    rc = main(["synthesize", "--config", cfg,
-               "--out-dir", str(tmp_path / "out")])
-    assert rc == 3
+def test_export_format_follows_the_extension(tmp_path, tables_dir, capsys):
+    """A .bin --out is written binary, any other JSON, whatever the input's
+    encoding."""
+    src = tables_dir / "table_seg1.bin"
+    for name, fmt in (("x.bin", "bin"), ("x.json", "json"), ("x", "json")):
+        out = tmp_path / name
+        assert main(["export-table", str(src), "--out", str(out)]) == 0
+        assert f"({fmt}, " in capsys.readouterr().out
+        assert out.read_bytes().startswith(b"EMPCTB01") == (fmt == "bin")
+        assert import_table(out).n_regions == import_table(src).n_regions
+
+
+def test_unknown_config_key(tmp_path, capsys):
+    """An unknown key exits 3 and is named, Nc_other among them: Vs, I and
+    V are imposed at k = 1 only, so no mpc key sets their horizon."""
+    for doc, where in (({"bogus": 1}, "synthesis config: unknown keys "
+                        "['bogus']"),
+                       ({"mpc": {"Nc_other": 1}}, "mpc: unknown keys "
+                        "['Nc_other']")):
+        cfg = _write(tmp_path / "bad.json", {"version": 1, **doc})
+        rc = main(["synthesize", "--config", cfg,
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 3
+        assert where in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["synthesize", "run"])
@@ -282,6 +341,23 @@ def test_bench(tmp_path):
     assert entry["mean_step_ns"] > 0
     assert (entry["step_ns_p50"] <= entry["step_ns_p95"]
             <= entry["step_ns_p99"] <= entry["max_step_ns"])
+    # the ratio needs an eMPC and an NMPC entry
+    assert "nmpc_over_empc_step_ratio" not in report
+
+
+def test_bench_step_ratio(tmp_path, tables_dir):
+    syn = {"version": 1, "breakpoints": TWO_SEGMENTS}
+    scenarios = [_write(tmp_path / f"{c}.json", {
+        "version": 1, "name": c, "controller": c, "synthesis": syn,
+        "tables_dir": str(tables_dir)}) for c in ("empc", "nmpc")]
+    cfg = _write(tmp_path / "bench.json", {"version": 1,
+                                           "scenarios": scenarios})
+    out = tmp_path / "out"
+    assert main(["bench", "--config", cfg, "--out-dir", str(out),
+                 "--repeats", "1"]) == 0
+    report = json.loads((out / "bench_report.json").read_text())
+    assert [e["controller"] for e in report["entries"]] == ["empc", "nmpc"]
+    assert report["nmpc_over_empc_step_ratio"] > 0
 
 
 def test_bench_without_scenarios(tmp_path):
@@ -497,6 +573,55 @@ EMPTY_LAW_SCENARIOS = {
 NO_REGION = "scenario config: segment 1: its region table has no region"
 
 
+# basic_case theta boxes that leave out its first theta (r 0.9, or Vb and
+# Vs 0.2) or currents the law may command (I up to 3): a charge there
+# runs on fallbacks, and the I box's rides the current past 4.2 V
+SHORT_BOXES = {
+    "r_0.2_0.5": [[0, 1], [0, 1], [0, 3], [0.2, 0.5], [-3, 3]],
+    "VbVs_0.5_1": [[0.5, 1], [0.5, 1], [0, 3], [0.2, 1], [-3, 3]],
+    "I_0_2": [[0, 1], [0, 1], [0, 2], [0.2, 1], [-3, 3]],
+}
+SHORT_BOX = "scenario config: segment 1: its theta box"
+
+
+@pytest.mark.parametrize("case", list(SHORT_BOXES))
+def test_run_refuses_a_box_without_the_charge(tmp_path, capsys, case):
+    cfg = _write(tmp_path / "s.json", _basic_case(theta_box=SHORT_BOXES[case]))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 3
+    assert f"config error: {SHORT_BOX}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_on_a_narrower_u_prev_box(tmp_path):
+    """A u_prev row of [-1, 1] holds the charge: the refusal reads the
+    first theta and the current row only."""
+    cfg = _write(tmp_path / "s.json", _basic_case(theta_box=[
+        [0, 1], [0, 1], [0, 3], [0.2, 1], [-1, 1]]))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 0
+    assert json.loads((out / "basic_case_summary.json").read_text())[
+        "completed"] is True
+
+
+def test_bench_refuses_a_box_without_the_charge(tmp_path, monkeypatch,
+                                                capsys):
+    charges = []
+    monkeypatch.setattr(cli, "run_closed_loop",
+                        lambda setup: charges.append(setup))
+    good = _write(tmp_path / "good.json", {"version": 1, "controller": "qp",
+                                           "step_budget": 3})
+    short = _write(tmp_path / "short.json",
+                   _basic_case(theta_box=SHORT_BOXES["I_0_2"]))
+    cfg = _write(tmp_path / "bench.json", {"version": 1, "repeats": 1,
+                                           "scenarios": [good, short]})
+    assert main(["bench", "--config", cfg,
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    assert SHORT_BOX in capsys.readouterr().err
+    assert charges == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_bench_checks_every_scenario_before_charging(tmp_path, monkeypatch):
     charges = []
     monkeypatch.setattr(cli, "run_closed_loop",
@@ -587,6 +712,9 @@ BAD_INPUTS = {
     "params_Vs_max_0": ("synthesize", _synth(params={"Vs_max": 0.0}), []),
     "params_Vs_max_-1": ("synthesize", _synth(params={"Vs_max": -1.0}), []),
     "mpc_Nc_eta_true": ("synthesize", _synth(mpc={"Nc_eta": True}), []),
+    "breakpoints_2_wide": ("synthesize", _synth(breakpoints=[[0.2, 0.5]]),
+                           []),
+    "params_beta1_0": ("synthesize", _synth(params={"beta1": 0}), []),
     "gamma2_NaN": ("synthesize", _with_literal(_synth(), "gamma2", "NaN"),
                    []),
     "gamma2_Infinity": ("synthesize",
@@ -622,6 +750,7 @@ BAD_INPUTS = {
     "verify_tol_-1": ("verify", _synth(), ["--tol", "-1"]),
     # usage errors
     "run_flag_seed_abc": ("run", _scenario(), ["--seed", "abc"]),
+    "export_format_bin": ("export-table", None, ["--format", "bin"]),
     "run_without_config": ("run", None, []),
 }
 
@@ -809,6 +938,26 @@ def test_in_process_tables_are_rounded_as_synthesized(tmp_path):
         traces[name] = _trace_without_times(
             tmp_path / "out" / f"{name}_trace.csv")
     assert traces["in_process"] == traces["loaded"]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in
+                                         CONFIGS.glob("*.json")))
+def test_shipped_config_passes_its_check(name):
+    """Each config under configs/ passes the check its command makes: a
+    synthesis config that of synthesize, a scenario that of run as an
+    online-QP charge, so that no table is synthesized, and a bench config
+    that of each scenario it names."""
+    path = CONFIGS / name
+    if name.startswith("synthesis_"):
+        _synthesis_objects(cli._load(path, "synthesis config",
+                                     cli._SYNTH_KINDS))
+        return
+    refs = (cli._load(path, "bench config", cli._BENCH_KINDS)["scenarios"]
+            if name == "bench.json" else [name])
+    for ref in refs:
+        doc = cli._load(CONFIGS / ref, "scenario config", cli._SCENARIO_KINDS)
+        cli._scenario_setup(doc, Namespace(controller="qp", feedback=None,
+                                           seed=None))
 
 
 def test_shell_exit_codes(tmp_path):

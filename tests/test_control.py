@@ -232,6 +232,16 @@ def test_run_setup_validation(params, dmodel, table, cfg, problems,
     with pytest.raises(ValueError, match="segment 3: its region table has no "
                                          "region"):
         _setup(params, dmodel, table, cfg, problems, empty)
+    # so would a theta box without the first theta, [0.2, 0.2, 0, 0.9, 0],
+    # or without a current the law may command
+    for rows, span in (([3], [0.2, 0.5]), ([0, 1], [0.5, 1.0]),
+                       ([2], [0.0, 2.0])):
+        box = DEFAULT_THETA_BOX.copy()
+        box[rows] = span
+        short = list(solutions)
+        short[1] = replace(short[1], theta_box=box)
+        with pytest.raises(ValueError, match="segment 2: its theta box"):
+            _setup(params, dmodel, table, cfg, problems, short)
 
 
 @pytest.mark.parametrize("step_budget", [0, -3])

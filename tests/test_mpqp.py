@@ -81,7 +81,7 @@ def test_trivial_horizon():
     from empcharge.segments import default_table
     model = discretize(NdcParams(), 60.0)
     seg = default_table().segments[0]
-    cfg = MpcConfig(N=1, Nu=1, Nc_eta=1, Nc_other=1, Q=0.0, R=0.1)
+    cfg = MpcConfig(N=1, Nu=1, Nc_eta=1, Q=0.0, R=0.1)
     p = build(model, seg, cfg)
     assert p.Sigma == pytest.approx(np.array([[0.1]]))
     assert np.allclose(p.F, 0.0, atol=1e-14)
@@ -246,7 +246,7 @@ def test_qp_solution_respects_sim_constraints(dmodel, table, cfg, problems):
         ys = _theta_map(dmodel, seg, cfg, theta, sol.z_star)
         for k in range(1, 2 + 1):
             y = ys[k - 1]
-            if k <= cfg.Nc_other:
+            if k <= 1:  # Vs, I and V are imposed at k = 1 only
                 assert y[1] <= hi[1] + 1e-7
                 assert -1e-7 <= y[2] <= hi[2] + 1e-7
                 assert y[3] <= hi[3] + 1e-7
@@ -268,14 +268,14 @@ def _uncached_build(model, seg, cfg):
     lin[:, 4] = Xu[:N] @ c_soc
     Sigma = cfg.Q * (a.T @ a) + cfg.R * np.eye(Nu)
     F = cfg.Q * (a.T @ lin)
-    bounds = ((1, 1.0, 0.95, "Vs<=", cfg.Nc_other),
-              (2, 1.0, 3.0, "I<=", cfg.Nc_other),
-              (2, -1.0, 0.0, "I>=", cfg.Nc_other),
-              (3, 1.0, 4.2, "V<=", cfg.Nc_other),
+    bounds = ((1, 1.0, 0.95, "Vs<=", 1),
+              (2, 1.0, 3.0, "I<=", 1),
+              (2, -1.0, 0.0, "I>=", 1),
+              (3, 1.0, 4.2, "V<=", 1),
               (4, 1.0, cfg.gamma2, "eta<=", cfg.Nc_eta))
     ks, rows, sign, W, labels = zip(*(
         (k, row, sg, sg * bound - sg * D[row], f"{name} @k={k}")
-        for k in range(1, max(cfg.Nc_eta, cfg.Nc_other) + 1)
+        for k in range(1, cfg.Nc_eta + 1)
         for row, sg, bound, name, last in bounds if k <= last))
     ks = np.array(ks)
     Cs = np.array(sign)[:, None] * C[list(rows)]
