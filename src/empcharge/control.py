@@ -14,7 +14,7 @@ The move reaches the current only after the A_aug product
 (DiscreteModel.step), so the surface voltage one step on is fixed by the
 state alone.  That is where the law's first V<= row is evaluated, so every
 controller applies the law of the segment owning it,
-select_segment(table, _predicted_vs(model, x)), and no step uses a
+select_segment(table, _predicted_vs(model, theta)), and no step uses a
 linearization outside its own segment for that row.  The eMPC step looks
 theta up in that segment's table and the online-QP step solves that
 segment's QP; the NMPC baseline linearizes h and R0 at that predicted Vs
@@ -69,7 +69,7 @@ EKF_Q, EKF_R = np.diag([PROCESS_VAR, PROCESS_VAR, 1e-12]), MEAS_VAR
 _EYE3 = np.eye(3)
 
 
-@dataclass
+@dataclass(slots=True)
 class StepResult:
     I_next: float
     du_applied: float
@@ -80,15 +80,16 @@ class StepResult:
     active_set: tuple[int, ...] = ()  # the online QP's, else ()
 
 
-@dataclass
+@dataclass(slots=True)
 class EkfState:
     x_hat: np.ndarray
     P: np.ndarray = field(default_factory=lambda: np.eye(3) * 1e-4)
 
 
-def _predicted_vs(model: DiscreteModel, x: NdcState) -> float:
-    """Vs one step on, which no move changes (DiscreteModel.step)."""
-    return float(model.step(x.as_array(), 0.0)[1])
+def _predicted_vs(model: DiscreteModel, theta: np.ndarray) -> float:
+    """Vs one step on from theta's state, which no move changes
+    (DiscreteModel.step)."""
+    return float((model.A_aug @ theta[:3])[1])
 
 
 def _result(u_prev: float, x: NdcState, segment: int, du0: float | None,
@@ -105,8 +106,8 @@ def _result(u_prev: float, x: NdcState, segment: int, du0: float | None,
 def empc_step(solutions: list[ExplicitSolution], table: SegmentTable,
               model: DiscreteModel, u_prev: float, x: NdcState,
               r: float) -> StepResult:
-    si = select_segment(table, _predicted_vs(model, x))
     theta = assemble_theta(x, r, u_prev)
+    si = select_segment(table, _predicted_vs(model, theta))
     idx = locate(solutions[si], theta)
     if idx is None:
         return _result(u_prev, x, si, None, None)
@@ -119,8 +120,9 @@ def online_mpc_step(problems: list[MpqpProblem], table: SegmentTable,
                     r: float, guess: tuple[int, ...] = ()) -> StepResult:
     """The segment's online QP, warm-started from guess, rows thought
     active (run_closed_loop passes the last step's active set)."""
-    si = select_segment(table, _predicted_vs(model, x))
-    sol = solve_qp(problems[si].qp(assemble_theta(x, r, u_prev)), guess)
+    theta = assemble_theta(x, r, u_prev)
+    si = select_segment(table, _predicted_vs(model, theta))
+    sol = solve_qp(problems[si].qp(theta), guess)
     du0 = float(sol.z_star[0]) if sol.status == "optimal" else None
     return _result(u_prev, x, si, du0, None, sol.active_set)
 
@@ -132,10 +134,11 @@ def nmpc_step(params: NdcParams, model: DiscreteModel, table: SegmentTable,
     the state alone fixes, instead of at the table's fixed operating
     points, so the first step's V<= row is exact; then solve that one QP,
     cold (see the module docstring)."""
-    vs_next = _predicted_vs(model, x)
+    theta = assemble_theta(x, r, u_prev)
+    vs_next = _predicted_vs(model, theta)
     si = select_segment(table, vs_next)
     seg = relinearize(params, table.segments[si], min(max(vs_next, 0.0), 1.0))
-    sol = solve_qp(build(model, seg, cfg).qp(assemble_theta(x, r, u_prev)))
+    sol = solve_qp(build(model, seg, cfg).qp(theta))
     du0 = float(sol.z_star[0]) if sol.status == "optimal" else None
     return _result(u_prev, x, si, du0, None)
 
@@ -143,10 +146,16 @@ def nmpc_step(params: NdcParams, model: DiscreteModel, table: SegmentTable,
 def ekf_step(params: NdcParams, model: DiscreteModel, ekf: EkfState,
              du_applied: float, V_measured: float) -> EkfState:
     """One predict-update cycle with terminal voltage as the measurement.
-    The output maps run on the prediction as Python floats.  The 3x3
-    products stay numpy in this association: a noisy charge can turn on
-    one ulp (a point location that hits or misses), so their order is
-    kept."""
+
+    A noisy charge can turn on one ulp (a point location that hits or
+    misses), so the step keeps its bits by one rule.  The matrix products
+    stay numpy, in this association: BLAS may sum in another order or fuse
+    a multiply-add, so the same products written out would round
+    differently.  So does np.exp, numpy's own and not the C library's.
+    Element-wise +, -, * and / on float64 round the same in numpy and on
+    Python floats, so they run on whichever costs less: the output maps
+    run on the prediction as Python floats, and K[:, None] * H forms
+    np.outer's products without its reshaping."""
     A = model.A_aug
     x_pred = model.step(ekf.x_hat, du_applied)
     P_pred = A @ ekf.P @ A.T + EKF_Q
@@ -159,12 +168,12 @@ def ekf_step(params: NdcParams, model: DiscreteModel, ekf: EkfState,
     S = float(H @ P_pred @ H) + EKF_R
     K = P_pred @ H / S
     x_new = x_pred + K * (V_measured - V_pred)
-    P_new = (_EYE3 - np.outer(K, H)) @ P_pred
+    P_new = (_EYE3 - K[:, None] * H) @ P_pred
     P_new = 0.5 * (P_new + P_new.T)
     return EkfState(x_hat=x_new, P=P_new)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRow:
     step: int
     time_s: float
@@ -289,23 +298,31 @@ class RunSetup:
 
 def run_closed_loop(setup: RunSetup) -> SimTrace:
     """Simulate plant + (optional) observer + controller until the SoC
-    target is met or the step budget runs out."""
+    target is met or the step budget runs out.
+
+    A noisy charge draws all of its noise at once, in step order: per
+    step the measurement's draw (under EKF feedback) and then the plant's
+    three.  That is the sequence of one rng.normal call per draw, to the
+    bit, and the steps past the target leave theirs unused."""
     p, model, table, cfg = (setup.params, setup.model, setup.table,
                             setup.cfg)
-    rng = np.random.default_rng(setup.seed)
-    meas_sd, process_sd = np.sqrt(MEAS_VAR), np.sqrt(PROCESS_VAR)
+    ekf_fb = setup.feedback == "ekf"
+    if setup.noise:
+        sd = (([np.sqrt(MEAS_VAR)] if ekf_fb else [])
+              + [np.sqrt(PROCESS_VAR)] * 3)
+        noise = np.random.default_rng(setup.seed).standard_normal(
+            (setup.step_budget, len(sd))) * sd
     x = NdcState(Vb=setup.soc_start, Vs=setup.soc_start, I=0.0)
     u_prev = 0.0                        # the move applied on the last step
     active: tuple[int, ...] = ()        # the last online QP's active set
-    ekf = EkfState(x.as_array()) if setup.feedback == "ekf" else None
+    ekf = EkfState(x.as_array()) if ekf_fb else None
     rows: list[TraceRow] = []
     completed = False
     for k in range(setup.step_budget):
+        d = noise[k].tolist() if setup.noise else None
         y = mdl.output_vector(p, x, table.gamma1)
-        if setup.feedback == "ekf":
-            V_meas = y.V
-            if setup.noise:
-                V_meas += rng.normal(0.0, meas_sd)
+        if ekf_fb:
+            V_meas = y.V + d[0] if setup.noise else y.V
             ekf = ekf_step(p, model, ekf, u_prev, V_meas)
             x_ctrl = NdcState(*ekf.x_hat.tolist())
         else:
@@ -326,11 +343,9 @@ def run_closed_loop(setup: RunSetup) -> SimTrace:
         u_prev = res.du_applied
 
         rows.append(TraceRow(
-            step=k, time_s=k * model.dt, Vb=float(x.Vb), Vs=y.Vs, I=y.I,
-            V=y.V, SoC=y.soc, eta=y.eta, segment=res.segment,
-            region=-1 if res.region is None else res.region,
-            du=res.du_applied, solver_time_ns=solver_ns,
-            fallback_flag=int(res.fallback)))
+            k, k * model.dt, float(x.Vb), y.Vs, y.I, y.V, y.soc, y.eta,
+            res.segment, -1 if res.region is None else res.region,
+            res.du_applied, solver_ns, int(res.fallback)))
 
         soc_ctrl = mdl.soc(p, x_ctrl.Vb, x_ctrl.Vs)
         if soc_ctrl >= setup.soc_target - COMPLETION_SLACK:
@@ -340,8 +355,8 @@ def run_closed_loop(setup: RunSetup) -> SimTrace:
 
         # the controller commands I_{k+1}; the move applied to the plant is
         # relative to the plant's true current state
-        xv = model.step(x.as_array(), res.I_next - x.I)
+        Vb, Vs, I = model.step(x.as_array(), res.I_next - x.I).tolist()
         if setup.noise:
-            xv = xv + rng.normal(0.0, process_sd, 3)
-        x = NdcState(*xv.tolist())
+            Vb, Vs, I = Vb + d[-3], Vs + d[-2], I + d[-1]
+        x = NdcState(Vb, Vs, I)
     return SimTrace(rows=rows, completed=completed)

@@ -91,7 +91,7 @@ class NdcState:
         return np.array([self.Vb, self.Vs, self.I])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OutputVector:
     """y = [SoC, Vs, I, V, eta]."""
 
@@ -174,13 +174,10 @@ def terminal_voltage(params: NdcParams, state: NdcState) -> float:
 
 def output_vector(params: NdcParams, state: NdcState,
                   gamma1: float = GAMMA1) -> OutputVector:
-    return OutputVector(
-        soc=float(soc(params, state.Vb, state.Vs)),
-        Vs=float(state.Vs),
-        I=float(state.I),
-        V=float(terminal_voltage(params, state)),
-        eta=float(eta(params, gamma1, state.Vb, state.Vs)),
-    )
+    return OutputVector(float(soc(params, state.Vb, state.Vs)),
+                        float(state.Vs), float(state.I),
+                        float(terminal_voltage(params, state)),
+                        float(eta(params, gamma1, state.Vb, state.Vs)))
 
 
 def continuous_matrices(params: NdcParams) -> tuple[np.ndarray, np.ndarray]:

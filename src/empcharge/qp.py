@@ -342,8 +342,10 @@ def remove_redundant(G: np.ndarray, w: np.ndarray, center: np.ndarray,
     try:
         hs = HalfspaceIntersection(np.hstack([G[rows], -w[rows, None]]),
                                    np.asarray(center, float))
-    except QhullError as exc:
-        raise QpError(f"halfspace intersection: {exc}") from exc
+    except QhullError as exc:  # its first line names the fault; the rest
+        # is qhull's option dump, with a run id that changes every call
+        raise QpError("halfspace intersection: "
+                      + str(exc).partition("\n")[0]) from exc
     # the dual hull's vertices, from its facets: dual_vertices fails when a
     # facet has more than n vertices (more than n facets meet at a vertex)
     kept = rows[sorted({i for f in hs.dual_facets for i in f})].tolist()

@@ -221,16 +221,23 @@ def locate(solution: ExplicitSolution, theta: np.ndarray) -> int | None:
     None when it exceeds the table's locate_tol.  The answer does not
     depend on region order: a tie goes to the smaller first move, the more
     cautious current.
+
+    After the one stacked product the reduction runs on a Python list of
+    one value per region, where numpy's dispatch would cost more than the
+    comparisons.  A theta with a NaN or infinite entry makes every value
+    NaN or +inf (a bounded region has, for each entry, a row that grows
+    without bound as the entry goes to +inf or to -inf, and 0 * inf is
+    NaN), so it is not located whatever the order of the list.
     """
-    worst = (solution._E @ theta - solution._e).max(axis=1)
-    best = worst.min(initial=np.inf)
+    worst = (solution._E @ theta - solution._e).max(axis=1).tolist()
+    best = min(worst, default=math.inf)
     if not best <= solution.locate_tol:
         return None
-    ties = np.flatnonzero(worst == best)
-    if len(ties) == 1:
-        return int(ties[0])
+    if worst.count(best) == 1:
+        return worst.index(best)
     regs = solution.regions
-    return int(min(ties, key=lambda k: regs[k].K[0] @ theta + regs[k].g[0]))
+    return min((k for k, v in enumerate(worst) if v == best),
+               key=lambda k: regs[k].K[0] @ theta + regs[k].g[0])
 
 
 def coverage_check(solution: ExplicitSolution, problem: MpqpProblem,

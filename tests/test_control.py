@@ -11,7 +11,7 @@ from empcharge.control import (EkfState, RunSetup, ekf_step, empc_step,
 from empcharge.model import NdcState
 from empcharge.mpqp import I_MAX, I_MIN, assemble_theta
 from empcharge.regions import DEFAULT_THETA_BOX, locate
-from empcharge.segments import select_segment
+from empcharge.segments import relinearize, select_segment
 
 
 def _setup(params, dmodel, table, cfg, problems, solutions, **kw):
@@ -93,6 +93,112 @@ def test_online_qp_warm_start_keeps_the_charge(params, dmodel, table, cfg,
         for f in fields(w):
             if f.name != "solver_time_ns":
                 assert abs(getattr(w, f.name) - getattr(c, f.name)) <= 1e-12
+
+
+def _reference_locate(solution, theta):
+    """locate with numpy's reduction over the regions' largest
+    violations, a tie going to the smaller first move."""
+    worst = (solution._E @ theta - solution._e).max(axis=1)
+    best = worst.min(initial=np.inf)
+    if not best <= solution.locate_tol:
+        return None
+    ties = np.flatnonzero(worst == best)
+    if len(ties) == 1:
+        return int(ties[0])
+    regs = solution.regions
+    return int(min(ties, key=lambda k: regs[k].K[0] @ theta + regs[k].g[0]))
+
+
+def _reference_charge(s):
+    """run_closed_loop written plainly, for one RunSetup s: one rng.normal
+    call per draw, as each is needed; point location reduced in numpy
+    (_reference_locate); the predicted Vs from DiscreteModel.step on the
+    state; the EKF's gain outer product by np.outer.  Returns the rows as
+    tuples of TraceRow's fields less solver_time_ns, and completed."""
+    p, model, table = s.params, s.model, s.table
+    rng = np.random.default_rng(s.seed)
+    meas_sd, process_sd = np.sqrt(control.MEAS_VAR), np.sqrt(
+        control.PROCESS_VAR)
+    x = NdcState(s.soc_start, s.soc_start, 0.0)
+    x_hat, P = x.as_array(), np.eye(3) * 1e-4
+    u_prev, active, rows, completed = 0.0, (), [], False
+    for k in range(s.step_budget):
+        y = mdl.output_vector(p, x, table.gamma1)
+        x_ctrl = x
+        if s.feedback == "ekf":
+            V_meas = y.V
+            if s.noise:
+                V_meas += rng.normal(0.0, meas_sd)
+            A = model.A_aug
+            x_pred = model.step(x_hat, u_prev)
+            P_pred = A @ P @ A.T + control.EKF_Q
+            pred = NdcState(*x_pred.tolist())
+            H = np.array([0.0,
+                          mdl.ocv_slope(p, pred.Vs)
+                          + float(mdl.r0_slope(p, pred.Vs)) * pred.I,
+                          float(mdl.r0(p, pred.Vs))])
+            K = P_pred @ H / (float(H @ P_pred @ H) + control.EKF_R)
+            x_hat = x_pred + K * (V_meas - mdl.terminal_voltage(p, pred))
+            P = (np.eye(3) - np.outer(K, H)) @ P_pred
+            P = 0.5 * (P + P.T)
+            x_ctrl = NdcState(*x_hat.tolist())
+
+        theta = assemble_theta(x_ctrl, s.soc_target, u_prev)
+        vs_next = float(model.step(x_ctrl.as_array(), 0.0)[1])
+        si = select_segment(table, vs_next)
+        region, du0 = None, None
+        if s.controller == "empc":
+            region = _reference_locate(s.solutions[si], theta)
+            if region is not None:
+                law = s.solutions[si].regions[region]
+                du0 = float(law.K[0] @ theta + law.g[0])
+        else:
+            if s.controller == "qp":
+                sol = qp.solve_qp(s.problems[si].qp(theta), active)
+                active = sol.active_set
+            else:
+                seg = relinearize(p, table.segments[si],
+                                  min(max(vs_next, 0.0), 1.0))
+                sol = qp.solve_qp(control.build(model, seg, s.cfg).qp(theta))
+            if sol.status == "optimal":
+                du0 = float(sol.z_star[0])
+        I_next = min(max(u_prev + (0.0 if du0 is None else du0) + x_ctrl.I,
+                         I_MIN), I_MAX)
+        u_prev = float(I_next - x_ctrl.I)
+        rows.append((k, k * model.dt, float(x.Vb), y.Vs, y.I, y.V, y.soc,
+                     y.eta, si, -1 if region is None else region, u_prev,
+                     int(du0 is None)))
+
+        if (mdl.soc(p, x_ctrl.Vb, x_ctrl.Vs)
+                >= s.soc_target - control.COMPLETION_SLACK):
+            completed = True
+            if s.stop_at_target:
+                break
+        xv = model.step(x.as_array(), I_next - x.I)
+        if s.noise:
+            xv = xv + rng.normal(0.0, process_sd, 3)
+        x = NdcState(*xv.tolist())
+    return rows, completed
+
+
+@pytest.mark.parametrize("controller, kw", [
+    ("empc", {}), ("qp", {}), ("nmpc", {})] + [
+    ("empc", dict(feedback="ekf", noise=True, seed=seed))
+    for seed in range(5)])
+def test_charge_equals_the_plain_reference_loop(
+        params, dmodel, table, cfg, problems, solutions, controller, kw):
+    """The basic eMPC, online-QP and NMPC charges and noisy EKF charges
+    (ekf_case's settings) equal _reference_charge in every trace field
+    but the step time, exactly: the closed loop's shortcuts keep every
+    bit."""
+    setup = _setup(params, dmodel, table, cfg, problems, solutions,
+                   controller=controller, **kw)
+    trace = run_closed_loop(setup)
+    got = [tuple(getattr(row, f.name) for f in fields(row)
+                 if f.name != "solver_time_ns") for row in trace.rows]
+    want, completed = _reference_charge(setup)
+    assert (got, trace.completed) == (want, completed)
+    assert len(got) > 20
 
 
 def test_nmpc_step_converges(params, dmodel, table, cfg):
@@ -280,7 +386,8 @@ def test_step_applies_the_law_of_next_steps_segment(params, dmodel, table,
     eta<= @k=1 row, so the step would be a fallback.)"""
     x, r, u_prev = NdcState(Vb=0.594, Vs=0.599, I=2.5), 0.9, 0.0
     here = select_segment(table, x.Vs)
-    nxt = select_segment(table, control._predicted_vs(dmodel, x))
+    nxt = select_segment(table, control._predicted_vs(
+        dmodel, assemble_theta(x, r, u_prev)))
     assert nxt == here + 1
     steps = (empc_step(solutions, table, dmodel, u_prev, x, r),
              online_mpc_step(problems, table, dmodel, u_prev, x, r),
@@ -303,7 +410,7 @@ def _guard(move, table, model, u_prev, x, r):
     theta = assemble_theta(x, r, u_prev)
     si = select_segment(table, x.Vs)
     res = control._result(u_prev, x, si, *move(si, theta))
-    sj = select_segment(table, control._predicted_vs(model, x))
+    sj = select_segment(table, control._predicted_vs(model, theta))
     if sj != si:
         res = min(res, control._result(u_prev, x, sj, *move(sj, theta)),
                   key=lambda s: s.I_next)

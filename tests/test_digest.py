@@ -1,6 +1,7 @@
-"""tools/digest.py, the identity check of synthesis and run outputs and
-of the online QP, is itself deterministic: two runs print the same lines.
-Its --diff report is checked on synthetic digests."""
+"""tools/digest.py, the identity check of synthesis and run outputs, of
+the online QP and of noisy charges, is itself deterministic: two runs
+print the same lines.  Its --diff report is checked on synthetic
+digests."""
 
 import importlib.util
 import subprocess
@@ -24,8 +25,8 @@ def _digest(*names: str) -> list[str]:
 
 
 def test_digest_is_repeatable():
-    first = _digest("synthesis_default", "basic_case")
-    assert first == _digest("synthesis_default", "basic_case")
+    first = _digest("synthesis_default", "basic_case", "noisy")
+    assert first == _digest("synthesis_default", "basic_case", "noisy")
     names = [line.split()[0] for line in first]
     assert len(names) == len(set(names))
     assert all(len(line.split()[1]) == 64 for line in first)
@@ -33,7 +34,8 @@ def test_digest_is_repeatable():
                  "synthesis_default/synthesize/synthesis_report.json",
                  "basic_case/synthesize/segments.json",
                  "basic_case/run/basic_case_trace.csv",
-                 "basic_case/run/basic_case_summary.json"):
+                 "basic_case/run/basic_case_summary.json",
+                 "noisy/ekf_case/seed00", "noisy/ekf_case/seed19"):
         assert name in names
 
 
@@ -111,3 +113,15 @@ def test_diff_reports_probe_statuses_active_sets_and_z():
         "qp/probe differs", "  solves 5 -> 4", "  statuses differ 1",
         "  active sets differ 1", "  z 2"]
     assert digest.diff_lines(mine, {digest.PROBE: ("x", [])}) == []
+
+
+def test_diff_reports_noisy_charge_facts():
+    digest = _module()
+    name = "noisy/ekf_case/seed03"
+    mine = {name: ("x", [4.25, True, 40]),
+            "noisy/ekf_case/seed04": ("z", [4.5, False, 52])}
+    theirs = {name: ("y", [4.5, True, 41]),
+              "noisy/ekf_case/seed04": ("z", [4.5, False, 52])}
+    assert digest.diff_lines(mine, theirs) == [
+        f"{name} differs", "  max V 4.5 -> 4.25", "  completed True -> True",
+        "  fallbacks 41 -> 40"]

@@ -437,6 +437,18 @@ def test_remove_redundant_unit_square():
     assert Gr.shape == (4, 2)
 
 
+def test_remove_redundant_center_on_boundary_is_one_line():
+    """A center on a facet is a qhull input error; the QpError, which
+    synthesize prints as a config error, keeps qhull's first line and
+    drops its option dump."""
+    G = np.vstack([np.eye(2), -np.eye(2)])
+    with pytest.raises(QpError) as info:
+        remove_redundant(G, np.ones(4), np.array([1.0, 0.0]))
+    message = str(info.value)
+    assert "\n" not in message and "QH6023" in message
+    assert message.startswith("halfspace intersection: ")
+
+
 def test_remove_redundant_preserves_set():
     rng = np.random.default_rng(9)
     for trial in range(5):

@@ -19,7 +19,9 @@ region table also both region counts, whether the active sets are equal
 in order, and the largest absolute difference in each of E, e, K and g
 over the regions the tables share; and for the QP probe both solve
 counts, how many statuses and how many active sets differ, and the
-largest absolute difference in z, over the solves both probes have.
+largest absolute difference in z, over the solves both probes have; and
+for a noisy charge its max V, whether it completed and its fallback
+count in both trees.
 Differences are taken between numbers, so -0.0 against 0.0 is 0.  It
 prints nothing and exits 0 when every digest is equal, else it exits 1.
 
@@ -39,12 +41,18 @@ The artifacts:
   of range.  Then, for every segment of each config in
   ``PROBE_CONFIGS``, QPs at theta drawn from its theta box, feasible or
   not, are each solved cold and warm from the last theta's active set.
+- ``noisy/ekf_case/seedNN``: the trace of ``ekf_case``'s noisy EKF charge
+  at each seed of ``NOISY_SEEDS``, as ``run`` writes it but without its
+  ``solver_time_ns`` column (``noisy``).  A noisy charge can turn on one
+  ulp, so these show a change to the closed loop that the one seeded
+  ``ekf_case`` run misses.
 
 Usage: ``python3 tools/digest.py [--root TREE] [--diff OTHER] [NAME ...]``.
 TREE is the checkout whose ``src/`` and ``configs/`` are used (default: the
 one this script is in), and OTHER the checkout it is compared with; the
 NAMEs, config file stems such as ``synthesis_default`` or ``basic_case``,
-or ``qp`` for the QP probe, limit the output to those artifacts.
+``qp`` for the QP probe or ``noisy`` for the noisy charges, limit the
+output to those artifacts.
 """
 
 from __future__ import annotations
@@ -67,6 +75,8 @@ PROBE = "qp/probe"
 PROBE_CONFIGS = ("synthesis_default", "horizon_Nc_eta9")
 PROBE_RANDOM = 600      # random dense QPs
 PROBE_THETAS = 60       # theta per segment
+NOISY = "ekf_case"      # the scenario of the noisy charges
+NOISY_SEEDS = range(20)
 
 
 def _sha(data: bytes) -> str:
@@ -100,16 +110,21 @@ def _synthesis_lines(root, name: str, block: dict, tmp: pathlib.Path):
         yield f"{name}/synthesize/{path.name}", _sha(data), table
 
 
+def _timeless(path: pathlib.Path) -> tuple[str, list[list[str]]]:
+    """The text and the rows, header first, of the trace CSV at path less
+    its solver_time_ns column."""
+    rows = list(csv.reader(io.StringIO(path.read_text())))
+    drop = rows[0].index("solver_time_ns")
+    rows = [r[:drop] + r[drop + 1:] for r in rows]
+    return "\n".join(",".join(r) for r in rows), rows
+
+
 def _run_lines(root, name: str, tmp: pathlib.Path):
     out = tmp / f"{name}_run"
     _empcharge(root, ["run", "--config", str(root / "configs" /
                                             f"{name}.json"),
                       "--out-dir", str(out)], (0, 2))
-    rows = list(csv.reader(io.StringIO((out / f"{name}_trace.csv")
-                                       .read_text())))
-    drop = rows[0].index("solver_time_ns")
-    rows = [r[:drop] + r[drop + 1:] for r in rows]
-    text = "\n".join(",".join(r) for r in rows)
+    text, rows = _timeless(out / f"{name}_trace.csv")
     yield f"{name}/run/{name}_trace.csv", _sha(text.encode()), rows
     summary = {k: v for k, v in json.loads(
         (out / f"{name}_summary.json").read_text()).items()
@@ -161,24 +176,52 @@ def probe(root: str) -> None:
     print(json.dumps(out))
 
 
-def _probe(root: pathlib.Path) -> tuple[str, list]:
-    """(sha256, records) of the probe, run in a child process on root's
-    src/."""
+def noisy(root: str) -> None:
+    """Print, as JSON, [sha256 of the trace, max V, completed, fallback
+    count] per seed of NOISY_SEEDS for NOISY's charge at that seed, run by
+    the empcharge that sys.path finds.  The trace is its CSV less the
+    solver_time_ns column."""
+    import argparse
+    import dataclasses
+
+    from empcharge import cli
+    from empcharge.control import run_closed_loop
+
+    doc = json.loads((pathlib.Path(root) / "configs" / f"{NOISY}.json")
+                     .read_text())
+    setup = cli._scenario_setup(doc, argparse.Namespace(
+        controller=None, feedback=None, seed=None))
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "trace.csv"
+        for seed in NOISY_SEEDS:
+            trace = run_closed_loop(dataclasses.replace(setup, seed=seed))
+            trace.to_csv(path)
+            out.append([_sha(_timeless(path)[0].encode()),
+                        max(r.V for r in trace.rows), trace.completed,
+                        trace.fallback_count])
+    print(json.dumps(out))
+
+
+def _child(root: pathlib.Path, func: str) -> str:
+    """What func(root) of this module prints, run in a child process on
+    root's src/."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     code = (f"import sys; sys.path.insert(0, {str(HERE)!r}); import digest; "
-            f"digest.probe({str(root)!r})")
+            f"digest.{func}({str(root)!r})")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     if proc.returncode:
-        sys.exit(f"QP probe: exit {proc.returncode}\n{proc.stderr}")
-    return _sha(proc.stdout.encode()), json.loads(proc.stdout)
+        sys.exit(f"digest.{func}: exit {proc.returncode}\n{proc.stderr}")
+    return proc.stdout
 
 
 def digests(root: pathlib.Path, names=()) -> dict[str, tuple]:
     """name -> (sha256, content or None) for the artifacts of the configs
     named (all when empty).  The content of a run trace is its rows,
     header first, less its solver_time_ns column; that of a JSON region
-    table is its list of regions; that of the QP probe is its records."""
+    table is its list of regions; that of the QP probe is its records;
+    that of a noisy charge is [max V, completed, fallback count]."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
@@ -195,7 +238,12 @@ def digests(root: pathlib.Path, names=()) -> dict[str, tuple]:
                 found += _run_lines(root, name, tmp)
             out.update((k, (sha, rows)) for k, sha, rows in found)
     if not names or "qp" in names:
-        out[PROBE] = _probe(root)
+        text = _child(root, "probe")
+        out[PROBE] = _sha(text.encode()), json.loads(text)
+    if not names or "noisy" in names:
+        for seed, (sha, *facts) in zip(NOISY_SEEDS,
+                                       json.loads(_child(root, "noisy"))):
+            out[f"noisy/{NOISY}/seed{seed:02d}"] = sha, facts
     return out
 
 
@@ -262,6 +310,10 @@ def diff_lines(mine: dict, theirs: dict) -> list[str]:
                 lines += _trace_diff(mine[name][1], theirs[name][1])
             elif name == PROBE:
                 lines += _probe_diff(mine[name][1], theirs[name][1])
+            elif name.startswith("noisy/"):
+                lines += [f"  {key} {b} -> {a}" for key, a, b in zip(
+                    ("max V", "completed", "fallbacks"), mine[name][1],
+                    theirs[name][1])]
             elif mine[name][1] is not None:
                 lines += _table_diff(mine[name][1], theirs[name][1])
     return lines
