@@ -230,6 +230,10 @@ def cmd_synthesize(args) -> int:
                       "theta box", file=sys.stderr)
                 return EXIT_VERIFY
             cov = coverage_check(sol, prob, n_samples=n_cov, seed=seed + 1)
+        if cov < 1.0:
+            print(f"segment {seg.index}: coverage {cov} is below 1: a "
+                  "sampled feasible theta lies in no region", file=sys.stderr)
+            return EXIT_VERIFY
         for fmt in ("json", "bin"):
             export_table(sol, _table_path(args.out_dir, seg, fmt), fmt=fmt)
         report["segments"].append({
@@ -301,6 +305,7 @@ def cmd_run(args) -> int:
                                  for r in trace.rows),
         "step_ns_p50": float(np.percentile(step_ns, 50)),
         "step_ns_max": max(step_ns),
+        "phase1_lps": trace.phase1_lps,
     }
     _write_report(args.out_dir, f"{name}_summary.json", summary)
     trace.to_csv(os.path.join(args.out_dir, f"{name}_trace.csv"))
@@ -324,19 +329,19 @@ def cmd_bench(args) -> int:
                           _scenario_setup(sdoc, args)))
     entries = []
     for name, setup in scenarios:
-        per_step_means, pooled, steps = [], [], None
+        per_step_means, pooled = [], []
         wall0 = time.perf_counter()
         for _ in range(repeats):
             trace = run_closed_loop(setup)
             ns = [r.solver_time_ns for r in trace.rows]
             per_step_means.append(float(np.mean(ns)))
             pooled.extend(ns)
-            steps = trace.charging_steps
         entries.append({
             "name": name,
             "controller": setup.controller,
             "repeats": repeats,
-            "steps": steps,
+            "steps": trace.charging_steps,
+            "phase1_lps": trace.phase1_lps,
             "mean_step_ns": float(np.mean(per_step_means)),
             "max_step_ns": float(np.max(pooled)),
             **{f"step_ns_p{q}": float(np.percentile(pooled, q))
@@ -388,11 +393,14 @@ def cmd_verify(args) -> int:
                 return EXIT_VERIFY
             draws += 1
             theta = rng.uniform(box[:, 0], box[:, 1])
-            ref = solve_qp(prob.qp(theta))
+            # the located region's active set only guides the solve:
+            # solve_qp returns the QP's unique optimum whatever the guess
+            idx = locate(sol, theta)
+            ref = solve_qp(prob.qp(theta),
+                           () if idx is None else sol.regions[idx].active_set)
             if ref.status != "optimal":
                 continue
             n_done += 1
-            idx = locate(sol, theta)
             if idx is None:
                 print(f"segment {seg.index}: no region for theta={theta}",
                       file=sys.stderr)

@@ -110,6 +110,7 @@ class QpSolution:
     active_set: tuple[int, ...]
     multipliers: np.ndarray
     status: str  # "optimal" or "infeasible"
+    phase1_lps: int  # the phase-1 LPs the solve made, 0 or 1
 
 
 def _feasible_start(G: np.ndarray, w: np.ndarray) -> np.ndarray | None:
@@ -154,10 +155,11 @@ def independent_rows(A: np.ndarray) -> bool:
     return bool(s[-1] > 1e-10 * s[0])
 
 
-def _optimal(z: np.ndarray, work: list[int], lam: np.ndarray) -> QpSolution:
+def _optimal(z: np.ndarray, work: list[int], lam: np.ndarray, lps: int,
+             ) -> QpSolution:
     order = np.argsort(work)
     act = tuple(int(work[i]) for i in order)
-    return QpSolution(z, act, np.maximum(lam[order], 0.0), "optimal")
+    return QpSolution(z, act, np.maximum(lam[order], 0.0), "optimal", lps)
 
 
 def solve_qp(qp: DenseQp, guess: tuple[int, ...] = ()) -> QpSolution:
@@ -191,20 +193,22 @@ def solve_qp(qp: DenseQp, guess: tuple[int, ...] = ()) -> QpSolution:
 
     zero = np.linalg.norm(G, axis=1) <= ZERO_ROW_TOL
     if np.any(w[zero] < -FEAS_TOL):
-        return QpSolution(None, (), np.zeros(0), "infeasible")
+        return QpSolution(None, (), np.zeros(0), "infeasible", 0)
 
     ok = guess and all(0 <= i < len(G) and not zero[i] for i in guess)
     guessed = list(guess) if ok and independent_rows(G[list(guess)]) else []
+    lps = 0
     for work in [[], guessed] if guessed else [[]]:
         z, lam = _kkt(H, G[work], -f, w[work])
         if np.all((G @ z <= w + FEAS_TOL) | zero):
             if lam.min(initial=0.0) >= -MULT_TOL:
-                return _optimal(z, work, lam)
+                return _optimal(z, work, lam, lps)
             break
     else:
         work, z = [], _feasible_start(G[~zero], w[~zero])
+        lps = int(not np.all(w[~zero] >= -FEAS_TOL))  # origin infeasible
         if z is None:
-            return QpSolution(None, (), np.zeros(0), "infeasible")
+            return QpSolution(None, (), np.zeros(0), "infeasible", lps)
 
     for _ in range(200 + 20 * len(G)):
         # equality-constrained Newton step on the working set
@@ -215,7 +219,7 @@ def solve_qp(qp: DenseQp, guess: tuple[int, ...] = ()) -> QpSolution:
 
         if len(work) == n or np.linalg.norm(p) <= 1e-11:
             if lam.min(initial=0.0) >= -MULT_TOL:
-                return _optimal(z, work, lam)
+                return _optimal(z, work, lam, lps)
             # drop the most negative multiplier, lowest index on ties
             work.pop(min(range(len(work)), key=lambda i: (lam[i], work[i])))
             continue

@@ -10,13 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from empcharge import cli
+from empcharge import cli, qp
 from empcharge.cli import _synthesis_objects, main
 from empcharge.regions import coverage_check, export_table, import_table
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
 TWO_SEGMENTS = [[0.20, 0.50, 0.39], [0.50, 0.90, 0.90]]
+DEFAULT_SYNTH = CONFIGS / "synthesis_default.json"
 
 
 def _write(path, doc):
@@ -78,6 +79,19 @@ def test_run_qp_scenario(tmp_path):
     assert trace[0].startswith("step,time_s,Vb,Vs,I,V,SoC")
     assert len(trace) == summary["charging_steps"] + 1
     assert 0 < summary["step_ns_p50"] <= summary["step_ns_max"]
+
+
+@pytest.mark.parametrize("name, lps", [
+    ("basic_case_qp", 3), ("nmpc_case", 3), ("basic_case", 0)])
+def test_run_counts_phase1_lps(tmp_path, name, lps):
+    """The summary counts the phase-1 LPs of the charge's QPs: warm-started
+    from the last active set, the online-QP and NMPC charges make 3 each,
+    and the eMPC charge solves no QP."""
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(CONFIGS / f"{name}.json"),
+                 "--out-dir", str(out)]) == 0
+    summary = json.loads((out / f"{name}_summary.json").read_text())
+    assert summary["phase1_lps"] == lps
 
 
 def test_run_incomplete_exit_code(tmp_path):
@@ -165,6 +179,85 @@ def test_verify_gives_up_on_infeasible_box(tmp_path, tables_dir, capsys):
                "--samples", "3"])
     assert rc == 4
     assert "only 0 of 3 theta feasible in 300 draws" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def default_tables(tmp_path_factory):
+    out = tmp_path_factory.mktemp("default_tables")
+    assert main(["synthesize", "--config", str(DEFAULT_SYNTH),
+                 "--out-dir", str(out)]) == 0
+    return out
+
+
+def _relabeled_tables(tmp_path, tables, label) -> Path:
+    """A copy of tables whose region k of each segment gets the active set
+    label(active sets of that segment, k)."""
+    out = tmp_path / "relabeled"
+    shutil.copytree(tables, out)
+    for path in out.glob("table_seg*.json"):
+        doc = json.loads(path.read_text())
+        sets = [r["active_set"] for r in doc["regions"]]
+        for k, r in enumerate(doc["regions"]):
+            r["active_set"] = label(sets, k)
+        path.write_text(json.dumps(doc))
+    return out
+
+
+@pytest.mark.parametrize("label", [lambda sets, k: [],
+                                   lambda sets, k: sets[k - 1]],
+                         ids=["empty", "previous_region"])
+def test_verify_is_not_steered_by_stored_active_sets(tmp_path, default_tables,
+                                                     capsys, label):
+    """verify passes each theta's region's stored active set to solve_qp
+    as a guess only: with every label wrong it checks the same points,
+    against the same optimum, and passes."""
+    argv = ["verify", "--config", str(DEFAULT_SYNTH), "--samples", "200"]
+    assert main(argv + ["--tables", str(default_tables)]) == 0
+    want = capsys.readouterr().out.splitlines()
+    tables = _relabeled_tables(tmp_path, default_tables, label)
+    assert main(argv + ["--tables", str(tables)]) == 0
+    got = capsys.readouterr().out.splitlines()
+    assert got[-1].startswith("verify ok: 1800 points, worst error ")
+    for g, w in zip(got, want, strict=True):
+        (g_head, g_err), (w_head, w_err) = (
+            line.split(", worst error ") for line in (g, w))
+        assert g_head == w_head
+        assert abs(float(g_err) - float(w_err)) <= 1e-12
+
+
+def test_verify_makes_no_phase1_lp(monkeypatch, default_tables, capsys):
+    """Warm-started from the located region's active set, verify's 9000
+    QPs on the default tables make no phase-1 LP (3295 when solved
+    cold)."""
+    lps = []
+    monkeypatch.setattr(qp, "linprog", lambda *a, _real=qp.linprog, **k:
+                        lps.append(1) or _real(*a, **k))
+    assert main(["verify", "--config", str(DEFAULT_SYNTH),
+                 "--tables", str(default_tables)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith(
+        "verify ok: 9000 points, worst error ")
+    assert len(lps) == 0
+
+
+def test_synthesize_refuses_a_coverage_below_1(tmp_path, synth_config,
+                                               monkeypatch, capsys):
+    """A table that leaves sampled feasible theta without a region, here
+    segment 1's with its first region dropped, exits 4 naming the segment
+    and its coverage, before any table or the report is written."""
+    def explore(prob, **kw):
+        sol = real(prob, **kw)
+        return (replace(sol, regions=sol.regions[1:])
+                if sol.segment_index == 1 else sol)
+
+    real = cli.explore
+    monkeypatch.setattr(cli, "explore", explore)
+    out = tmp_path / "out"
+    assert main(["synthesize", "--config", synth_config,
+                 "--out-dir", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("segment 1: coverage 0.")
+    assert "is below 1" in err
+    assert list(out.iterdir()) == []
 
 
 def test_reported_coverage_is_of_exported_table(tmp_path):
@@ -357,6 +450,7 @@ def test_bench_step_ratio(tmp_path, tables_dir):
                  "--repeats", "1"]) == 0
     report = json.loads((out / "bench_report.json").read_text())
     assert [e["controller"] for e in report["entries"]] == ["empc", "nmpc"]
+    assert [e["phase1_lps"] for e in report["entries"]] == [0, 3]
     assert report["nmpc_over_empc_step_ratio"] > 0
 
 

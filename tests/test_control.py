@@ -65,34 +65,42 @@ def test_single_step_agreement(params, dmodel, table, cfg, problems,
 
 def test_online_qp_warm_start_keeps_the_charge(params, dmodel, table, cfg,
                                                problems, monkeypatch):
-    """The online-QP charge of basic_case_qp, each QP warm-started from
-    the last step's active set, is the cold charge within 1e-12 in every
-    trace column, and it makes 3 phase-1 LPs where the cold charge makes
-    14."""
-    lps = []
+    """The online-QP charge of basic_case_qp and the NMPC charge of
+    nmpc_case, each QP warm-started from the last step's active set, are
+    their cold charges within 1e-12 in every trace column, and make fewer
+    phase-1 LPs: 3 where the cold charges make 14 and 6.  Each trace
+    counts its own LPs."""
+    made = []
     monkeypatch.setattr(qp, "linprog",
                         lambda *a, _real=qp.linprog, **k:
-                        lps.append(1) or _real(*a, **k))
+                        made.append(1) or _real(*a, **k))
 
-    def charge():
-        lps.clear()
+    def charge(controller):
+        made.clear()
         trace = run_closed_loop(RunSetup(params=params, model=dmodel,
                                          table=table, cfg=cfg,
-                                         problems=problems, controller="qp"))
-        return trace, len(lps)
+                                         problems=problems,
+                                         controller=controller))
+        assert trace.phase1_lps == len(made)
+        return trace, len(made)
 
-    warm, warm_lps = charge()
+    cases = (("qp", 67, 14, 3), ("nmpc", 65, 6, 3))
+    warm = {c: charge(c) for c, *_ in cases}
     monkeypatch.setattr(control, "solve_qp",
                         lambda q, *guess, _real=control.solve_qp: _real(q))
-    cold, cold_lps = charge()
-    assert (cold_lps, warm_lps) == (14, 3)
-    assert warm.completed and cold.completed
-    assert warm.charging_steps == cold.charging_steps == 67
-    for w, c in zip(warm.rows, cold.rows):
-        assert (w.segment, w.fallback_flag) == (c.segment, c.fallback_flag)
-        for f in fields(w):
-            if f.name != "solver_time_ns":
-                assert abs(getattr(w, f.name) - getattr(c, f.name)) <= 1e-12
+    for controller, steps, cold_want, warm_want in cases:
+        (w_trace, warm_lps), (c_trace, cold_lps) = (warm[controller],
+                                                    charge(controller))
+        assert (cold_lps, warm_lps) == (cold_want, warm_want)
+        assert w_trace.completed and c_trace.completed
+        assert w_trace.charging_steps == c_trace.charging_steps == steps
+        for w, c in zip(w_trace.rows, c_trace.rows):
+            assert (w.segment, w.fallback_flag) == (c.segment,
+                                                    c.fallback_flag)
+            for f in fields(w):
+                if f.name != "solver_time_ns":
+                    assert abs(getattr(w, f.name)
+                               - getattr(c, f.name)) <= 1e-12
 
 
 def _reference_locate(solution, theta):
@@ -155,11 +163,12 @@ def _reference_charge(s):
         else:
             if s.controller == "qp":
                 sol = qp.solve_qp(s.problems[si].qp(theta), active)
-                active = sol.active_set
             else:
                 seg = relinearize(p, table.segments[si],
                                   min(max(vs_next, 0.0), 1.0))
-                sol = qp.solve_qp(control.build(model, seg, s.cfg).qp(theta))
+                sol = qp.solve_qp(control.build(model, seg, s.cfg).qp(theta),
+                                  active)
+            active = sol.active_set
             if sol.status == "optimal":
                 du0 = float(sol.z_star[0])
         I_next = min(max(u_prev + (0.0 if du0 is None else du0) + x_ctrl.I,
