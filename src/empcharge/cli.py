@@ -8,7 +8,6 @@ config, value or table, 4 verification failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
@@ -35,6 +34,10 @@ EXIT_VERIFY = 4
 
 class ConfigError(Exception):
     pass
+
+
+class TableRefused(ConfigError):
+    """A table synthesize refuses (exit 4), so run and bench do (exit 3)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,11 +149,10 @@ def _synthesis_objects(doc: dict):
     mpc = _checked(doc.get("mpc", {}), _MPC_KINDS, "mpc")
     bp = (_rows(doc["breakpoints"], 3, "breakpoints")
           if "breakpoints" in doc else default_breakpoints())
-    gamma2 = doc.get("gamma2", mdl.GAMMA2)
     try:
         params = mdl.NdcParams.from_dict(params)
-        table = build_table(params, bp, doc.get("gamma1", mdl.GAMMA1), gamma2)
-        cfg = MpcConfig(gamma2=gamma2, **mpc)
+        table = build_table(params, bp, doc.get("gamma1", mdl.GAMMA1))
+        cfg = MpcConfig(gamma2=doc.get("gamma2", mdl.GAMMA2), **mpc)
         model = mdl.discretize(params, doc.get("dt", 60.0))
         problems = [build(model, seg, cfg) for seg in table.segments]
     except ValueError as exc:
@@ -169,8 +171,8 @@ def _theta_box(doc: dict) -> np.ndarray:
     return box
 
 
-def _table_path(tables_dir, seg, fmt: str = "json") -> str:
-    return os.path.join(tables_dir, f"table_seg{seg.index}.{fmt}")
+def _table_path(tables_dir, seg, ext: str = "json") -> str:
+    return os.path.join(tables_dir, f"table_seg{seg.index}.{ext}")
 
 
 def _load_tables(tables_dir, table, problems, box=None,
@@ -199,23 +201,32 @@ def _load_tables(tables_dir, table, problems, box=None,
     return sols
 
 
-@contextlib.contextmanager
-def _segment_lps(seg):
-    """ConfigError naming seg for a QpError of its synthesis, such as an LP
-    that HiGHS rejects on a config whose numbers are degenerate."""
+def _segment_table(prob, doc: dict, seed: int):
+    """(table, coverage) of prob as synthesize writes it: explored on the
+    block doc's theta box, rounded to its round_decimals.  TableRefused
+    for a table of no region or a coverage below 1, sampled with doc's
+    coverage_samples at seed + 1.  ConfigError naming the segment for a
+    QpError, such as an LP that HiGHS rejects on degenerate numbers."""
+    where = f"segment {prob.segment_index}"
     try:
-        yield
+        sol = rounded(explore(prob, theta_box=_theta_box(doc)),
+                      doc.get("round_decimals"))
+        if not sol.regions:
+            raise TableRefused(f"{where}: no critical region in the theta box")
+        cov = coverage_check(sol, prob, n_samples=doc.get(
+            "coverage_samples", 20000), seed=seed + 1)
     except QpError as exc:
-        raise ConfigError(f"segment {seg.index}: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
+    if cov < 1.0:
+        raise TableRefused(f"{where}: coverage {cov} is below 1: a sampled "
+                           "feasible theta lies in no region")
+    return sol, cov
 
 
 def cmd_synthesize(args) -> int:
     doc = _load(args.config, "synthesis config", _SYNTH_KINDS)
-    params, model, table, cfg, problems = _synthesis_objects(doc)
-    box = _theta_box(doc)
+    _, _, table, cfg, problems = _synthesis_objects(doc)
     seed = doc.get("seed", 0) if args.seed is None else args.seed
-    decimals = doc.get("round_decimals")
-    n_cov = doc.get("coverage_samples", 20000)
     _check_out_dir(args.out_dir)
     os.makedirs(args.out_dir, exist_ok=True)
     load_scipy()  # before the clocks: wall_s and wall_time_s exclude it
@@ -223,19 +234,13 @@ def cmd_synthesize(args) -> int:
     t0 = time.perf_counter()
     for seg, prob in zip(table.segments, problems):
         t_seg = time.perf_counter()
-        with _segment_lps(seg):
-            sol = rounded(explore(prob, theta_box=box), decimals)
-            if not sol.regions:
-                print(f"segment {seg.index}: no critical region in the "
-                      "theta box", file=sys.stderr)
-                return EXIT_VERIFY
-            cov = coverage_check(sol, prob, n_samples=n_cov, seed=seed + 1)
-        if cov < 1.0:
-            print(f"segment {seg.index}: coverage {cov} is below 1: a "
-                  "sampled feasible theta lies in no region", file=sys.stderr)
+        try:
+            sol, cov = _segment_table(prob, doc, seed)
+        except TableRefused as exc:
+            print(exc, file=sys.stderr)
             return EXIT_VERIFY
-        for fmt in ("json", "bin"):
-            export_table(sol, _table_path(args.out_dir, seg, fmt), fmt=fmt)
+        for ext in ("json", "bin"):
+            export_table(sol, _table_path(args.out_dir, seg, ext))
         report["segments"].append({
             "index": seg.index,
             "lambda1": seg.lambda1,
@@ -251,7 +256,7 @@ def cmd_synthesize(args) -> int:
     report["total_stored_reals"] = sum(s["stored_reals"]
                                        for s in report["segments"])
     _atomic_write(os.path.join(args.out_dir, "segments.json"),
-                  table.to_json().encode())
+                  table.to_json(cfg.gamma2).encode())
     _write_report(args.out_dir, "synthesis_report.json", report)
     return EXIT_OK
 
@@ -270,15 +275,12 @@ def _scenario_setup(doc: dict, args) -> RunSetup:
         raise ConfigError(f"scenario config: {exc}") from exc
     solutions = None
     if run.get("controller", RunSetup.controller) == "empc":
-        box = _theta_box(syn)
         if doc.get("tables_dir"):
-            solutions = _load_tables(doc["tables_dir"], table, problems, box)
-        else:  # as synthesize builds the tables it writes
-            solutions = []
-            for seg, p in zip(table.segments, problems):
-                with _segment_lps(seg):
-                    solutions.append(rounded(explore(p, theta_box=box),
-                                             syn.get("round_decimals")))
+            solutions = _load_tables(doc["tables_dir"], table, problems,
+                                     _theta_box(syn))
+        else:  # the tables synthesize writes, or its refusal as exit 3
+            solutions = [_segment_table(p, syn, syn.get("seed", 0))[0]
+                         for p in problems]
     try:
         return RunSetup(params=params, model=model, table=table, cfg=cfg,
                         problems=problems, solutions=solutions, **run)
@@ -366,8 +368,7 @@ def cmd_export_table(args) -> int:
     if os.path.isdir(args.out) or not os.path.isdir(out_dir):
         raise ConfigError(f"--out {args.out}: not a file in an existing "
                           "directory")
-    fmt = "bin" if args.out.endswith(".bin") else "json"
-    export_table(sol, args.out, fmt=fmt)
+    fmt = export_table(sol, args.out)
     print(f"wrote {args.out} ({fmt}, {sol.n_regions} regions)")
     return EXIT_OK
 

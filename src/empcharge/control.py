@@ -46,7 +46,7 @@ import numpy as np
 from . import model as mdl
 from .model import DiscreteModel, NdcParams, NdcState
 from .mpqp import I_MAX, I_MIN, MpcConfig, MpqpProblem, assemble_theta, build
-from .qp import load_scipy, solve_qp
+from .qp import QpSolution, load_scipy, solve_qp
 from .regions import ExplicitSolution, _atomic_write, locate
 from .segments import SegmentTable, relinearize, select_segment
 
@@ -98,16 +98,19 @@ def _predicted_vs(model: DiscreteModel, theta: np.ndarray) -> float:
     return float((model.A_aug @ theta[:3])[1])
 
 
-def _result(u_prev: float, x: NdcState, segment: int, du0: float | None,
-            region: int | None, active_set: tuple[int, ...] = (),
-            phase1_lps: int = 0) -> StepResult:
-    """The step of the move du0, saturated; du0 None (no region holds
-    theta, or no QP solution) is the fallback move du0 = 0."""
+def _result(u_prev: float, x: NdcState, segment: int, law,
+            region: int | None = None) -> StepResult:
+    """The step of the move du0, saturated.  law is du0, or an online QP's
+    solution: its first move when optimal, with its active set and LPs.
+    du0 None (no region holds theta, no QP optimum) is the fallback 0."""
+    du0, active, lps = law, (), 0
+    if isinstance(law, QpSolution):
+        active, lps = law.active_set, law.phase1_lps
+        du0 = float(law.z_star[0]) if law.status == "optimal" else None
     du = 0.0 if du0 is None else du0
     I_next = min(max(u_prev + du + x.I, I_MIN), I_MAX)
     return StepResult(I_next, float(I_next - x.I), segment, region,
-                      du0 is None, active_set=active_set,
-                      phase1_lps=phase1_lps)
+                      du0 is None, active_set=active, phase1_lps=lps)
 
 
 def empc_step(solutions: list[ExplicitSolution], table: SegmentTable,
@@ -117,7 +120,7 @@ def empc_step(solutions: list[ExplicitSolution], table: SegmentTable,
     si = select_segment(table, _predicted_vs(model, theta))
     idx = locate(solutions[si], theta)
     if idx is None:
-        return _result(u_prev, x, si, None, None)
+        return _result(u_prev, x, si, None)
     reg = solutions[si].regions[idx]
     return _result(u_prev, x, si, float(reg.K[0] @ theta + reg.g[0]), idx)
 
@@ -129,9 +132,7 @@ def online_mpc_step(problems: list[MpqpProblem], table: SegmentTable,
     active (run_closed_loop passes the last step's active set)."""
     theta = assemble_theta(x, r, u_prev)
     si = select_segment(table, _predicted_vs(model, theta))
-    sol = solve_qp(problems[si].qp(theta), guess)
-    du0 = float(sol.z_star[0]) if sol.status == "optimal" else None
-    return _result(u_prev, x, si, du0, None, sol.active_set, sol.phase1_lps)
+    return _result(u_prev, x, si, solve_qp(problems[si].qp(theta), guess))
 
 
 def nmpc_step(params: NdcParams, model: DiscreteModel, table: SegmentTable,
@@ -145,9 +146,8 @@ def nmpc_step(params: NdcParams, model: DiscreteModel, table: SegmentTable,
     vs_next = _predicted_vs(model, theta)
     si = select_segment(table, vs_next)
     seg = relinearize(params, table.segments[si], min(max(vs_next, 0.0), 1.0))
-    sol = solve_qp(build(model, seg, cfg).qp(theta), guess)
-    du0 = float(sol.z_star[0]) if sol.status == "optimal" else None
-    return _result(u_prev, x, si, du0, None, sol.active_set, sol.phase1_lps)
+    return _result(u_prev, x, si, solve_qp(build(model, seg, cfg).qp(theta),
+                                           guess))
 
 
 def ekf_step(params: NdcParams, model: DiscreteModel, ekf: EkfState,

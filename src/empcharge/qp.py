@@ -113,19 +113,21 @@ class QpSolution:
     phase1_lps: int  # the phase-1 LPs the solve made, 0 or 1
 
 
-def _feasible_start(G: np.ndarray, w: np.ndarray) -> np.ndarray | None:
-    """The origin when it meets every row, else a phase-1 LP's point; None
-    when HiGHS finds the rows infeasible.  QpError on any other failure."""
+def _feasible_start(G: np.ndarray, w: np.ndarray,
+                    ) -> tuple[np.ndarray | None, int]:
+    """(point, phase-1 LPs made): the origin and 0 when it meets every
+    row, else a phase-1 LP's point and 1, the point None when HiGHS finds
+    the rows infeasible.  QpError on any other failure."""
     n = G.shape[1]
     if np.all(w >= -FEAS_TOL):
-        return np.zeros(n)
+        return np.zeros(n), 0
     res = linprog(np.zeros(n), A_ub=G, b_ub=w, bounds=[(None, None)] * n,
                   method="highs")
     if res.status == 2:
-        return None
+        return None, 1
     if not res.success:
         raise QpError(f"phase-1 LP: {res.message}")
-    return res.x
+    return res.x, 1
 
 
 def _kkt(H: np.ndarray, A: np.ndarray, g: np.ndarray, b: np.ndarray,
@@ -205,8 +207,7 @@ def solve_qp(qp: DenseQp, guess: tuple[int, ...] = ()) -> QpSolution:
                 return _optimal(z, work, lam, lps)
             break
     else:
-        work, z = [], _feasible_start(G[~zero], w[~zero])
-        lps = int(not np.all(w[~zero] >= -FEAS_TOL))  # origin infeasible
+        work, (z, lps) = [], _feasible_start(G[~zero], w[~zero])
         if z is None:
             return QpSolution(None, (), np.zeros(0), "infeasible", lps)
 

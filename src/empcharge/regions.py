@@ -337,12 +337,12 @@ def _atomic_write(path, data: bytes) -> None:
         raise
 
 
-def export_table(sol: ExplicitSolution, path, fmt: str = "json") -> None:
-    """Persist a region table; fmt is "json" or "bin".
-
-    Round-tripping through either format reproduces the table bit-exactly
-    (floats go through repr in JSON, raw IEEE754 in binary).
-    """
+def export_table(sol: ExplicitSolution, path) -> str:
+    """Persist a region table, binary when path ends in ".bin" and JSON
+    otherwise, and return the encoding written, "bin" or "json".  Either
+    round trips bit-exactly (floats go through repr in JSON, raw IEEE754
+    in binary)."""
+    fmt = "bin" if str(path).endswith(".bin") else "json"
     if fmt == "json":
         doc = {"format": "empc-table", "version": 1,
                "segment_index": sol.segment_index, "Nu": sol.Nu,
@@ -352,7 +352,7 @@ def export_table(sol: ExplicitSolution, path, fmt: str = "json") -> None:
                             "active_set": list(r.active_set)}
                            for r in sol.regions]}
         data = json.dumps(doc, indent=1).encode()
-    elif fmt == "bin":
+    else:
         parts = [_MAGIC, _HEADER.pack(sol.segment_index, sol.Nu, THETA_DIM,
                                       len(sol.regions), sol.locate_tol),
                  sol.theta_box.astype("<f8").tobytes()]
@@ -361,9 +361,8 @@ def export_table(sol: ExplicitSolution, path, fmt: str = "json") -> None:
                       np.asarray(r.active_set, "<i4").tobytes()]
             parts += [getattr(r, k).astype("<f8").tobytes() for k in _ARRAYS]
         data = b"".join(parts)
-    else:
-        raise ValueError(f"unknown table format: {fmt}")
     _atomic_write(path, data)
+    return fmt
 
 
 def _integer(v):

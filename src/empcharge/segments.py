@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import GAMMA1, GAMMA2, NdcParams, eta, ocv, ocv_slope, r0, soc
+from .model import GAMMA1, NdcParams, eta, ocv, ocv_slope, r0, soc
 
 __all__ = [
     "LinearSegment",
@@ -58,18 +58,17 @@ class LinearSegment:
 class SegmentTable:
     segments: tuple[LinearSegment, ...]
     gamma1: float
-    gamma2: float
 
     @property
     def coverage(self) -> tuple[float, float]:
         return (self.segments[0].vs_lo, self.segments[-1].vs_hi)
 
-    def to_json(self) -> str:
-        """The table's segments.json text: gamma1, gamma2 and each
-        segment's linearization."""
+    def to_json(self, gamma2: float) -> str:
+        """The table's segments.json text: gamma1, the gamma2 of its
+        MpcConfig (the one owner of gamma2) and each linearization."""
         rows = [{f.name: getattr(s, f.name) for f in fields(s)
                  if f.name not in ("C_mat", "D_vec")} for s in self.segments]
-        return json.dumps({"gamma1": self.gamma1, "gamma2": self.gamma2,
+        return json.dumps({"gamma1": self.gamma1, "gamma2": gamma2,
                            "segments": rows}, indent=2)
 
 
@@ -111,8 +110,8 @@ def relinearize(params: NdcParams, segment: LinearSegment,
                          lambda1, lambda2, r0c, C, D)
 
 
-def build_table(params: NdcParams, breakpoints, gamma1: float,
-                gamma2: float) -> SegmentTable:
+def build_table(params: NdcParams, breakpoints,
+                gamma1: float) -> SegmentTable:
     """Build a segment table from ordered, contiguous (lo, hi, op) triples."""
     if not breakpoints:
         raise ValueError("need at least one segment")
@@ -127,17 +126,16 @@ def build_table(params: NdcParams, breakpoints, gamma1: float,
             raise ValueError(f"segment {i + 1}: gap or overlap at {lo}")
         prev_hi = hi
         segs.append(_segment(params, i + 1, lo, hi, op, gamma1))
-    return SegmentTable(segments=tuple(segs), gamma1=gamma1, gamma2=gamma2)
+    return SegmentTable(segments=tuple(segs), gamma1=gamma1)
 
 
 def default_breakpoints():
     return DEFAULT_BREAKPOINTS
 
 
-def default_table(params: NdcParams | None = None, gamma1: float = GAMMA1,
-                  gamma2: float = GAMMA2) -> SegmentTable:
-    return build_table(params or NdcParams(), DEFAULT_BREAKPOINTS,
-                       gamma1, gamma2)
+def default_table(params: NdcParams | None = None,
+                  gamma1: float = GAMMA1) -> SegmentTable:
+    return build_table(params or NdcParams(), DEFAULT_BREAKPOINTS, gamma1)
 
 
 def select_segment(table: SegmentTable, Vs: float) -> int:

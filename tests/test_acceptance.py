@@ -128,7 +128,7 @@ def test_criterion_05_empc_vs_nmpc(params, dmodel, table, cfg, problems,
 def test_criterion_06_gamma_sweep(params, dmodel):
     steps = []
     for g1 in (0.0, -0.04, -0.08):
-        table = build_table(params, default_breakpoints(), g1, 0.08)
+        table = build_table(params, default_breakpoints(), g1)
         cfg = MpcConfig()
         problems = [build(dmodel, s, cfg) for s in table.segments]
         trace = run_closed_loop(_setup(params, dmodel, table, cfg,

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -239,11 +240,9 @@ def test_verify_makes_no_phase1_lp(monkeypatch, default_tables, capsys):
     assert len(lps) == 0
 
 
-def test_synthesize_refuses_a_coverage_below_1(tmp_path, synth_config,
-                                               monkeypatch, capsys):
-    """A table that leaves sampled feasible theta without a region, here
-    segment 1's with its first region dropped, exits 4 naming the segment
-    and its coverage, before any table or the report is written."""
+def _drop_segment_1_first_region(monkeypatch):
+    """Route cli.explore so that segment 1's table loses its first region,
+    which leaves sampled feasible theta without a region."""
     def explore(prob, **kw):
         sol = real(prob, **kw)
         return (replace(sol, regions=sol.regions[1:])
@@ -251,6 +250,14 @@ def test_synthesize_refuses_a_coverage_below_1(tmp_path, synth_config,
 
     real = cli.explore
     monkeypatch.setattr(cli, "explore", explore)
+
+
+def test_synthesize_refuses_a_coverage_below_1(tmp_path, synth_config,
+                                               monkeypatch, capsys):
+    """A table that leaves sampled feasible theta without a region, here
+    segment 1's with its first region dropped, exits 4 naming the segment
+    and its coverage, before any table or the report is written."""
+    _drop_segment_1_first_region(monkeypatch)
     out = tmp_path / "out"
     assert main(["synthesize", "--config", synth_config,
                  "--out-dir", str(out)]) == 4
@@ -657,14 +664,14 @@ def _basic_case(**synthesis):
 
 
 # eMPC scenarios whose law has no region in segment 1, the EDGE_CONFIGS
-# that synthesize refuses with exit 4
+# that synthesize refuses with exit 4, and run with its message as exit 3
 EMPTY_LAW_SCENARIOS = {
     "gamma2_-1": _basic_case(gamma2=-1),
     "alpha0_1e6": _basic_case(params={"alpha0": 1e6}),
     "u_prev_2e-9_wide": _basic_case(theta_box=[
         [0, 1], [0, 1], [0, 3], [0.2, 1], [0, 2e-9]]),
 }
-NO_REGION = "scenario config: segment 1: its region table has no region"
+NO_REGION = "segment 1: no critical region in the theta box"
 
 
 # basic_case theta boxes that leave out its first theta (r 0.9, or Vb and
@@ -934,6 +941,25 @@ def test_edge_config_ends_without_traceback(tmp_path, capsys, case):
         assert "segment 1: no critical region in the theta box" in err
         assert not (out / "synthesis_report.json").exists()
         assert not list(out.glob("table_seg*"))
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_in_process_table_below_full_coverage_exits_3(tmp_path, capsys,
+                                                      monkeypatch, command):
+    """The tables run and bench synthesize in process pass synthesize's
+    coverage check, with synthesize's message, before any charge or
+    write."""
+    _drop_segment_1_first_region(monkeypatch)
+    scenario = _write(tmp_path / "s.json", _basic_case())
+    cfg = scenario if command == "run" else _write(tmp_path / "b.json", {
+        "version": 1, "repeats": 1, "scenarios": [scenario]})
+    before = sorted(tmp_path.iterdir())
+    assert main([command, "--config", cfg,
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    assert re.fullmatch(r"config error: segment 1: coverage 0\.\d+ is below "
+                        r"1: a sampled feasible theta lies in no region\n",
+                        capsys.readouterr().err)
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("case", list(EMPTY_LAW_SCENARIOS))

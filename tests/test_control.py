@@ -439,9 +439,7 @@ def _guarded_empc(solutions, table, model, u_prev, x, r):
 
 def _guarded_qp(problems, table, model, u_prev, x, r, guess=()):
     def move(si, theta):
-        sol = qp.solve_qp(problems[si].qp(theta), guess)
-        return (float(sol.z_star[0]) if sol.status == "optimal" else None,
-                None, sol.active_set)
+        return (qp.solve_qp(problems[si].qp(theta), guess),)
 
     return _guard(move, table, model, u_prev, x, r)
 

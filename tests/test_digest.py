@@ -35,7 +35,9 @@ def test_digest_is_repeatable():
                  "basic_case/synthesize/segments.json",
                  "basic_case/run/basic_case_trace.csv",
                  "basic_case/run/basic_case_summary.json",
-                 "noisy/ekf_case/seed00", "noisy/ekf_case/seed19"):
+                 "noisy/ekf_case/seed00", "noisy/ekf_case/seed19",
+                 "noisy/ekf_case-state/seed00",
+                 "noisy/ekf_case-state/seed19"):
         assert name in names
 
 

@@ -4,8 +4,10 @@
 cleanup in ``src/`` cannot silently break the benchmark run."""
 
 import argparse
+import contextlib
 import dataclasses
 import inspect
+import io
 import json
 import pathlib
 from collections import Counter
@@ -94,6 +96,38 @@ def test_controller_steps_call_hooked_names(monkeypatch, params, dmodel,
         calls.clear()
         step()
         assert calls == dict.fromkeys(names, 1)
+
+
+def test_synthesis_calls_hooked_names(monkeypatch, tmp_path):
+    """Synthesis reaches the explorer, the coverage check and the export
+    through the names ``layers.py`` wraps in ``cli``: ``synthesize`` on one
+    segment explores and checks it once and writes it twice, and the eMPC
+    tables a scenario synthesizes in process are explored and checked
+    once per segment.  A helper that reached them by other names would
+    drop them from the traced ``synth_*`` spans."""
+    calls = Counter()
+    for attr in ("explore", "coverage_check", "export_table"):
+        def counting(*args, _real=getattr(cli, attr), _attr=attr, **kw):
+            calls[_attr] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(cli, attr, counting)
+
+    configs = PERFBENCH.parent / "configs"
+    syn = json.loads((configs / "synthesis_default.json").read_text())
+    config = tmp_path / "one.json"
+    config.write_text(json.dumps(dict(
+        syn, breakpoints=[list(segments.default_breakpoints()[0])])))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["synthesize", "--config", str(config),
+                         "--out-dir", str(tmp_path / "out")]) == 0
+    assert calls == {"explore": 1, "coverage_check": 1, "export_table": 2}
+
+    calls.clear()
+    doc = json.loads((configs / "basic_case.json").read_text())
+    cli._scenario_setup(doc, argparse.Namespace(
+        controller="empc", feedback=None, seed=None))
+    n = len(segments.default_breakpoints())  # basic_case sets none
+    assert calls == {"explore": n, "coverage_check": n}
 
 
 def test_workload_names_keep_their_shape(tmp_path, solutions):

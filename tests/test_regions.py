@@ -345,7 +345,7 @@ def test_explore_matches_per_candidate_reference(config, n_segments):
 def test_export_import_json_bit_exact(tmp_path, solutions):
     sol = solutions[0]
     path = tmp_path / "t.json"
-    export_table(sol, path, fmt="json")
+    export_table(sol, path)
     back = import_table(path)
     assert back.n_regions == sol.n_regions
     assert back.locate_tol == sol.locate_tol
@@ -361,7 +361,7 @@ def test_export_import_json_bit_exact(tmp_path, solutions):
 def test_export_import_binary_bit_exact(tmp_path, solutions):
     sol = solutions[1]
     path = tmp_path / "t.bin"
-    export_table(sol, path, fmt="bin")
+    export_table(sol, path)
     back = import_table(path)
     assert back.segment_index == sol.segment_index
     assert back.Nu == sol.Nu
@@ -376,17 +376,23 @@ def test_export_import_binary_bit_exact(tmp_path, solutions):
 def test_export_import_empty(tmp_path):
     empty = ExplicitSolution(regions=[], segment_index=3,
                              theta_box=DEFAULT_THETA_BOX.copy(), Nu=2)
-    for fmt, name in (("json", "e.json"), ("bin", "e.bin")):
+    for name in ("e.json", "e.bin"):
         path = tmp_path / name
-        export_table(empty, path, fmt=fmt)
+        export_table(empty, path)
         back = import_table(path)
         assert back.n_regions == 0
         assert back.segment_index == 3
 
 
-def test_export_rejects_unknown_format(tmp_path, solutions):
-    with pytest.raises(ValueError):
-        export_table(solutions[0], tmp_path / "t.x", fmt="xml")
+def test_export_encoding_follows_the_path(tmp_path, solutions):
+    """A path ending in .bin is written binary and any other JSON, and
+    export_table returns the encoding it wrote."""
+    for name, fmt in (("t.bin", "bin"), ("t.json", "json"), ("t", "json"),
+                      ("t.bin.json", "json")):
+        path = tmp_path / name
+        assert export_table(solutions[0], path) == fmt
+        assert path.read_bytes().startswith(b"EMPCTB01") == (fmt == "bin")
+        assert import_table(path).n_regions == solutions[0].n_regions
 
 
 def test_rounded_tolerance(solutions):

@@ -72,7 +72,6 @@ def test_default_table_matches_golden(table):
         assert seg.r0_const == pytest.approx(r0c, abs=1e-3)
     assert table.coverage == (0.20, 0.90)
     assert table.gamma1 == -0.04
-    assert table.gamma2 == 0.08
 
 
 def test_ocv_approx_error_small(params, table):
@@ -124,20 +123,20 @@ def test_select_segment_boundaries(table):
 
 def test_build_table_validation(params):
     with pytest.raises(ValueError):
-        build_table(params, [], -0.04, 0.08)
+        build_table(params, [], -0.04)
     with pytest.raises(ValueError):
-        build_table(params, [(0.5, 0.4, 0.45)], -0.04, 0.08)
+        build_table(params, [(0.5, 0.4, 0.45)], -0.04)
     with pytest.raises(ValueError):
-        build_table(params, [(0.2, 0.5, 0.6)], -0.04, 0.08)
+        build_table(params, [(0.2, 0.5, 0.6)], -0.04)
     with pytest.raises(ValueError):  # gap between segments
-        build_table(params, [(0.2, 0.5, 0.4), (0.55, 0.7, 0.6)],
-                    -0.04, 0.08)
+        build_table(params, [(0.2, 0.5, 0.4), (0.55, 0.7, 0.6)], -0.04)
 
 
-def test_table_json_round_trip(table):
-    doc = json.loads(table.to_json())
+def test_table_json_round_trip(table, cfg):
+    """segments.json takes gamma2 from the MpcConfig, its one owner."""
+    doc = json.loads(table.to_json(cfg.gamma2))
     assert doc["gamma1"] == table.gamma1
-    assert doc["gamma2"] == table.gamma2
+    assert doc["gamma2"] == cfg.gamma2 == 0.08
     assert len(doc["segments"]) == 9
     for row, seg in zip(doc["segments"], table.segments):
         assert row["index"] == seg.index

@@ -48,7 +48,7 @@ def _bits(x) -> bytes:
 @given(sol=tables(), fmt=st.sampled_from(["json", "bin"]))
 def test_round_trip_is_bit_exact(work, sol, fmt):
     path = work / f"t.{fmt}"
-    export_table(sol, path, fmt=fmt)
+    export_table(sol, path)
     back = import_table(path)
     assert (back.segment_index, back.Nu) == (sol.segment_index, sol.Nu)
     assert _bits(back.locate_tol) == _bits(sol.locate_tol)
@@ -61,7 +61,7 @@ def test_round_trip_is_bit_exact(work, sol, fmt):
             assert getattr(b, k).flags.writeable
         assert b.active_set == a.active_set
     again = work / f"again.{fmt}"
-    export_table(back, again, fmt=fmt)
+    export_table(back, again)
     assert again.read_bytes() == path.read_bytes()
 
 
@@ -70,7 +70,7 @@ def test_round_trip_is_bit_exact(work, sol, fmt):
        suffix=st.binary(min_size=1, max_size=64))
 def test_binary_table_must_fill_the_file_exactly(work, sol, suffix):
     path = work / "t.bin"
-    export_table(sol, path, fmt="bin")
+    export_table(sol, path)
     raw = path.read_bytes()
     bad = work / "bad.bin"
     for data in [raw[:k] for k in range(len(raw))] + [raw + suffix]:
@@ -114,7 +114,7 @@ def _non_integer(doc, data):
                                _non_integer]))
 def test_damaged_json_table_is_a_value_error(work, sol, data, damage):
     path = work / "t.json"
-    export_table(sol, path, fmt="json")
+    export_table(sol, path)
     doc = json.loads(path.read_text())
     if damage is _resize_k and not doc["regions"]:
         damage = _set_theta_dim
@@ -153,7 +153,7 @@ BAD_TABLES = {
 @pytest.mark.parametrize("name", list(BAD_TABLES))
 def test_non_finite_or_negative_table_is_a_value_error(work, name, fmt):
     path = work / f"t.{fmt}"
-    export_table(BAD_TABLES[name], path, fmt=fmt)
+    export_table(BAD_TABLES[name], path)
     with pytest.raises(ValueError, match=f"t.{fmt}"):
         import_table(path)
 

@@ -46,6 +46,11 @@ The artifacts:
   ``solver_time_ns`` column (``noisy``).  A noisy charge can turn on one
   ulp, so these show a change to the closed loop that the one seeded
   ``ekf_case`` run misses.
+- ``noisy/ekf_case-state/seedNN``: the same charges under state
+  feedback, the controller seeing the noisy plant state itself.  Read
+  next to the EKF charges, they tell a fault of the formulation, which
+  shows in both, from one of the estimator, which shows in the EKF
+  charges alone.
 
 Usage: ``python3 tools/digest.py [--root TREE] [--diff OTHER] [NAME ...]``.
 TREE is the checkout whose ``src/`` and ``configs/`` are used (default: the
@@ -77,6 +82,8 @@ PROBE_RANDOM = 600      # random dense QPs
 PROBE_THETAS = 60       # theta per segment
 NOISY = "ekf_case"      # the scenario of the noisy charges
 NOISY_SEEDS = range(20)
+# artifact name prefix -> the feedback of those noisy charges
+NOISY_FEEDBACKS = {f"noisy/{NOISY}": "ekf", f"noisy/{NOISY}-state": "state"}
 
 
 def _sha(data: bytes) -> str:
@@ -177,9 +184,10 @@ def probe(root: str) -> None:
 
 
 def noisy(root: str) -> None:
-    """Print, as JSON, [sha256 of the trace, max V, completed, fallback
-    count] per seed of NOISY_SEEDS for NOISY's charge at that seed, run by
-    the empcharge that sys.path finds.  The trace is its CSV less the
+    """Print, as JSON, [name, sha256 of the trace, max V, completed,
+    fallback count] per noisy charge: NOISY's charge at each seed of
+    NOISY_SEEDS under each feedback of NOISY_FEEDBACKS, run by the
+    empcharge that sys.path finds.  The trace is its CSV less the
     solver_time_ns column."""
     import argparse
     import dataclasses
@@ -194,12 +202,15 @@ def noisy(root: str) -> None:
     out = []
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "trace.csv"
-        for seed in NOISY_SEEDS:
-            trace = run_closed_loop(dataclasses.replace(setup, seed=seed))
-            trace.to_csv(path)
-            out.append([_sha(_timeless(path)[0].encode()),
-                        max(r.V for r in trace.rows), trace.completed,
-                        trace.fallback_count])
+        for prefix, feedback in NOISY_FEEDBACKS.items():
+            for seed in NOISY_SEEDS:
+                trace = run_closed_loop(dataclasses.replace(
+                    setup, feedback=feedback, seed=seed))
+                trace.to_csv(path)
+                out.append([f"{prefix}/seed{seed:02d}",
+                            _sha(_timeless(path)[0].encode()),
+                            max(r.V for r in trace.rows), trace.completed,
+                            trace.fallback_count])
     print(json.dumps(out))
 
 
@@ -241,9 +252,8 @@ def digests(root: pathlib.Path, names=()) -> dict[str, tuple]:
         text = _child(root, "probe")
         out[PROBE] = _sha(text.encode()), json.loads(text)
     if not names or "noisy" in names:
-        for seed, (sha, *facts) in zip(NOISY_SEEDS,
-                                       json.loads(_child(root, "noisy"))):
-            out[f"noisy/{NOISY}/seed{seed:02d}"] = sha, facts
+        for name, sha, *facts in json.loads(_child(root, "noisy")):
+            out[name] = sha, facts
     return out
 
 
