@@ -171,46 +171,43 @@ def _theta_box(doc: dict) -> np.ndarray:
     return box
 
 
-def _table_path(tables_dir, seg, ext: str = "json") -> str:
-    return os.path.join(tables_dir, f"table_seg{seg.index}.{ext}")
+def _table_path(tables_dir, index: int, ext: str = "json") -> str:
+    return os.path.join(tables_dir, f"table_seg{index}.{ext}")
 
 
-def _load_tables(tables_dir, table, problems, box=None,
-                 ) -> list[ExplicitSolution]:
-    """Each segment's JSON table; ConfigError for one that is missing,
-    malformed, built for another segment or Nu, or with an active-set row
-    past the segment problem's constraint rows, or, when box is given,
+def _stored_table(tables_dir, prob, box=None) -> ExplicitSolution:
+    """prob's segment's JSON table in tables_dir; ConfigError for one that
+    is missing, malformed, built for another segment or Nu, or with an
+    active-set row past prob's constraint rows, or, when box is given,
     explored on another theta box."""
-    sols = []
-    for seg, prob in zip(table.segments, problems):
-        path = _table_path(tables_dir, seg)
-        sol = _load(path, "region table")
-        m, Nu = prob.G.shape
-        if (sol.segment_index, sol.Nu) != (seg.index, Nu):
-            raise ConfigError(f"{path}: segment {sol.segment_index}, Nu="
-                              f"{sol.Nu}; expected segment {seg.index}, Nu="
-                              f"{Nu}")
-        if box is not None and not np.array_equal(sol.theta_box, box):
-            raise ConfigError(f"{path}: theta box {sol.theta_box.tolist()}; "
-                              f"the config's is {box.tolist()}")
-        rows = [i for r in sol.regions for i in r.active_set if i >= m]
-        if rows:
-            raise ConfigError(f"{path}: active-set row {rows[0]}; the "
-                              f"config has {m} constraint rows")
-        sols.append(sol)
-    return sols
+    path = _table_path(tables_dir, prob.segment_index)
+    sol = _load(path, "region table")
+    m, Nu = prob.G.shape
+    if (sol.segment_index, sol.Nu) != (prob.segment_index, Nu):
+        raise ConfigError(f"{path}: segment {sol.segment_index}, Nu="
+                          f"{sol.Nu}; expected segment {prob.segment_index}, "
+                          f"Nu={Nu}")
+    if box is not None and not np.array_equal(sol.theta_box, box):
+        raise ConfigError(f"{path}: theta box {sol.theta_box.tolist()}; "
+                          f"the config's is {box.tolist()}")
+    rows = [i for r in sol.regions for i in r.active_set if i >= m]
+    if rows:
+        raise ConfigError(f"{path}: active-set row {rows[0]}; the config "
+                          f"has {m} constraint rows")
+    return sol
 
 
-def _segment_table(prob, doc: dict, seed: int):
-    """(table, coverage) of prob as synthesize writes it: explored on the
-    block doc's theta box, rounded to its round_decimals.  TableRefused
-    for a table of no region or a coverage below 1, sampled with doc's
-    coverage_samples at seed + 1.  ConfigError naming the segment for a
-    QpError, such as an LP that HiGHS rejects on degenerate numbers."""
-    where = f"segment {prob.segment_index}"
+def _segment_table(prob, doc: dict, seed: int, tables_dir=None):
+    """(table, coverage) of prob: read from tables_dir when it is set, else
+    explored and rounded as synthesize writes it; either on the block
+    doc's theta box.  TableRefused for a table of no region or a coverage
+    below 1, sampled with doc's coverage_samples at seed + 1.  ConfigError
+    naming the segment for a QpError, such as an LP HiGHS rejects."""
+    where, box = f"segment {prob.segment_index}", _theta_box(doc)
     try:
-        sol = rounded(explore(prob, theta_box=_theta_box(doc)),
-                      doc.get("round_decimals"))
+        sol = (_stored_table(tables_dir, prob, box) if tables_dir else
+               rounded(explore(prob, theta_box=box),
+                       doc.get("round_decimals")))
         if not sol.regions:
             raise TableRefused(f"{where}: no critical region in the theta box")
         cov = coverage_check(sol, prob, n_samples=doc.get(
@@ -240,7 +237,7 @@ def cmd_synthesize(args) -> int:
             print(exc, file=sys.stderr)
             return EXIT_VERIFY
         for ext in ("json", "bin"):
-            export_table(sol, _table_path(args.out_dir, seg, ext))
+            export_table(sol, _table_path(args.out_dir, seg.index, ext))
         report["segments"].append({
             "index": seg.index,
             "lambda1": seg.lambda1,
@@ -275,12 +272,10 @@ def _scenario_setup(doc: dict, args) -> RunSetup:
         raise ConfigError(f"scenario config: {exc}") from exc
     solutions = None
     if run.get("controller", RunSetup.controller) == "empc":
-        if doc.get("tables_dir"):
-            solutions = _load_tables(doc["tables_dir"], table, problems,
-                                     _theta_box(syn))
-        else:  # the tables synthesize writes, or its refusal as exit 3
-            solutions = [_segment_table(p, syn, syn.get("seed", 0))[0]
-                         for p in problems]
+        # stored or not, a table synthesize would refuse is exit 3 here
+        solutions = [_segment_table(p, syn, syn.get("seed", 0),
+                                    doc.get("tables_dir"))[0]
+                     for p in problems]
     try:
         return RunSetup(params=params, model=model, table=table, cfg=cfg,
                         problems=problems, solutions=solutions, **run)
@@ -381,8 +376,8 @@ def cmd_verify(args) -> int:
     box = _theta_box(doc)
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     worst, checked = 0.0, 0
-    for seg, prob, sol in zip(table.segments, problems,
-                              _load_tables(args.tables, table, problems)):
+    for seg, prob, sol in zip(table.segments, problems, [
+            _stored_table(args.tables, p) for p in problems]):
         n_done = draws = 0
         seg_worst = 0.0
         while n_done < args.samples:

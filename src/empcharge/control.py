@@ -256,10 +256,9 @@ class RunSetup:
                                  f"segments {segments}")
         if self.controller == "empc":
             empty = [x.segment_index for x in self.solutions if not x.regions]
-            if empty:
-                raise ValueError(f"segment {empty[0]}: its region table has "
-                                 "no region, so the law is defined nowhere "
-                                 "there")
+            if empty:  # the law would be defined nowhere there
+                raise ValueError(f"segment {empty[0]}: no critical region in "
+                                 "the theta box")
             # the law is defined in its theta box only, which must hold the
             # charge's first theta and every current the law may command
             theta0 = assemble_theta(NdcState(

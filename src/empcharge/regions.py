@@ -224,11 +224,12 @@ def locate(solution: ExplicitSolution, theta: np.ndarray) -> int | None:
 
     After the one stacked product the reduction runs on a Python list of
     one value per region, where numpy's dispatch would cost more than the
-    comparisons.  A theta with a NaN or infinite entry makes every value
-    NaN or +inf (a bounded region has, for each entry, a row that grows
-    without bound as the entry goes to +inf or to -inf, and 0 * inf is
-    NaN), so it is not located whatever the order of the list.
+    comparisons.  A theta with a NaN or infinite entry lies in no bounded
+    region and is not located; it is turned away before the product,
+    whose 0 * inf would make numpy warn.
     """
+    if not all(map(math.isfinite, theta.tolist())):
+        return None
     worst = (solution._E @ theta - solution._e).max(axis=1).tolist()
     best = min(worst, default=math.inf)
     if not best <= solution.locate_tol:
@@ -372,12 +373,26 @@ def _integer(v):
     return v
 
 
+def _number(v, where: str):
+    """v when JSON spelled it, or each entry of its nested lists, as a
+    number: an integer or a float, not a bool or a string."""
+    stack = [v]
+    while stack:
+        x = stack.pop()
+        if type(x) is list:
+            stack += x
+        elif type(x) not in (int, float):
+            raise ValueError(f"{where}: {x!r} is not a number")
+    return v
+
+
 def import_table(path) -> ExplicitSolution:
     """The region table at path, in either encoding: OSError when the file
     cannot be read, ValueError naming the path for any other fault, a
     non-finite number, a negative count or locate_tol, a count, index or
-    active-set row that JSON does not spell as an integer, and an active
-    set with a repeated or negative row or more than Nu rows included."""
+    active-set row that JSON does not spell as an integer, a float field
+    it spells as a bool or a string, and an active set with a repeated or
+    negative row or more than Nu rows included."""
     with open(path, "rb") as f:
         raw = f.read()
     pos = len(_MAGIC)
@@ -409,10 +424,11 @@ def import_table(path) -> ExplicitSolution:
                 raise ValueError("not a version-1 region table")
             seg, Nu, tdim = (_integer(doc[k]) for k in (
                 "segment_index", "Nu", "theta_dim"))
-            tol, box = doc["locate_tol"], doc["theta_box"]
-            records = [([r[k] for k in _ARRAYS],
+            tol, box = (_number(doc[k], k) for k in ("locate_tol",
+                                                      "theta_box"))
+            records = [([_number(r[k], f"regions[{n}].{k}") for k in _ARRAYS],
                         [_integer(i) for i in r["active_set"]])
-                       for r in doc["regions"]]
+                       for n, r in enumerate(doc["regions"])]
             n_regions = len(records)
         if tdim != THETA_DIM:
             raise ValueError(f"theta_dim {tdim}, expected {THETA_DIM}")

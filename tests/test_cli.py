@@ -975,9 +975,11 @@ def test_run_refuses_an_empty_law(tmp_path, capsys, case):
 
 def test_run_refuses_a_stored_table_with_no_region(tmp_path, tables_dir,
                                                    capsys):
+    """A stored table is refused as synthesize refuses one, with its
+    line."""
     stored = tmp_path / "tables"
     shutil.copytree(tables_dir, stored)
-    path = str(stored / "table_seg2.json")
+    path = str(stored / "table_seg1.json")
     export_table(replace(import_table(path), regions=()), path)
     scenario = _write(tmp_path / "s.json", {
         "version": 1, "name": "empty", "controller": "empc",
@@ -986,8 +988,30 @@ def test_run_refuses_a_stored_table_with_no_region(tmp_path, tables_dir,
     })
     assert main(["run", "--config", scenario,
                  "--out-dir", str(tmp_path / "out")]) == 3
-    assert ("segment 2: its region table has no region"
-            in capsys.readouterr().err)
+    assert f"config error: {NO_REGION}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_stored_table_below_full_coverage_exits_3(tmp_path, synth_config,
+                                                  tables_dir, capsys,
+                                                  command):
+    """A stored table with a region deleted leaves sampled feasible theta
+    without a region: run and bench refuse it with synthesize's line,
+    before any charge or write."""
+    tables = _edited_tables(tmp_path, tables_dir,
+                            lambda doc: doc["regions"].pop(0))
+    scenario = _write(tmp_path / "s.json", {
+        "version": 1, "name": "hole", "controller": "empc",
+        "synthesis": json.loads(Path(synth_config).read_text()),
+        "tables_dir": str(tables)})
+    cfg = scenario if command == "run" else _write(tmp_path / "b.json", {
+        "version": 1, "repeats": 1, "scenarios": [scenario]})
+    assert main([command, "--config", cfg,
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    assert re.fullmatch(r"config error: segment 1: coverage 0\.\d+ is below "
+                        r"1: a sampled feasible theta lies in no region\n",
+                        capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 

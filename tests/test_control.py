@@ -344,8 +344,8 @@ def test_run_setup_validation(params, dmodel, table, cfg, problems,
     # a law with no region in a segment would charge on fallbacks alone
     empty = list(solutions)
     empty[2] = replace(empty[2], regions=())
-    with pytest.raises(ValueError, match="segment 3: its region table has no "
-                                         "region"):
+    with pytest.raises(ValueError, match="segment 3: no critical region in "
+                                         "the theta box"):
         _setup(params, dmodel, table, cfg, problems, empty)
     # so would a theta box without the first theta, [0.2, 0.2, 0, 0.9, 0],
     # or without a current the law may command

@@ -127,3 +127,23 @@ def test_diff_reports_noisy_charge_facts():
     assert digest.diff_lines(mine, theirs) == [
         f"{name} differs", "  max V 4.5 -> 4.25", "  completed True -> True",
         "  fallbacks 41 -> 40"]
+
+
+def test_diff_reports_synthesis_stats_per_segment():
+    digest = _module()
+    name = "s/synthesize/synthesis_report.json"
+
+    def seg(index, n_regions, coverage=1.0, **other):
+        return {"index": index, "n_regions": n_regions, "candidates": 22,
+                "pruned_rank": 3, "empty_interior": 19 - n_regions,
+                "chebyshev_lps": 19, "coverage": coverage,
+                "stored_reals": 40 * n_regions, **other}
+
+    mine = {name: ("x", [seg(1, 7), seg(2, 5, lambda1=0.5),
+                         seg(3, 6, pruned_rank=4)])}
+    theirs = {name: ("y", [seg(1, 7), seg(2, 6, coverage=0.99),
+                           seg(3, 6)])}
+    assert digest.diff_lines(mine, theirs) == [
+        f"{name} differs", "  segment 2 n_regions 6 -> 5",
+        "  segment 2 empty_interior 13 -> 14",
+        "  segment 2 coverage 0.99 -> 1.0", "  segment 3 pruned_rank 3 -> 4"]

@@ -103,8 +103,10 @@ def test_synthesis_calls_hooked_names(monkeypatch, tmp_path):
     through the names ``layers.py`` wraps in ``cli``: ``synthesize`` on one
     segment explores and checks it once and writes it twice, and the eMPC
     tables a scenario synthesizes in process are explored and checked
-    once per segment.  A helper that reached them by other names would
-    drop them from the traced ``synth_*`` spans."""
+    once per segment.  Tables a scenario reads from ``tables_dir`` are
+    checked once per segment and explored never.  A helper that reached
+    them by other names would drop them from the traced ``synth_*``
+    spans."""
     calls = Counter()
     for attr in ("explore", "coverage_check", "export_table"):
         def counting(*args, _real=getattr(cli, attr), _attr=attr, **kw):
@@ -128,6 +130,16 @@ def test_synthesis_calls_hooked_names(monkeypatch, tmp_path):
         controller="empc", feedback=None, seed=None))
     n = len(segments.default_breakpoints())  # basic_case sets none
     assert calls == {"explore": n, "coverage_check": n}
+
+    stored = tmp_path / "stored"
+    config.write_text(json.dumps(doc["synthesis"]))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["synthesize", "--config", str(config),
+                         "--out-dir", str(stored)]) == 0
+    calls.clear()
+    cli._scenario_setup(dict(doc, tables_dir=str(stored)), argparse.Namespace(
+        controller="empc", feedback=None, seed=None))
+    assert calls == {"coverage_check": n}
 
 
 def test_workload_names_keep_their_shape(tmp_path, solutions):

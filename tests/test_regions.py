@@ -479,16 +479,15 @@ def test_locate_misses_nan_theta_and_empty_table(solutions):
     sol = solutions[0]
     assert locate(sol, np.full(THETA_DIM, np.nan)) is None
     # one non-finite entry, in each place and on every table: a min over
-    # the regions' values that skipped a NaN would return a region here.
-    # numpy warns of the 0 * inf in the product; the answer is the check
+    # the regions' values that skipped a NaN would return a region here,
+    # and numpy would warn of a 0 * inf in the product
     for table in solutions:
         for i in range(THETA_DIM):
             for bad in (np.nan, np.inf, -np.inf):
                 theta = table.theta_box.mean(axis=1)
                 theta[i] = bad
-                with np.errstate(invalid="ignore"):
-                    assert locate(table, theta) is None, (
-                        table.segment_index, i, bad)
+                assert locate(table, theta) is None, (
+                    table.segment_index, i, bad)
     empty = ExplicitSolution([], sol.segment_index, sol.theta_box, sol.Nu)
     assert locate(empty, sol.theta_box.mean(axis=1)) is None
 

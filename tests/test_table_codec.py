@@ -108,10 +108,23 @@ def _non_integer(doc, data):
         [float(where[key]), where[key] + 0.5, True, False]))
 
 
+def _non_number(doc, data):
+    """locate_tol, an entry of the theta box or an entry of a region's E,
+    e, K or g spelled as a bool or a string."""
+    spots = [(doc, "locate_tol")] + [(row, i) for row in doc["theta_box"]
+                                     for i in range(2)]
+    for r in doc["regions"]:
+        spots += [(r[k], i) for k in "eg" for i in range(len(r[k]))]
+        spots += [(row, i) for k in "EK" for row in r[k] for i in range(5)]
+    where, key = data.draw(st.sampled_from(spots))
+    where[key] = data.draw(st.sampled_from(
+        [True, False, repr(where[key]), "1e-9"]))
+
+
 @SETTINGS
 @given(sol=tables(max_regions=2, max_rows=4), data=st.data(),
        damage=st.sampled_from([_drop_key, _set_theta_dim, _resize_k,
-                               _non_integer]))
+                               _non_integer, _non_number]))
 def test_damaged_json_table_is_a_value_error(work, sol, data, damage):
     path = work / "t.json"
     export_table(sol, path)

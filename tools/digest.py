@@ -17,7 +17,9 @@ name; for a run trace also both step counts and the largest absolute
 difference per column over the steps the traces share; and for a JSON
 region table also both region counts, whether the active sets are equal
 in order, and the largest absolute difference in each of E, e, K and g
-over the regions the tables share; and for the QP probe both solve
+over the regions the tables share; for a synthesis report, per segment
+both reports have, each of explore's counts and the coverage
+(REPORT_KEYS) that differs; and for the QP probe both solve
 counts, how many statuses and how many active sets differ, and the
 largest absolute difference in z, over the solves both probes have; and
 for a noisy charge its max V, whether it completed and its fallback
@@ -84,6 +86,9 @@ NOISY = "ekf_case"      # the scenario of the noisy charges
 NOISY_SEEDS = range(20)
 # artifact name prefix -> the feedback of those noisy charges
 NOISY_FEEDBACKS = {f"noisy/{NOISY}": "ekf", f"noisy/{NOISY}-state": "state"}
+# the per-segment synthesis report values --diff compares
+REPORT_KEYS = ("n_regions", "candidates", "pruned_rank", "empty_interior",
+               "chebyshev_lps", "coverage")
 
 
 def _sha(data: bytes) -> str:
@@ -105,16 +110,17 @@ def _synthesis_lines(root, name: str, block: dict, tmp: pathlib.Path):
     _empcharge(root, ["synthesize", "--config", str(cfg),
                       "--out-dir", str(out)], (0,))
     for path in sorted(out.iterdir()):
-        data = path.read_bytes()
+        data, content = path.read_bytes(), None
         if path.name == "synthesis_report.json":
             report = json.loads(data)
             report.pop("wall_time_s")
             for seg in report["segments"]:
                 seg.pop("wall_s")
             data = json.dumps(report, sort_keys=True).encode()
-        table = (json.loads(data)["regions"]
-                 if path.match("table_seg*.json") else None)
-        yield f"{name}/synthesize/{path.name}", _sha(data), table
+            content = report["segments"]
+        elif path.match("table_seg*.json"):
+            content = json.loads(data)["regions"]
+        yield f"{name}/synthesize/{path.name}", _sha(data), content
 
 
 def _timeless(path: pathlib.Path) -> tuple[str, list[list[str]]]:
@@ -231,7 +237,8 @@ def digests(root: pathlib.Path, names=()) -> dict[str, tuple]:
     """name -> (sha256, content or None) for the artifacts of the configs
     named (all when empty).  The content of a run trace is its rows,
     header first, less its solver_time_ns column; that of a JSON region
-    table is its list of regions; that of the QP probe is its records;
+    table is its list of regions; that of a synthesis report is its list
+    of segments; that of the QP probe is its records;
     that of a noisy charge is [max V, completed, fallback count]."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -293,6 +300,16 @@ def _table_diff(mine: list[dict], theirs: list[dict]) -> list[str]:
     return lines
 
 
+def _report_diff(mine: list[dict], theirs: list[dict]) -> list[str]:
+    """Per segment both reports have, each REPORT_KEYS value that
+    differs."""
+    theirs = {seg["index"]: seg for seg in theirs}
+    return [f"  segment {seg['index']} {key} {other.get(key)} -> "
+            f"{seg.get(key)}"
+            for seg in mine if (other := theirs.get(seg["index"]))
+            for key in REPORT_KEYS if seg.get(key) != other.get(key)]
+
+
 def _probe_diff(mine: list[list], theirs: list[list]) -> list[str]:
     """Both solve counts, then over the solves both probes have, how many
     statuses and how many active sets differ, and the largest absolute
@@ -320,6 +337,8 @@ def diff_lines(mine: dict, theirs: dict) -> list[str]:
                 lines += _trace_diff(mine[name][1], theirs[name][1])
             elif name == PROBE:
                 lines += _probe_diff(mine[name][1], theirs[name][1])
+            elif name.endswith("synthesis_report.json"):
+                lines += _report_diff(mine[name][1], theirs[name][1])
             elif name.startswith("noisy/"):
                 lines += [f"  {key} {b} -> {a}" for key, a, b in zip(
                     ("max V", "completed", "fallbacks"), mine[name][1],
