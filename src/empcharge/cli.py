@@ -122,7 +122,7 @@ _JSON_KINDS = {"str": str, "int": int, "float": float, "bool": bool}
 _MPC_KINDS = {f.name: _JSON_KINDS[f.type]
               for f in fields(MpcConfig) if f.name != "gamma2"}
 # a scenario may set the RunSetup fields of a JSON kind (defaults and
-# ranges: RunSetup); the model, tables and problems come from synthesis
+# ranges: RunSetup); the model and tables come from synthesis
 _RUN_FIELDS = {f.name: _JSON_KINDS[f.type]
                for f in fields(RunSetup) if f.type in _JSON_KINDS}
 _SCENARIO_KINDS = {"version": int, "name": str, "synthesis": dict,
@@ -229,13 +229,16 @@ def cmd_synthesize(args) -> int:
     load_scipy()  # before the clocks: wall_s and wall_time_s exclude it
     report = {"segments": [], "wall_time_s": None}
     t0 = time.perf_counter()
-    for seg, prob in zip(table.segments, problems):
+    made = []  # every segment's table before the first write
+    for prob in problems:
         t_seg = time.perf_counter()
         try:
-            sol, cov = _segment_table(prob, doc, seed)
+            made.append((*_segment_table(prob, doc, seed),
+                         time.perf_counter() - t_seg))
         except TableRefused as exc:
             print(exc, file=sys.stderr)
             return EXIT_VERIFY
+    for seg, (sol, cov, wall_s) in zip(table.segments, made):
         for ext in ("json", "bin"):
             export_table(sol, _table_path(args.out_dir, seg.index, ext))
         report["segments"].append({
@@ -247,7 +250,7 @@ def cmd_synthesize(args) -> int:
             "stored_reals": sol.stored_reals,
             "coverage": cov,
             **sol.stats,
-            "wall_s": time.perf_counter() - t_seg,
+            "wall_s": wall_s,
         })
     report["wall_time_s"] = time.perf_counter() - t0
     report["total_stored_reals"] = sum(s["stored_reals"]
@@ -267,7 +270,7 @@ def _scenario_setup(doc: dict, args) -> RunSetup:
     run.update({k: getattr(args, k) for k in ("controller", "feedback", "seed")
                 if getattr(args, k) is not None})
     try:  # before any region table is read or synthesized
-        RunSetup.check(run, table)
+        RunSetup.check(run, table, _theta_box(syn))
     except ValueError as exc:
         raise ConfigError(f"scenario config: {exc}") from exc
     solutions = None
@@ -278,7 +281,7 @@ def _scenario_setup(doc: dict, args) -> RunSetup:
                      for p in problems]
     try:
         return RunSetup(params=params, model=model, table=table, cfg=cfg,
-                        problems=problems, solutions=solutions, **run)
+                        solutions=solutions, **run)
     except ValueError as exc:
         raise ConfigError(f"scenario config: {exc}") from exc
 

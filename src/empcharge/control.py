@@ -71,6 +71,7 @@ PROCESS_VAR, MEAS_VAR = 1e-6, 9e-6
 # EKF tuning: the controller drives the current, so the filter's current
 # channel is far below the plant's PROCESS_VAR on purpose
 EKF_Q, EKF_R = np.diag([PROCESS_VAR, PROCESS_VAR, 1e-12]), MEAS_VAR
+NOISE_BLOCK = 64  # steps of noise a noisy charge draws at a time
 _EYE3 = np.eye(3)
 
 
@@ -234,7 +235,8 @@ class RunSetup:
     controller: str = "empc"            # one of CONTROLLERS
     feedback: str = "state"             # one of FEEDBACKS
     solutions: list[ExplicitSolution] | None = None
-    problems: list[MpqpProblem] | None = None
+    # the qp controller's, condensed from cfg by build as NMPC's are
+    problems: list[MpqpProblem] | None = field(init=False, default=None)
     soc_start: float = 0.2
     soc_target: float = 0.9
     step_budget: int = 150
@@ -243,42 +245,28 @@ class RunSetup:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self.check(vars(self), self.table)
-        if self.controller == "empc" and not self.solutions:
-            raise ValueError("empc controller needs explicit solutions")
-        if self.controller == "qp" and not self.problems:
-            raise ValueError("qp controller needs condensed problems")
         segments = [s.index for s in self.table.segments]
-        for name in ("solutions", "problems"):
-            got = [x.segment_index for x in getattr(self, name) or ()]
-            if got and got != segments:  # a step indexes them by position
-                raise ValueError(f"{name} for segments {got}; the table has "
-                                 f"segments {segments}")
+        got = [s.segment_index for s in self.solutions or ()]
+        if got and got != segments:  # a step indexes them by position
+            raise ValueError(f"solutions for segments {got}; the table has "
+                             f"segments {segments}")
+        self.check(vars(self), self.table,
+                   [s.theta_box for s in self.solutions or ()])
         if self.controller == "empc":
+            if not self.solutions:
+                raise ValueError("empc controller needs explicit solutions")
             empty = [x.segment_index for x in self.solutions if not x.regions]
             if empty:  # the law would be defined nowhere there
                 raise ValueError(f"segment {empty[0]}: no critical region in "
                                  "the theta box")
-            # the law is defined in its theta box only, which must hold the
-            # charge's first theta and every current the law may command
-            theta0 = assemble_theta(NdcState(
-                self.soc_start, self.soc_start, 0.0), self.soc_target, 0.0)
-            need = np.column_stack([theta0, theta0])
-            need[2] = I_MIN, I_MAX  # theta0's current, 0, lies within
-            boxes = np.array([s.theta_box for s in self.solutions])
-            short = np.flatnonzero(((boxes[..., 0] > need[:, 0])
-                                    | (boxes[..., 1] < need[:, 1])).any(1))
-            if short.size:
-                s = self.solutions[short[0]]
-                raise ValueError(
-                    f"segment {s.segment_index}: its theta box "
-                    f"{s.theta_box.tolist()} leaves out the first theta "
-                    f"{theta0.tolist()} or currents in [{I_MIN}, {I_MAX}]")
         else:  # its QPs' phase-1 LPs go to scipy
             load_scipy()
+            if self.controller == "qp":
+                self.problems = [build(self.model, seg, self.cfg)
+                                 for seg in self.table.segments]
 
     @classmethod
-    def check(cls, run: dict, table: SegmentTable) -> None:
+    def check(cls, run: dict, table: SegmentTable, boxes) -> None:
         """ValueError unless the run values in run, RunSetup's defaults
         standing in for those it lacks, are in range.  It reads no region
         table or problem, so a caller can check the values before it
@@ -286,7 +274,8 @@ class RunSetup:
         Both SoC values must lie in [0, 1], and soc_target, the Vs of a
         charge at rest at that SoC, within the table's last vs_hi (0.90
         by default), past which the last segment's tangent under-predicts
-        V."""
+        V.  An eMPC law is defined in its theta boxes only (one per
+        segment or one for all): each must hold theta0 and I_MIN..I_MAX."""
         v = {k: run.get(k, getattr(cls, k)) for k in (
             "controller", "feedback", "seed", "step_budget", "soc_start",
             "soc_target")}
@@ -301,24 +290,37 @@ class RunSetup:
             raise ValueError(f"soc_target {v['soc_target']}: a charge at rest "
                              "there has Vs past the segment table's last "
                              f"vs_hi {table.coverage[1]}")
+        theta0 = assemble_theta(NdcState(v["soc_start"], v["soc_start"], 0.0),
+                                v["soc_target"], 0.0)
+        need = np.column_stack([theta0, theta0])
+        need[2] = I_MIN, I_MAX  # theta0's current, 0, lies within
+        boxes = np.reshape(boxes, (-1, *need.shape))
+        short = np.flatnonzero(((boxes[..., 0] > need[:, 0])
+                                | (boxes[..., 1] < need[:, 1])).any(1))
+        if short.size and v["controller"] == "empc":
+            raise ValueError(
+                f"segment {table.segments[short[0]].index}: its theta box "
+                f"{boxes[short[0]].tolist()} leaves out the first theta "
+                f"{theta0.tolist()} or currents in [{I_MIN}, {I_MAX}]")
 
 
 def run_closed_loop(setup: RunSetup) -> SimTrace:
     """Simulate plant + (optional) observer + controller until the SoC
     target is met or the step budget runs out.
 
-    A noisy charge draws all of its noise at once, in step order: per
-    step the measurement's draw (under EKF feedback) and then the plant's
-    three.  That is the sequence of one rng.normal call per draw, to the
-    bit, and the steps past the target leave theirs unused."""
+    A noisy charge draws its noise NOISE_BLOCK steps at a time, in step
+    order: per step the measurement's draw (under EKF feedback) and then
+    the plant's three.  One generator continues one stream, so that is
+    the sequence of one rng.normal call per draw, to the bit, whatever
+    the block size; the steps past the target leave theirs unused, and
+    the memory does not grow with step_budget."""
     p, model, table, cfg = (setup.params, setup.model, setup.table,
                             setup.cfg)
     ekf_fb = setup.feedback == "ekf"
     if setup.noise:
         sd = (([np.sqrt(MEAS_VAR)] if ekf_fb else [])
               + [np.sqrt(PROCESS_VAR)] * 3)
-        noise = np.random.default_rng(setup.seed).standard_normal(
-            (setup.step_budget, len(sd))) * sd
+        rng = np.random.default_rng(setup.seed)
     x = NdcState(Vb=setup.soc_start, Vs=setup.soc_start, I=0.0)
     u_prev = 0.0                        # the move applied on the last step
     active: tuple[int, ...] = ()        # the last QP's active set
@@ -327,7 +329,9 @@ def run_closed_loop(setup: RunSetup) -> SimTrace:
     rows: list[TraceRow] = []
     completed = False
     for k in range(setup.step_budget):
-        d = noise[k].tolist() if setup.noise else None
+        if setup.noise and k % NOISE_BLOCK == 0:
+            block = (rng.standard_normal((NOISE_BLOCK, len(sd))) * sd).tolist()
+        d = block[k % NOISE_BLOCK] if setup.noise else None
         y = mdl.output_vector(p, x, table.gamma1)
         if ekf_fb:
             V_meas = y.V + d[0] if setup.noise else y.V

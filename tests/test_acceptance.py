@@ -38,7 +38,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 def _setup(params, dmodel, table, cfg, problems, solutions, **kw):
     return RunSetup(params=params, model=dmodel, table=table, cfg=cfg,
-                    problems=problems, solutions=solutions, **kw)
+                    solutions=solutions, **kw)
 
 
 @pytest.fixture(scope="module")

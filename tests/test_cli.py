@@ -267,6 +267,38 @@ def test_synthesize_refuses_a_coverage_below_1(tmp_path, synth_config,
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("fault, code", [("no_region", 4), ("qp_error", 3)])
+def test_synthesize_refusal_leaves_the_stored_tables(tmp_path, synth_config,
+                                                     monkeypatch, fault,
+                                                     code):
+    """synthesize makes every segment's table before it writes one, so a
+    refusal at segment 2, or a QpError while exploring it, leaves the
+    tables already in --out-dir, segment 1's among them, as they were."""
+    out = tmp_path / "out"
+    assert main(["synthesize", "--config", synth_config,
+                 "--out-dir", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    doc = json.loads(Path(synth_config).read_text())
+    cfg = _write(tmp_path / "synth.json", dict(doc, gamma2=0.09))
+
+    def explore(prob, **kw):
+        if prob.segment_index < 2:
+            return real(prob, **kw)
+        if fault == "qp_error":
+            raise qp.QpError("HiGHS rejected the LP")
+        return replace(real(prob, **kw), regions=())
+
+    real = cli.explore
+    monkeypatch.setattr(cli, "explore", explore)
+    assert main(["synthesize", "--config", cfg, "--out-dir", str(out)]) == code
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    monkeypatch.setattr(cli, "explore", real)  # gamma2 0.09 moves segment 1
+    assert main(["synthesize", "--config", cfg,
+                 "--out-dir", str(tmp_path / "new")]) == 0
+    assert (tmp_path / "new" / "table_seg1.bin").read_bytes() != before[
+        "table_seg1.bin"]
+
+
 def test_reported_coverage_is_of_exported_table(tmp_path):
     # the rounded tables are what verify and run load, so the report's
     # coverage must be theirs, within their coarser locate_tol
@@ -685,12 +717,27 @@ SHORT_BOXES = {
 SHORT_BOX = "scenario config: segment 1: its theta box"
 
 
+def _table_calls(monkeypatch) -> list[str]:
+    """The names of the cli.explore and cli.coverage_check calls, which
+    still run, in the order made."""
+    calls = []
+    for name in ("explore", "coverage_check"):
+        monkeypatch.setattr(cli, name, lambda *a, _name=name,
+                            _real=getattr(cli, name), **k:
+                            calls.append(_name) or _real(*a, **k))
+    return calls
+
+
 @pytest.mark.parametrize("case", list(SHORT_BOXES))
-def test_run_refuses_a_box_without_the_charge(tmp_path, capsys, case):
+def test_run_refuses_a_box_without_the_charge(tmp_path, monkeypatch, capsys,
+                                              case):
+    """The box is checked before any table is explored or sampled."""
+    calls = _table_calls(monkeypatch)
     cfg = _write(tmp_path / "s.json", _basic_case(theta_box=SHORT_BOXES[case]))
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 3
     assert f"config error: {SHORT_BOX}" in capsys.readouterr().err
+    assert calls == []
     assert not out.exists()
 
 
@@ -707,7 +754,7 @@ def test_run_on_a_narrower_u_prev_box(tmp_path):
 
 def test_bench_refuses_a_box_without_the_charge(tmp_path, monkeypatch,
                                                 capsys):
-    charges = []
+    charges, calls = [], _table_calls(monkeypatch)
     monkeypatch.setattr(cli, "run_closed_loop",
                         lambda setup: charges.append(setup))
     good = _write(tmp_path / "good.json", {"version": 1, "controller": "qp",
@@ -719,7 +766,7 @@ def test_bench_refuses_a_box_without_the_charge(tmp_path, monkeypatch,
     assert main(["bench", "--config", cfg,
                  "--out-dir", str(tmp_path / "out")]) == 3
     assert SHORT_BOX in capsys.readouterr().err
-    assert charges == []
+    assert charges == calls == []
     assert not (tmp_path / "out").exists()
 
 

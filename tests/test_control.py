@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -9,14 +10,14 @@ from empcharge import model as mdl
 from empcharge.control import (EkfState, RunSetup, ekf_step, empc_step,
                                nmpc_step, online_mpc_step, run_closed_loop)
 from empcharge.model import NdcState
-from empcharge.mpqp import I_MAX, I_MIN, assemble_theta
+from empcharge.mpqp import I_MAX, I_MIN, MpcConfig, assemble_theta, build
 from empcharge.regions import DEFAULT_THETA_BOX, locate
 from empcharge.segments import relinearize, select_segment
 
 
 def _setup(params, dmodel, table, cfg, problems, solutions, **kw):
     return RunSetup(params=params, model=dmodel, table=table, cfg=cfg,
-                    problems=problems, solutions=solutions, **kw)
+                    solutions=solutions, **kw)
 
 
 def test_basic_run_completes(params, dmodel, table, cfg, problems,
@@ -64,7 +65,7 @@ def test_single_step_agreement(params, dmodel, table, cfg, problems,
 
 
 def test_online_qp_warm_start_keeps_the_charge(params, dmodel, table, cfg,
-                                               problems, monkeypatch):
+                                               monkeypatch):
     """The online-QP charge of basic_case_qp and the NMPC charge of
     nmpc_case, each QP warm-started from the last step's active set, are
     their cold charges within 1e-12 in every trace column, and make fewer
@@ -79,7 +80,6 @@ def test_online_qp_warm_start_keeps_the_charge(params, dmodel, table, cfg,
         made.clear()
         trace = run_closed_loop(RunSetup(params=params, model=dmodel,
                                          table=table, cfg=cfg,
-                                         problems=problems,
                                          controller=controller))
         assert trace.phase1_lps == len(made)
         return trace, len(made)
@@ -296,6 +296,49 @@ def test_noise_run_deterministic(params, dmodel, table, cfg, problems,
     assert strip_timing(pa) == strip_timing(pb)
 
 
+def test_noisy_charge_memory_does_not_grow_with_the_budget(
+        params, dmodel, table, cfg, solutions):
+    """A noisy charge draws its noise a block at a time: with a budget of
+    10**6 steps it stops at its target, allocates well under the 32 MB a
+    draw for every step would take, and is the charge of a 150-step
+    budget in every field but the step time."""
+    def charge(step_budget):
+        return run_closed_loop(RunSetup(
+            params=params, model=dmodel, table=table, cfg=cfg,
+            solutions=solutions, feedback="ekf", noise=True, seed=42,
+            step_budget=step_budget))
+
+    want = charge(150)
+    tracemalloc.start()
+    try:
+        got = charge(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert got.completed and want.completed
+    assert [replace(r, solver_time_ns=0) for r in got.rows] == [
+        replace(r, solver_time_ns=0) for r in want.rows]
+
+
+def test_qp_run_setup_condenses_its_own_problems(params, dmodel, table):
+    """The online-QP controller's problems are mpqp.build's, from the
+    RunSetup's own cfg, bit for bit; another controller condenses none."""
+    for cfg in (MpcConfig(), MpcConfig(N=50), MpcConfig(Nu=5, Nc_eta=5)):
+        run = RunSetup(params=params, model=dmodel, table=table, cfg=cfg,
+                       controller="qp")
+        want = [build(dmodel, seg, cfg) for seg in table.segments]
+        assert len(run.problems) == len(want)
+        for got, ref in zip(run.problems, want):
+            assert got.segment_index == ref.segment_index
+            assert got.labels == ref.labels
+            for name in ("Sigma", "F", "G", "S", "W"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert RunSetup(params=params, model=dmodel, table=table, cfg=cfg,
+                    controller="nmpc").problems is None
+
+
 def test_trace_csv_format(params, dmodel, table, cfg, problems, solutions,
                           tmp_path):
     trace = run_closed_loop(_setup(params, dmodel, table, cfg, problems,
@@ -325,22 +368,15 @@ def test_run_setup_validation(params, dmodel, table, cfg, problems,
                  controller="empc")
     with pytest.raises(ValueError):
         RunSetup(params=params, model=dmodel, table=table, cfg=cfg,
-                 controller="qp")
-    with pytest.raises(ValueError):
-        RunSetup(params=params, model=dmodel, table=table, cfg=cfg,
-                 controller="bogus", problems=problems)
+                 controller="bogus")
     with pytest.raises(ValueError, match="vs_hi"):  # past the table's 0.90
         RunSetup(params=params, model=dmodel, table=table, cfg=cfg,
-                 controller="qp", problems=problems, soc_target=0.93)
+                 controller="qp", soc_target=0.93)
     # a step indexes the per-segment lists by the segment's position, so a
     # list that is not the table's segments in order is refused at once
     for bad in (solutions[::-1], solutions[:1]):
         with pytest.raises(ValueError, match="solutions for segments"):
             _setup(params, dmodel, table, cfg, problems, bad)
-    for bad in (problems[::-1], problems[:1]):
-        with pytest.raises(ValueError, match="problems for segments"):
-            RunSetup(params=params, model=dmodel, table=table, cfg=cfg,
-                     controller="qp", problems=bad)
     # a law with no region in a segment would charge on fallbacks alone
     empty = list(solutions)
     empty[2] = replace(empty[2], regions=())
@@ -360,11 +396,10 @@ def test_run_setup_validation(params, dmodel, table, cfg, problems,
 
 
 @pytest.mark.parametrize("step_budget", [0, -3])
-def test_run_setup_rejects_no_steps(params, dmodel, table, cfg, problems,
-                                    step_budget):
+def test_run_setup_rejects_no_steps(params, dmodel, table, cfg, step_budget):
     with pytest.raises(ValueError, match="step_budget"):
         RunSetup(params=params, model=dmodel, table=table, cfg=cfg,
-                 controller="qp", problems=problems, step_budget=step_budget)
+                 controller="qp", step_budget=step_budget)
 
 
 @pytest.mark.parametrize("total", [

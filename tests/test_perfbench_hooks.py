@@ -146,7 +146,8 @@ def test_workload_names_keep_their_shape(tmp_path, solutions):
     """The calls ``workloads.py`` makes outside the traced names, in the
     shapes it makes them: the CLI's synthesis and scenario set-up, the box
     halfspaces and the Chebyshev center of its warm-up solve, a table read
-    back from disk, and the ``RunSetup`` fields it replaces."""
+    back from disk, and the ``RunSetup`` fields it replaces, down to the
+    online-QP charge its warm-up makes from the eMPC one."""
     configs = PERFBENCH.parent / "configs"
     syn = json.loads((configs / "synthesis_default.json").read_text())
     params, model, _, _, problems = cli._synthesis_objects(syn)
@@ -180,6 +181,16 @@ def test_workload_names_keep_their_shape(tmp_path, solutions):
     run = dataclasses.replace(run, controller="empc", solutions=solutions)
     run = dataclasses.replace(run, seed=7)
     assert (run.controller, run.seed) == ("empc", 7)
+    # Loop.warmup checks the eMPC charge against this online-QP charge,
+    # whose problems the RunSetup condenses from its own cfg
+    run = dataclasses.replace(run, controller="qp")
+    want = cli._synthesis_objects(doc["synthesis"])[-1]
+    assert [(p.segment_index, p.G.tobytes(), p.S.tobytes(), p.W.tobytes())
+            for p in run.problems] == [
+        (p.segment_index, p.G.tobytes(), p.S.tobytes(), p.W.tobytes())
+        for p in want]
+    trace = control.run_closed_loop(run)
+    assert trace.completed and trace.fallback_count == 0
 
 
 def test_nmpc_step_reports_iterations(params, dmodel, table, cfg):
