@@ -175,11 +175,11 @@ def _table_path(tables_dir, index: int, ext: str = "json") -> str:
     return os.path.join(tables_dir, f"table_seg{index}.{ext}")
 
 
-def _stored_table(tables_dir, prob, box=None) -> ExplicitSolution:
-    """prob's segment's JSON table in tables_dir; ConfigError for one that
-    is missing, malformed, built for another segment or Nu, or with an
-    active-set row past prob's constraint rows, or, when box is given,
-    explored on another theta box."""
+def _stored_table(tables_dir, prob, box) -> ExplicitSolution:
+    """prob's segment's JSON table in tables_dir, admitted by the one rule
+    that run, bench and verify share; ConfigError for one that is missing,
+    malformed, built for another segment or Nu, explored on another theta
+    box than box, or with an active-set row past prob's constraint rows."""
     path = _table_path(tables_dir, prob.segment_index)
     sol = _load(path, "region table")
     m, Nu = prob.G.shape
@@ -187,7 +187,7 @@ def _stored_table(tables_dir, prob, box=None) -> ExplicitSolution:
         raise ConfigError(f"{path}: segment {sol.segment_index}, Nu="
                           f"{sol.Nu}; expected segment {prob.segment_index}, "
                           f"Nu={Nu}")
-    if box is not None and not np.array_equal(sol.theta_box, box):
+    if not np.array_equal(sol.theta_box, box):
         raise ConfigError(f"{path}: theta box {sol.theta_box.tolist()}; "
                           f"the config's is {box.tolist()}")
     rows = [i for r in sol.regions for i in r.active_set if i >= m]
@@ -225,7 +225,6 @@ def cmd_synthesize(args) -> int:
     _, _, table, cfg, problems = _synthesis_objects(doc)
     seed = doc.get("seed", 0) if args.seed is None else args.seed
     _check_out_dir(args.out_dir)
-    os.makedirs(args.out_dir, exist_ok=True)
     load_scipy()  # before the clocks: wall_s and wall_time_s exclude it
     report = {"segments": [], "wall_time_s": None}
     t0 = time.perf_counter()
@@ -238,6 +237,7 @@ def cmd_synthesize(args) -> int:
         except TableRefused as exc:
             print(exc, file=sys.stderr)
             return EXIT_VERIFY
+    os.makedirs(args.out_dir, exist_ok=True)
     for seg, (sol, cov, wall_s) in zip(table.segments, made):
         for ext in ("json", "bin"):
             export_table(sol, _table_path(args.out_dir, seg.index, ext))
@@ -263,6 +263,9 @@ def cmd_synthesize(args) -> int:
 
 def _scenario_setup(doc: dict, args) -> RunSetup:
     doc = _checked(doc, _SCENARIO_KINDS, "scenario config")
+    name = doc.get("name", "scenario")  # run writes <name>_summary.json
+    if name in (".", "..") or "/" in name or "\0" in name:
+        raise ConfigError(f"scenario config: name {name!r} is not a file name")
     syn = _version1(doc.get("synthesis", {"version": 1}),
                     "scenario config: synthesis")
     params, model, table, cfg, problems = _synthesis_objects(syn)
@@ -375,20 +378,19 @@ def cmd_verify(args) -> int:
     _typed(args.samples, "--samples", int, 1)
     _typed(args.tol, "--tol", float, 0)
     doc = _load(args.config, "synthesis config", _SYNTH_KINDS)
-    _, _, table, _, problems = _synthesis_objects(doc)
-    box = _theta_box(doc)
+    problems, box = _synthesis_objects(doc)[-1], _theta_box(doc)
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     worst, checked = 0.0, 0
-    for seg, prob, sol in zip(table.segments, problems, [
-            _stored_table(args.tables, p) for p in problems]):
+    for prob, sol in zip(problems, [_stored_table(args.tables, p, box)
+                                    for p in problems]):
+        where = f"segment {prob.segment_index}"
         n_done = draws = 0
         seg_worst = 0.0
         while n_done < args.samples:
             # a theta box that is (almost) all infeasible must not hang
             if draws == 100 * args.samples:
-                print(f"segment {seg.index}: only {n_done} of "
-                      f"{args.samples} theta feasible in {draws} draws",
-                      file=sys.stderr)
+                print(f"{where}: only {n_done} of {args.samples} theta "
+                      f"feasible in {draws} draws", file=sys.stderr)
                 return EXIT_VERIFY
             draws += 1
             theta = rng.uniform(box[:, 0], box[:, 1])
@@ -401,18 +403,17 @@ def cmd_verify(args) -> int:
                 continue
             n_done += 1
             if idx is None:
-                print(f"segment {seg.index}: no region for theta={theta}",
+                print(f"{where}: no region for theta={theta}",
                       file=sys.stderr)
                 return EXIT_VERIFY
             r = sol.regions[idx]
             err = float(np.max(np.abs(r.K @ theta + r.g - ref.z_star)))
             seg_worst = max(seg_worst, err)
             if err > args.tol:
-                print(f"segment {seg.index}: law mismatch {err:.3e} at "
-                      f"theta={theta}", file=sys.stderr)
+                print(f"{where}: law mismatch {err:.3e} at theta={theta}",
+                      file=sys.stderr)
                 return EXIT_VERIFY
-        print(f"segment {seg.index}: {n_done} points, worst error "
-              f"{seg_worst:.3e}")
+        print(f"{where}: {n_done} points, worst error {seg_worst:.3e}")
         worst = max(worst, seg_worst)
         checked += n_done
     print(f"verify ok: {checked} points, worst error {worst:.3e}")

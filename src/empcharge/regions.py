@@ -366,33 +366,30 @@ def export_table(sol: ExplicitSolution, path) -> str:
     return fmt
 
 
-def _integer(v):
-    """v when JSON spelled it as an integer: not a float, not a bool."""
-    if type(v) is not int:
-        raise ValueError(f"{v!r} is not an integer")
-    return v
-
-
-def _number(v, where: str):
-    """v when JSON spelled it, or each entry of its nested lists, as a
-    number: an integer or a float, not a bool or a string."""
-    stack = [v]
-    while stack:
-        x = stack.pop()
-        if type(x) is list:
-            stack += x
-        elif type(x) not in (int, float):
-            raise ValueError(f"{where}: {x!r} is not a number")
+def _spelled(v, where: str, kind: type, depth: int = 0):
+    """v when JSON spelled it as lists nested depth deep (a scalar at depth
+    0) of kind: int, an integer and not a float or a bool, or float, a
+    number and not a bool or a string; ValueError naming where otherwise."""
+    level = [v]
+    for _ in range(depth):
+        if not all(type(x) is list for x in level):
+            raise ValueError(f"{where}: not lists nested {depth} deep")
+        level = [y for x in level for y in x]
+    for x in level:
+        if not (type(x) is kind or kind is float and type(x) is int):
+            raise ValueError(f"{where}: {x!r} is not "
+                             + ("an integer" if kind is int else "a number"))
     return v
 
 
 def import_table(path) -> ExplicitSolution:
     """The region table at path, in either encoding: OSError when the file
-    cannot be read, ValueError naming the path for any other fault, a
-    non-finite number, a negative count or locate_tol, a count, index or
-    active-set row that JSON does not spell as an integer, a float field
-    it spells as a bool or a string, and an active set with a repeated or
-    negative row or more than Nu rows included."""
+    cannot be read, ValueError naming the path (and a JSON table's field)
+    for any other fault, a non-finite number, a negative count or
+    locate_tol, a count, index or active-set row that JSON does not spell
+    as an integer, a float field it spells as a bool or a string, and an
+    active set with a repeated or negative row or more than Nu rows
+    included."""
     with open(path, "rb") as f:
         raw = f.read()
     pos = len(_MAGIC)
@@ -422,12 +419,14 @@ def import_table(path) -> ExplicitSolution:
             if not (isinstance(doc, dict) and doc.get("version") == 1
                     and doc.get("format") == "empc-table"):
                 raise ValueError("not a version-1 region table")
-            seg, Nu, tdim = (_integer(doc[k]) for k in (
+            seg, Nu, tdim = (_spelled(doc[k], k, int) for k in (
                 "segment_index", "Nu", "theta_dim"))
-            tol, box = (_number(doc[k], k) for k in ("locate_tol",
-                                                      "theta_box"))
-            records = [([_number(r[k], f"regions[{n}].{k}") for k in _ARRAYS],
-                        [_integer(i) for i in r["active_set"]])
+            tol = _spelled(doc["locate_tol"], "locate_tol", float)
+            box = _spelled(doc["theta_box"], "theta_box", float, 2)
+            records = [([_spelled(r[k], f"regions[{n}].{k}", float, len(s))
+                         for k, s in zip(_ARRAYS, _shapes(0, 0))],
+                        _spelled(r["active_set"], f"regions[{n}].active_set",
+                                 int, 1))
                        for n, r in enumerate(doc["regions"])]
             n_regions = len(records)
         if tdim != THETA_DIM:

@@ -171,12 +171,18 @@ def test_verify_finds_a_law_mismatch(tmp_path, synth_config, tables_dir,
 
 
 def test_verify_gives_up_on_infeasible_box(tmp_path, tables_dir, capsys):
+    box = [[0.99, 1], [0.99, 1], [2.9, 3], [0.2, 1], [2.9, 3]]
     cfg = _write(tmp_path / "synth.json", {
         "version": 1,
         "breakpoints": TWO_SEGMENTS,
-        "theta_box": [[0.99, 1], [0.99, 1], [2.9, 3], [0.2, 1], [2.9, 3]],
+        "theta_box": box,
     })
-    rc = main(["verify", "--config", cfg, "--tables", str(tables_dir),
+    tables = tmp_path / "tables"
+    shutil.copytree(tables_dir, tables)
+    for path in tables.glob("table_seg*.json"):  # verify admits its box only
+        path.write_text(json.dumps(dict(json.loads(path.read_text()),
+                                        theta_box=box)))
+    rc = main(["verify", "--config", cfg, "--tables", str(tables),
                "--samples", "3"])
     assert rc == 4
     assert "only 0 of 3 theta feasible in 300 draws" in capsys.readouterr().err
@@ -256,7 +262,7 @@ def test_synthesize_refuses_a_coverage_below_1(tmp_path, synth_config,
                                                monkeypatch, capsys):
     """A table that leaves sampled feasible theta without a region, here
     segment 1's with its first region dropped, exits 4 naming the segment
-    and its coverage, before any table or the report is written."""
+    and its coverage, before --out-dir is made or anything written."""
     _drop_segment_1_first_region(monkeypatch)
     out = tmp_path / "out"
     assert main(["synthesize", "--config", synth_config,
@@ -264,7 +270,17 @@ def test_synthesize_refuses_a_coverage_below_1(tmp_path, synth_config,
     err = capsys.readouterr().err
     assert err.startswith("segment 1: coverage 0.")
     assert "is below 1" in err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+def test_synthesize_refusal_creates_no_out_dir(tmp_path, capsys):
+    """synthesize makes its --out-dir only after every segment's table
+    exists: a refusal into a new nested directory leaves no directory."""
+    cfg = _write(tmp_path / "synth.json", _synth(gamma2=-1))
+    out = tmp_path / "new" / "deeper"
+    assert main(["synthesize", "--config", cfg, "--out-dir", str(out)]) == 4
+    assert "no critical region in the theta box" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
 
 
 @pytest.mark.parametrize("fault, code", [("no_region", 4), ("qp_error", 3)])
@@ -549,6 +565,22 @@ def test_export_rejects_malformed_table(tmp_path, tables_dir, name, capsys):
     assert not (tmp_path / "t.json").exists()
 
 
+@pytest.mark.parametrize("change, field", [
+    ({"segment_index": 1.9}, "segment_index: 1.9 is not an integer"),
+    ({"region0_active_set": [0.7, -3]},
+     "regions[0].active_set: 0.7 is not an integer"),
+    ({"region0_e": [True]}, "regions[0].e: True is not a number"),
+    ({"theta_box": [0, 1]}, "theta_box: not lists nested 2 deep")])
+def test_malformed_json_table_names_the_field(tmp_path, tables_dir, capsys,
+                                              change, field):
+    bad = tmp_path / "t.json"
+    bad.write_bytes(_json_table(tables_dir, **change))
+    assert main(["export-table", str(bad), "--out",
+                 str(tmp_path / "out.json")]) == 3
+    err = capsys.readouterr().err
+    assert f"cannot read region table {bad}" in err and field in err
+
+
 def test_tables_for_another_nu(tmp_path, synth_config, nu5_tables, capsys):
     scenario = _write(tmp_path / "s.json", {
         "version": 1, "name": "nu", "controller": "empc",
@@ -586,6 +618,38 @@ def test_tables_for_another_theta_box(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"{narrow / 'table_seg1.json'}: theta box" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("r_row", [[0.1, 1], [0.5, 1]],
+                         ids=["wider", "narrower"])
+def test_verify_refuses_tables_for_another_theta_box(tmp_path, synth_config,
+                                                     capsys, r_row):
+    """verify admits a stored table by run's rule: tables explored on
+    another theta box than the config's exit 3 with run's line, before
+    any theta is drawn, whether the box is wider (no hole) or narrower (a
+    hole that is only a box mismatch)."""
+    tables = tmp_path / "tables"
+    synth = _write(tmp_path / "synth.json", _synth(theta_box=[
+        [0, 1], [0, 1], [0, 3], r_row, [-3, 3]]))
+    assert main(["synthesize", "--config", synth,
+                 "--out-dir", str(tables)]) == 0
+    capsys.readouterr()
+    scenario = _write(tmp_path / "s.json", {
+        "version": 1, "name": "box", "controller": "empc",
+        "synthesis": {"version": 1, "breakpoints": TWO_SEGMENTS},
+        "tables_dir": str(tables),
+    })
+    assert main(["run", "--config", scenario,
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    run_line = capsys.readouterr().err
+    assert main(["verify", "--config", synth_config,
+                 "--tables", str(tables), "--samples", "50"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == run_line
+    assert run_line.startswith(
+        f"config error: {tables / 'table_seg1.json'}: theta box ")
+    assert "; the config's is " in run_line
+    assert captured.out == ""
 
 
 def test_tables_with_a_row_past_the_config(tmp_path, synth_config,
@@ -800,6 +864,36 @@ def test_bench_refuses_an_empty_law(tmp_path, monkeypatch, capsys):
     assert NO_REGION in capsys.readouterr().err
     assert charges == []
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("name", ["../escaped", "ABSOLUTE", "sub/dir",
+                                  "nul\0name", ".", ".."],
+                         ids=["parent", "absolute", "subdir", "nul", "dot",
+                              "dotdot"])
+def test_scenario_name_must_be_a_file_name(tmp_path, monkeypatch, capsys,
+                                           command, name):
+    """run writes <name>_summary.json and <name>_trace.csv into --out-dir,
+    so a name that is not one file-name component exits 3 before any
+    charge, in run and bench alike, and nothing is written anywhere."""
+    charges = []
+    monkeypatch.setattr(cli, "run_closed_loop", lambda setup, _real=cli.
+                        run_closed_loop: charges.append(1) or _real(setup))
+    if name == "ABSOLUTE":
+        name = str(tmp_path / "abs")
+    work = tmp_path / "work"
+    scenario = _write(tmp_path / "s.json", _scenario(step_budget=3,
+                                                     name=name))
+    configs = {"run": scenario, "bench": _write(tmp_path / "b.json", {
+        "version": 1, "scenarios": [scenario], "repeats": 1})}
+    work.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, "--config", configs[command],
+                 "--out-dir", str(work / "out")]) == 3
+    assert f"scenario config: name {name!r} is not a file name" in (
+        capsys.readouterr().err)
+    assert charges == []
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("repeats", [0, -1])

@@ -1,7 +1,7 @@
-"""tools/digest.py, the identity check of synthesis and run outputs, of
-the online QP and of noisy charges, is itself deterministic: two runs
-print the same lines.  Its --diff report is checked on synthetic
-digests."""
+"""tools/digest.py, the identity check of synthesis, run and verify
+outputs, of the online QP and of noisy charges, is itself deterministic:
+two runs print the same lines.  Its --diff report is checked on
+synthetic digests."""
 
 import importlib.util
 import subprocess
@@ -32,6 +32,7 @@ def test_digest_is_repeatable():
     assert all(len(line.split()[1]) == 64 for line in first)
     for name in ("synthesis_default/synthesize/table_seg9.bin",
                  "synthesis_default/synthesize/synthesis_report.json",
+                 "synthesis_default/verify/out",
                  "basic_case/synthesize/segments.json",
                  "basic_case/run/basic_case_trace.csv",
                  "basic_case/run/basic_case_summary.json",
@@ -127,6 +128,19 @@ def test_diff_reports_noisy_charge_facts():
     assert digest.diff_lines(mine, theirs) == [
         f"{name} differs", "  max V 4.5 -> 4.25", "  completed True -> True",
         "  fallbacks 41 -> 40"]
+
+
+def test_diff_reports_both_verify_last_lines():
+    digest = _module()
+    name = "s/verify/out"
+    mine = {name: ("x", "exit 0: verify ok: 1800 points, worst error 0"),
+            "t/verify/out": ("z", "exit 0: verify ok")}
+    theirs = {name: ("y", "exit 4: segment 1: no region for theta=[0.5]"),
+              "t/verify/out": ("z", "exit 0: verify ok")}
+    assert digest.diff_lines(mine, theirs) == [
+        f"{name} differs",
+        "  the other: exit 4: segment 1: no region for theta=[0.5]",
+        "  this tree: exit 0: verify ok: 1800 points, worst error 0"]
 
 
 def test_diff_reports_synthesis_stats_per_segment():

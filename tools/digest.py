@@ -1,5 +1,6 @@
 """Content digests of what ``empcharge synthesize`` and ``empcharge run``
-write, less their wall times, one ``name sha256`` line per artifact.
+write, less their wall times, and of what ``empcharge verify`` prints, one
+``name sha256`` line per artifact.
 
 Two checkouts that print the same lines wrote the same tables and the same
 traces, so a change that claims identical outputs can be checked with
@@ -21,9 +22,10 @@ over the regions the tables share; for a synthesis report, per segment
 both reports have, each of explore's counts and the coverage
 (REPORT_KEYS) that differs; and for the QP probe both solve
 counts, how many statuses and how many active sets differ, and the
-largest absolute difference in z, over the solves both probes have; and
-for a noisy charge its max V, whether it completed and its fallback
-count in both trees.
+largest absolute difference in z, over the solves both probes have; for
+a noisy charge its max V, whether it completed and its fallback count in
+both trees; and for a verify output both trees' exit codes and last
+lines.
 Differences are taken between numbers, so -0.0 against 0.0 is 0.  It
 prints nothing and exits 0 when every digest is equal, else it exits 1.
 
@@ -36,6 +38,12 @@ The artifacts:
 - for each scenario config under ``configs/`` (one with a ``synthesis``
   block): the trace CSV of ``run`` without its ``solver_time_ns`` column,
   and the summary without its ``step_ns_*``;
+- ``<config>/verify/out`` for each synthesis config under ``configs/``
+  (one that is not a scenario or bench config): the exit code, stdout and
+  stderr of ``verify --samples VERIFY_SAMPLES`` on the tables that
+  ``synthesize`` just wrote for it, with the temporary directory's path
+  replaced by ``TMP``.  verify draws its theta at seed 0 and prints no
+  time, so this is deterministic;
 - ``qp/probe``: the status, active set and bits of z of each solve of the
   online QP, ``solve_qp``, on a fixed, seeded set of QPs (``probe``).
   Random dense QPs, some with a zero row or no feasible point, are each
@@ -84,6 +92,7 @@ PROBE_RANDOM = 600      # random dense QPs
 PROBE_THETAS = 60       # theta per segment
 NOISY = "ekf_case"      # the scenario of the noisy charges
 NOISY_SEEDS = range(20)
+VERIFY_SAMPLES = 200    # theta per segment of each verify artifact
 # artifact name prefix -> the feedback of those noisy charges
 NOISY_FEEDBACKS = {f"noisy/{NOISY}": "ekf", f"noisy/{NOISY}-state": "state"}
 # the per-segment synthesis report values --diff compares
@@ -102,6 +111,7 @@ def _empcharge(root: pathlib.Path, argv: list[str], ok: tuple[int, ...]):
     if proc.returncode not in ok:
         sys.exit(f"empcharge {' '.join(argv)}: exit {proc.returncode}\n"
                  f"{proc.stderr}")
+    return proc
 
 
 def _synthesis_lines(root, name: str, block: dict, tmp: pathlib.Path):
@@ -121,6 +131,19 @@ def _synthesis_lines(root, name: str, block: dict, tmp: pathlib.Path):
         elif path.match("table_seg*.json"):
             content = json.loads(data)["regions"]
         yield f"{name}/synthesize/{path.name}", _sha(data), content
+
+
+def _verify_lines(root, name: str, tmp: pathlib.Path):
+    """verify on the tables _synthesis_lines wrote for name; its content
+    is the exit code and the last line printed."""
+    proc = _empcharge(root, ["verify", "--config",
+                             str(tmp / f"{name}_synthesis.json"), "--tables",
+                             str(tmp / f"{name}_tables"), "--samples",
+                             str(VERIFY_SAMPLES)], (0, 3, 4))
+    text = f"exit {proc.returncode}\n{proc.stdout}{proc.stderr}".replace(
+        str(tmp), "TMP")
+    yield (f"{name}/verify/out", _sha(text.encode()),
+           f"exit {proc.returncode}: {text.splitlines()[-1]}")
 
 
 def _timeless(path: pathlib.Path) -> tuple[str, list[list[str]]]:
@@ -238,8 +261,9 @@ def digests(root: pathlib.Path, names=()) -> dict[str, tuple]:
     named (all when empty).  The content of a run trace is its rows,
     header first, less its solver_time_ns column; that of a JSON region
     table is its list of regions; that of a synthesis report is its list
-    of segments; that of the QP probe is its records;
-    that of a noisy charge is [max V, completed, fallback count]."""
+    of segments; that of the QP probe is its records; that of a noisy
+    charge is [max V, completed, fallback count]; that of a verify output
+    is its exit code and last line."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
@@ -254,6 +278,8 @@ def digests(root: pathlib.Path, names=()) -> dict[str, tuple]:
                                           doc.get("synthesis", doc), tmp))
             if "synthesis" in doc:  # a scenario config
                 found += _run_lines(root, name, tmp)
+            else:  # a synthesis config
+                found += _verify_lines(root, name, tmp)
             out.update((k, (sha, rows)) for k, sha, rows in found)
     if not names or "qp" in names:
         text = _child(root, "probe")
@@ -339,6 +365,9 @@ def diff_lines(mine: dict, theirs: dict) -> list[str]:
                 lines += _probe_diff(mine[name][1], theirs[name][1])
             elif name.endswith("synthesis_report.json"):
                 lines += _report_diff(mine[name][1], theirs[name][1])
+            elif name.endswith("/verify/out"):
+                lines += [f"  the other: {theirs[name][1]}",
+                          f"  this tree: {mine[name][1]}"]
             elif name.startswith("noisy/"):
                 lines += [f"  {key} {b} -> {a}" for key, a, b in zip(
                     ("max V", "completed", "fallbacks"), mine[name][1],
