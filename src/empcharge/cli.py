@@ -140,8 +140,10 @@ def _rows(value, width: int, what: str) -> list[tuple[float, ...]]:
 
 def _synthesis_objects(doc: dict):
     """params, model, table, cfg, problems from a synthesis config dict;
-    ConfigError for a value that any of them rejects.  The commands read
-    the other keys of the block after this check."""
+    ConfigError for a value that any of them rejects, or for a condensed
+    problem whose norm overflows, as the QP's and the Chebyshev LP's row
+    norms then would.  The commands read the other keys of the block after
+    this check."""
     doc = _checked(doc, _SYNTH_KINDS, "synthesis config")
     _theta_box(doc)
     params = {k: _typed(v, f"params: {k}", float)
@@ -154,7 +156,14 @@ def _synthesis_objects(doc: dict):
         table = build_table(params, bp, doc.get("gamma1", mdl.GAMMA1))
         cfg = MpcConfig(gamma2=doc.get("gamma2", mdl.GAMMA2), **mpc)
         model = mdl.discretize(params, doc.get("dt", 60.0))
-        problems = [build(model, seg, cfg) for seg in table.segments]
+        with np.errstate(over="ignore"):  # an overflow is refused here
+            problems = [build(model, seg, cfg) for seg in table.segments]
+            for p in problems:
+                if not all(np.isfinite(np.linalg.norm(a))
+                           for a in (p.Sigma, p.F, p.G, p.S, p.W)):
+                    raise ValueError(f"segment {p.segment_index}: the "
+                                     "condensed problem's norm is not "
+                                     "finite")
     except ValueError as exc:
         raise ConfigError(f"synthesis config: {exc}") from exc
     return params, model, table, cfg, problems

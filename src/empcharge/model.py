@@ -200,12 +200,18 @@ def discretize(params: NdcParams, dt: float) -> DiscreteModel:
     A has eigenvalues {0, mu} with mu = -(Cb+Cs)/(Cb*Cs*(Rb+Rs)) and
     satisfies A@A = mu*A, so the matrix exponential has the closed form
     exp(A t) = I + (exp(mu t) - 1)/mu * A.
+
+    The closed form divides by mu**2, so parameters whose mu**2 underflows
+    to 0 or overflows are refused.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     A, B = continuous_matrices(params)
     mu = -(params.Cb + params.Cs) / (params.Cb * params.Cs
                                      * (params.Rb + params.Rs))
+    if not 0.0 < mu * mu < math.inf:
+        raise ValueError(f"Cb, Cs, Rb and Rs give mu = {mu:.3g}, whose "
+                         "square is 0 or not finite")
     em = math.exp(mu * dt)
     A_d = np.eye(2) + (em - 1.0) / mu * A
     # integral of exp(A tau) over [0, dt], using the same identity

@@ -13,15 +13,20 @@ every working set, here and in the explorer's law for an active set, the
 same KKT system with theta's columns as right-hand sides.  A working set,
 like a stored active set, names rows of G in G's own numbering, and a
 zero row never enters one.  ``solve_qp`` has one early exit: the KKT
-point of no row, then of a guess of the active set such as the last QP's
-(the online active-set strategy of Ferreau, Bock & Diehl, IJRNC 2008),
-is returned when optimal, with no phase-1 LP.
+point of a guess of the active set such as the last QP's (the online
+active-set strategy of Ferreau, Bock & Diehl, IJRNC 2008), then of no
+row, is returned when optimal, with no phase-1 LP.  A warm solve whose
+guess holds thus makes one KKT solve.
 
-LP subproblems (phase-1 feasibility, Chebyshev centers) go through scipy's
-HiGHS linprog.  A call this small costs several times more in scipy's input
-handling than in HiGHS, so ``chebyshev_centers`` stacks the Chebyshev LPs
-of many polytopes block-diagonally into one call; ``chebyshev_center`` is
-its one-element call.  Redundancy removal makes no LP: ``remove_redundant``
+LP subproblems (phase-1 feasibility, Chebyshev centers) go to HiGHS
+through ``linprog``, which takes scipy.optimize.linprog's arguments and
+calls scipy.optimize.milp with no integer entry.  Both scipy functions
+make the same HiGHS call, but linprog first cleans its inputs, and it
+checks five options where milp checks one: in scipy 1.17, about 0.45 ms
+of the 1.4 ms a phase-1 LP takes through linprog.  A call's fixed cost
+is also why ``chebyshev_centers`` stacks the Chebyshev LPs of many
+polytopes block-diagonally into one call; ``chebyshev_center`` is its
+one-element call.  Redundancy removal makes no LP: ``remove_redundant``
 reads a polytope's facets from qhull's halfspace intersection (Barber,
 Dobkin & Huhdanpaa, ACM TOMS 1996) around an interior point.  Only
 HiGHS's infeasible status makes a QP "infeasible": a phase-1 LP that
@@ -31,7 +36,7 @@ No module imports scipy at module level: the online law needs numpy alone,
 and importing scipy.optimize costs about 0.6 s of a fresh process.  scipy
 is imported inside ``linprog``, ``chebyshev_centers`` and
 ``remove_redundant``.  ``linprog`` stays a module attribute, a function that
-imports scipy's on its first call, so that every LP passes one name, the
+imports scipy on its first call, so that every LP passes one name, the
 one the tests and the benchmark's tracer wrap.  ``load_scipy`` imports it
 ahead of use: synthesis and the online-QP controllers call it before their
 clocks start, so no time the program reports includes the import.
@@ -74,10 +79,16 @@ def load_scipy() -> None:
     import scipy.optimize, scipy.sparse, scipy.spatial  # noqa: E401, F401
 
 
-def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on the first call."""
-    import scipy.optimize
-    return scipy.optimize.linprog(*args, **kwargs)
+def linprog(c, A_ub, b_ub, bounds):
+    """min c'x s.t. A_ub x <= b_ub and bounds, a (lo, hi) pair per entry
+    of x with None for no bound, as scipy.optimize.linprog takes them.
+    HiGHS solves it through scipy.optimize.milp with no integer entry;
+    the result has linprog's status codes, x, success and message."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    lo, hi = zip(*bounds)
+    return milp(c, constraints=LinearConstraint(A_ub, -np.inf, b_ub),
+                bounds=Bounds([-np.inf if b is None else b for b in lo],
+                              [np.inf if b is None else b for b in hi]))
 
 
 @dataclass(frozen=True)
@@ -121,8 +132,7 @@ def _feasible_start(G: np.ndarray, w: np.ndarray,
     n = G.shape[1]
     if np.all(w >= -FEAS_TOL):
         return np.zeros(n), 0
-    res = linprog(np.zeros(n), A_ub=G, b_ub=w, bounds=[(None, None)] * n,
-                  method="highs")
+    res = linprog(np.zeros(n), A_ub=G, b_ub=w, bounds=[(None, None)] * n)
     if res.status == 2:
         return None, 1
     if not res.success:
@@ -170,20 +180,22 @@ def solve_qp(qp: DenseQp, guess: tuple[int, ...] = ()) -> QpSolution:
     Working sets, the guess and the returned active set are rows of G.
     Rows of G that are (numerically) zero never enter a working set: they
     are either trivially satisfied or make the problem infeasible outright.
-    One early-exit check then tries up to two working sets in turn: no
-    row, then the guess, rows of G thought active at the optimum (such as
-    the active set of a nearby QP), when they are nonzero rows that pass
-    the rank rule (independent_rows).  The KKT point of a working set that
+    One early-exit check then tries up to two working sets in turn: the
+    guess, rows of G thought active at the optimum (such as the active set
+    of a nearby QP), when they are nonzero rows that pass the rank rule
+    (independent_rows), then no row.  The KKT point of a working set that
     meets every row with multipliers >= -MULT_TOL passes the test the loop
-    ends on and is returned at once; one that meets every row with a
-    negative multiplier starts the loop, with that working set.  H is
-    positive definite, so the optimum is unique, and a guess changes how
-    it is found, never which.  When neither point meets every row, the
-    loop starts cold, at the origin, or at a phase-1 LP's point over the
-    nonzero rows when the origin is infeasible.  A working set of n rows
-    admits no step, so there the loop reads the multipliers alone: with
-    large multipliers, the step the KKT solve returns can be rounding
-    noise above the step tolerance.
+    ends on and is returned at once, so a guess that holds costs one KKT
+    solve.  The point of no row has no multiplier to fail, so it is
+    returned whenever it meets every row.  Otherwise a guess whose point
+    meets every row but has a negative multiplier starts the loop, with
+    the guess as its working set.  H is positive definite, so the optimum
+    is unique, and a guess changes how it is found, never which.  When
+    neither point meets every row, the loop starts cold, at the origin, or
+    at a phase-1 LP's point over the nonzero rows when the origin is
+    infeasible.  A working set of n rows admits no step, so there the loop
+    reads the multipliers alone: with large multipliers, the step the KKT
+    solve returns can be rounding noise above the step tolerance.
     """
     H, f, w = qp.H, np.asarray(qp.f, float), np.asarray(qp.w, float)
     n = H.shape[0]
@@ -199,13 +211,16 @@ def solve_qp(qp: DenseQp, guess: tuple[int, ...] = ()) -> QpSolution:
 
     ok = guess and all(0 <= i < len(G) and not zero[i] for i in guess)
     guessed = list(guess) if ok and independent_rows(G[list(guess)]) else []
-    lps = 0
-    for work in [[], guessed] if guessed else [[]]:
+    start = None
+    for work in [guessed, []] if guessed else [[]]:
         z, lam = _kkt(H, G[work], -f, w[work])
         if np.all((G @ z <= w + FEAS_TOL) | zero):
             if lam.min(initial=0.0) >= -MULT_TOL:
-                return _optimal(z, work, lam, lps)
-            break
+                return _optimal(z, work, lam, 0)
+            start = z, work  # the guess's point, not optimal
+    lps = 0
+    if start is not None:
+        z, work = start
     else:
         work, (z, lps) = [], _feasible_start(G[~zero], w[~zero])
         if z is None:
@@ -276,7 +291,7 @@ def chebyshev_centers(polys) -> list[tuple[np.ndarray, float] | None]:
     for k in ends:
         bounds[k - 1] = (None, _CHEBYSHEV_BOX)
     res = linprog(c, A_ub=block_diag(blocks, format="csr"),
-                  b_ub=np.concatenate(b), bounds=bounds, method="highs")
+                  b_ub=np.concatenate(b), bounds=bounds)
     if not res.success:  # every block is feasible and bounded
         raise QpError(f"stacked Chebyshev LP: {res.message}")
     for k, x in zip(solve, np.split(res.x, ends[:-1])):

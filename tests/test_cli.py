@@ -1018,6 +1018,46 @@ def test_bad_input_exits_3(tmp_path, tables_dir, capsys, case):
     assert not out.exists()
 
 
+# finite values that pass every type rule but not the arithmetic: a gamma1
+# whose eta row, a Q whose cost and a dt whose input map overflow the
+# condensed problem's norm, and an Rs that underflows discretize's mu**2
+OVERFLOW = "the condensed problem's norm is not finite"
+OUT_OF_RANGE = {
+    "gamma1_1e300": ({"gamma1": 1e300}, OVERFLOW),
+    "Q_1e300": ({"mpc": {"Q": 1e300}}, OVERFLOW),
+    "dt_1e300": ({"dt": 1e300}, OVERFLOW),
+    "Rs_1e300": ({"params": {"Rs": 1e300}}, "whose square is 0 or not "
+                 "finite"),
+}
+
+
+@pytest.mark.parametrize("command", ["synthesize", "run empc", "run qp",
+                                     "run nmpc", "verify"])
+@pytest.mark.parametrize("case", list(OUT_OF_RANGE))
+def test_out_of_range_synthesis_exits_3(tmp_path, tables_dir, capsys, case,
+                                        command):
+    """A synthesis block whose model or condensed problem the arithmetic
+    cannot carry is one config error line in every command that reads
+    it, before any table, charge or write, under every controller."""
+    values, reason = OUT_OF_RANGE[case]
+    command, *controller = command.split()
+    doc = _synth(**values)
+    if command == "run":
+        doc = _scenario(controller=controller[0], step_budget=3,
+                        synthesis=doc)
+    argv = [command, "--config", _write(tmp_path / "c.json", doc)]
+    out = tmp_path / "out"
+    if command == "verify":
+        argv += ["--tables", str(tables_dir), "--samples", "5"]
+    else:
+        argv += ["--out-dir", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: synthesis config: ")
+    assert err.count("\n") == 1 and reason in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["synthesize", "run", "bench",
                                      "export-table"])
 def test_unwritable_output_exits_3(tmp_path, tables_dir, capsys, command):

@@ -13,7 +13,8 @@ import pathlib
 from collections import Counter
 
 import numpy as np
-import scipy.optimize._linprog as scipy_linprog
+import scipy.optimize._linprog_highs as scipy_linprog_highs
+import scipy.optimize._milp as scipy_milp
 
 from empcharge import cli, control, qp, regions, segments
 from empcharge.model import NdcState, discretize
@@ -46,7 +47,8 @@ def test_explore_lps_go_through_hooked_linprog(monkeypatch, problems):
     """Every HiGHS call ``explore`` makes goes through ``qp.linprog``, the
     name ``layers.py`` wraps, so the traced run counts all of them: one
     stacked Chebyshev call per default segment, redundancy removal making
-    none."""
+    none.  HiGHS is counted at its one entry, ``_highs_wrapper``, as both
+    scipy.optimize.milp and scipy.optimize.linprog bind it."""
     calls = Counter()
 
     def counting(real, key):
@@ -55,8 +57,9 @@ def test_explore_lps_go_through_hooked_linprog(monkeypatch, problems):
             return real(*args, **kw)
         return wrapper
 
-    monkeypatch.setattr(scipy_linprog, "_linprog_highs", counting(
-        scipy_linprog._linprog_highs, "highs"))
+    for module in (scipy_milp, scipy_linprog_highs):
+        monkeypatch.setattr(module, "_highs_wrapper", counting(
+            module._highs_wrapper, "highs"))
     monkeypatch.setattr(qp, "linprog", counting(qp.linprog, "hooked"))
     for problem in problems:
         calls.clear()

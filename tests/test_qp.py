@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.sparse import issparse
 
 from empcharge import qp, regions
 from empcharge.cli import _synthesis_objects, _theta_box
@@ -270,21 +271,51 @@ def test_guess_of_the_optimal_active_set_is_accepted_at_once(monkeypatch):
     search, so no phase-1 LP."""
     cases = [(H, f, G, w, solve_qp(DenseQp(H, f, G, w)))
              for H, f, G, w in _random_qps()]
-    starts = []
+    starts, kkts = [], []
     monkeypatch.setattr(qp, "_feasible_start",
                         lambda *a: starts.append(a) or None)
+    monkeypatch.setattr(qp, "_kkt",
+                        lambda *a, _real=qp._kkt: kkts.append(1) or _real(*a))
     guessed = 0
     for H, f, G, w, cold in cases:
         if cold.status != "optimal" or not cold.active_set:
             continue
         guessed += 1
+        kkts.clear()
         warm = solve_qp(DenseQp(H, f, G, w), cold.active_set)
+        assert len(kkts) == 1
         assert warm.status == "optimal"
         assert warm.active_set == cold.active_set
         assert (np.max(np.abs(warm.z_star - cold.z_star))
                 <= 1e-10 * (1.0 + np.max(np.abs(cold.z_star))))
     assert starts == []
     assert guessed > 1000
+
+
+def test_linprog_matches_scipy_linprog(monkeypatch, problems):
+    """qp.linprog, HiGHS through scipy.optimize.milp, returns the status
+    and the bits of x that scipy.optimize.linprog returns, on the three
+    kinds of LP the program makes: a phase-1 LP, an infeasible one, and
+    the stacked sparse Chebyshev LP of one explore."""
+    lps = []
+    monkeypatch.setattr(qp, "linprog", lambda *a, _real=qp.linprog, **k:
+                        lps.append((a, k)) or _real(*a, **k))
+    solve_qp(_NEEDS_PHASE1)
+    # z0 >= 1 and z0 <= 0 cannot both hold
+    solve_qp(DenseQp(np.eye(2), np.zeros(2), np.array([[-1.0, 0.0],
+                                                       [1.0, 0.0]]),
+                     np.array([-1.0, 0.0])))
+    regions.explore(problems[0])
+    monkeypatch.undo()
+    assert len(lps) == 3 and issparse(lps[2][1]["A_ub"])
+    statuses = []
+    for args, kw in lps:
+        ours, ref = qp.linprog(*args, **kw), linprog(*args, **kw)
+        assert ours.status == ref.status
+        if ref.status == 0:
+            assert ours.x.tobytes() == ref.x.tobytes()
+        statuses.append(ref.status)
+    assert statuses == [0, 2, 0]
 
 
 def test_any_guess_gives_the_cold_status_and_a_kkt_point():
